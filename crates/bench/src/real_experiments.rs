@@ -12,6 +12,7 @@ use audit_game::detection::{DetectionEstimator, DetectionModel};
 use audit_game::error::GameError;
 use audit_game::ishm::{CggsEvaluator, Ishm, IshmConfig};
 use audit_game::model::GameSpec;
+use audit_game::parallel::parallel_map_indexed;
 use serde::{Deserialize, Serialize};
 
 /// All series of one figure.
@@ -88,20 +89,12 @@ pub fn budget_sweep(
         base.clone()
     };
 
-    let points: Vec<Result<BudgetPoint, GameError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = budgets
-            .iter()
-            .map(|&b| {
-                let spec0 = &spec0;
-                scope.spawn(move || one_budget(spec0, b, config))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep thread panicked"))
-            .collect()
-    });
-    let points: Vec<BudgetPoint> = points.into_iter().collect::<Result<_, _>>()?;
+    // One thread per budget.
+    let points: Vec<BudgetPoint> = parallel_map_indexed(budgets.len(), budgets, |_, &b| {
+        one_budget(&spec0, b, config)
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()?;
 
     // Random-order baseline uses the ε = first-epsilon thresholds, as in the
     // paper ("we adopt the thresholds out of the proposed model with ε=0.1").

@@ -11,6 +11,7 @@ use audit_game::error::GameError;
 use audit_game::ishm::{CggsEvaluator, ExactEvaluator, Ishm, IshmConfig};
 use audit_game::model::GameSpec;
 use audit_game::ordering::AuditOrder;
+use audit_game::parallel::parallel_map_indexed;
 use serde::{Deserialize, Serialize};
 
 /// One row of Table III: the brute-force optimum for a budget.
@@ -92,9 +93,11 @@ pub fn table3(
     seed: u64,
     threads: usize,
 ) -> Result<Vec<OptimalRow>, GameError> {
-    parallel_map(budgets, |&b| {
+    parallel_map_indexed(budgets.len(), budgets, |_, &b| {
         optimal_for_budget(base, b, n_samples, seed, threads)
     })
+    .into_iter()
+    .collect()
 }
 
 /// Run ISHM at one `(B, ε)` grid point. `use_cggs` selects the Table V
@@ -187,12 +190,14 @@ pub fn ishm_grid_with_stats(
     seed: u64,
     threads: usize,
 ) -> Result<(Vec<Vec<GridCell>>, CacheStats), GameError> {
-    let rows = parallel_map(budgets, |&b| {
+    let rows = parallel_map_indexed(budgets.len(), budgets, |_, &b| {
         epsilons
             .iter()
             .map(|&e| ishm_cell_with_stats(base, b, e, use_cggs, n_samples, seed, threads))
             .collect::<Result<Vec<_>, _>>()
-    })?;
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     let mut stats = CacheStats::default();
     let grid = rows
         .into_iter()
@@ -239,21 +244,6 @@ pub fn exploration_summary(base: &GameSpec, grid: &[Vec<GridCell>]) -> Vec<(f64,
             (eps, mean, mean / space)
         })
         .collect()
-}
-
-/// Order-preserving parallel map over a slice (one thread per item).
-fn parallel_map<T: Sync, R: Send>(
-    items: &[T],
-    f: impl Fn(&T) -> Result<R, GameError> + Sync,
-) -> Result<Vec<R>, GameError> {
-    let results: Vec<Result<R, GameError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items.iter().map(|item| scope.spawn(|| f(item))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("experiment thread panicked"))
-            .collect()
-    });
-    results.into_iter().collect()
 }
 
 #[cfg(test)]

@@ -40,6 +40,7 @@ use super::cache::SecondChance;
 use super::trie::{Node, PalKey, QueryTrie};
 use super::{budget_cap, detection_step_capped, DetectionEstimator, DetectionModel, PalQuery};
 use crate::ordering::AuditOrder;
+use crate::parallel::parallel_map_indexed;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 
@@ -561,34 +562,17 @@ impl<'a> PalEngine<'a> {
             .copied()
             .filter(|&c| needs_walk[c])
             .collect();
+        // One contiguous run of root subtrees per worker; a single run is
+        // walked inline on the calling thread.
         let workers = self.threads.min(roots.len()).max(1);
-        let outputs: Vec<Vec<WalkOut>> = if workers <= 1 {
+        let per = roots.len().div_ceil(workers).max(1);
+        let parts: Vec<&[usize]> = roots.chunks(per).collect();
+        let outputs: Vec<Vec<WalkOut>> = parallel_map_indexed(workers, &parts, |_, part| {
             let mut out = Vec::new();
             let mut caps = Vec::new();
-            walk_set(&ctx, &roots, Some(&zeros), &mut out, &mut caps);
-            vec![out]
-        } else {
-            let per = roots.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = roots
-                    .chunks(per)
-                    .map(|part| {
-                        let ctx = &ctx;
-                        let zeros = &zeros;
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            let mut caps = Vec::new();
-                            walk_set(ctx, part, Some(zeros), &mut out, &mut caps);
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("pal worker panicked"))
-                    .collect()
-            })
-        };
+            walk_set(&ctx, part, Some(&zeros), &mut out, &mut caps);
+            out
+        });
         drop(adopted_consumed);
         drop(sc_ro);
 

@@ -22,8 +22,9 @@
 //!   queries in one call, grouped into a **prefix trie** so shared audit
 //!   prefixes are evaluated once per batch (and carried *across* batches
 //!   by a prefix-state cache), streamed column-by-column over the bank's
-//!   compact layout, fanned out over [`std::thread::scope`] workers (one
-//!   trie subtree per worker at a time) and memoized across calls.
+//!   compact layout, fanned out through
+//!   [`crate::parallel::parallel_map_indexed`] (contiguous runs of trie
+//!   subtrees per worker) and memoized across calls.
 //!
 //! Both paths accumulate each type's detection mass over samples in
 //! ascending sample order and per-sample budget consumption in audit-order
@@ -161,26 +162,24 @@ impl<'a> DetectionEstimator<'a> {
         let costs = &self.spec.alert_types;
         let budget = self.spec.budget;
         let mut acc = vec![0.0f64; self.spec.n_types()];
-        for chunk in self.bank.par_chunks(PAL_CHUNK_ROWS) {
-            for z in chunk.rows() {
-                let mut consumed = 0.0f64;
-                for &t in order.types() {
-                    let c_t = costs[t].audit_cost;
-                    let b_t = thresholds[t];
-                    let zt = z[t] as f64;
-                    let remaining = budget - consumed;
-                    let bt_cap = if remaining > 0.0 {
-                        (remaining / c_t).floor().max(0.0)
-                    } else {
-                        0.0
-                    };
-                    let n_t = bt_cap.min((b_t / c_t).floor().max(0.0)).min(zt);
-                    acc[t] += n_t;
-                    consumed += match self.model {
-                        DetectionModel::Operational => n_t * c_t,
-                        _ => b_t.min(zt * c_t),
-                    };
-                }
+        for z in self.bank.rows() {
+            let mut consumed = 0.0f64;
+            for &t in order.types() {
+                let c_t = costs[t].audit_cost;
+                let b_t = thresholds[t];
+                let zt = z[t] as f64;
+                let remaining = budget - consumed;
+                let bt_cap = if remaining > 0.0 {
+                    (remaining / c_t).floor().max(0.0)
+                } else {
+                    0.0
+                };
+                let n_t = bt_cap.min((b_t / c_t).floor().max(0.0)).min(zt);
+                acc[t] += n_t;
+                consumed += match self.model {
+                    DetectionModel::Operational => n_t * c_t,
+                    _ => b_t.min(zt * c_t),
+                };
             }
         }
         let n = self.bank.n_samples() as f64;
@@ -190,11 +189,6 @@ impl<'a> DetectionEstimator<'a> {
         acc
     }
 }
-
-/// Row-block granularity used when walking the bank through its chunk
-/// iterator. Purely a traversal detail (chunks are consumed in order), so
-/// the value only affects locality, never results.
-const PAL_CHUNK_ROWS: usize = 1024;
 
 /// `B_t` — the remaining per-type audit capacity in alert units, given the
 /// budget already consumed by the type's predecessors within one sample.

@@ -59,7 +59,9 @@
 //!   behavioural model (rational, quantal, general-sum, adaptive) a
 //!   scenario's adversary follows;
 //! * [`fuzz`] — a seeded random-game generator for property fuzzing
-//!   beyond the hand-built scenario families.
+//!   beyond the hand-built scenario families;
+//! * [`parallel`] — the one deterministic parallel map every short-lived
+//!   fan-out in the workspace runs on.
 //!
 //! ## Quick start
 //!
@@ -92,6 +94,7 @@ pub mod ishm;
 pub mod master;
 pub mod model;
 pub mod ordering;
+pub mod parallel;
 pub mod payoff;
 pub mod persist;
 pub mod planner;

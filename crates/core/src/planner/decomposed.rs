@@ -22,7 +22,7 @@
 //!   `y`-weighted detection mass, run a multi-start greedy
 //!   best-response from each of the top (binding) clusters, and admit
 //!   improving columns for up to [`REFINE_ROUNDS`] master re-solves.
-//!   Candidate scoring fans out over [`std::thread::scope`] workers via
+//!   Candidate scoring fans out through
 //!   [`parallel_map_indexed`] — pure arithmetic on already-computed
 //!   `Pal` vectors, chunked by candidate index and merged back in index
 //!   order, so results are bit-identical at every thread count.
@@ -40,6 +40,7 @@ use crate::ishm::ThresholdEvaluator;
 use crate::master::{MasterSolution, MasterSolver};
 use crate::model::GameSpec;
 use crate::ordering::AuditOrder;
+use crate::parallel::parallel_map_indexed;
 use crate::payoff::PayoffMatrix;
 use std::collections::{HashMap, HashSet};
 
@@ -53,41 +54,6 @@ const MAX_STARTS: usize = 4;
 /// A refinement column must beat the incumbent master value by this much
 /// to be admitted (mirrors the CGGS reduced-cost tolerance).
 const REFINE_TOL: f64 = 1e-7;
-
-/// Deterministic parallel map: apply `f` to every item of `items`,
-/// splitting the index range across at most `threads` scoped workers and
-/// merging results back **by index**. `f` must be pure — given that, the
-/// output is byte-identical at every thread count, because each slot is
-/// computed exactly once from `(index, item)` alone and the merge is
-/// positional. Runs inline (no threads spawned) when one worker suffices.
-pub(crate) fn parallel_map_indexed<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let workers = threads.max(1).min(items.len());
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    let chunk = items.len().div_ceil(workers);
-    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let f = &f;
-        for (ci, (in_chunk, out_chunk)) in
-            items.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
-        {
-            s.spawn(move || {
-                for (j, (x, slot)) in in_chunk.iter().zip(out_chunk.iter_mut()).enumerate() {
-                    *slot = Some(f(ci * chunk + j, x));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("every index slot is covered by exactly one worker"))
-        .collect()
-}
 
 /// All permutations of `items` in lexicographic position order (Heap's
 /// algorithm would scramble determinism guarantees for no gain at these
@@ -423,21 +389,6 @@ mod tests {
         }
         b.budget(budget);
         b.build().unwrap()
-    }
-
-    #[test]
-    fn parallel_map_is_identical_at_every_thread_count() {
-        let items: Vec<usize> = (0..97).collect();
-        let f = |i: usize, &x: &usize| (i as f64).sin() + (x as f64).sqrt();
-        let base = parallel_map_indexed(1, &items, f);
-        for threads in [2usize, 3, 4, 8] {
-            let got = parallel_map_indexed(threads, &items, f);
-            assert_eq!(base.len(), got.len());
-            for (a, b) in base.iter().zip(&got) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        assert!(parallel_map_indexed(4, &[] as &[usize], f).is_empty());
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   over a cluster-blocked order pool (per-cluster subproblems solved
 //!   exactly by within-cluster enumeration), then refining only the
 //!   *binding* clusters with multi-start greedy best-response pricing
-//!   whose candidate scoring fans out over [`std::thread::scope`]
-//!   workers with a deterministic merge by candidate index.
+//!   whose candidate scoring fans out through
+//!   [`crate::parallel::parallel_map_indexed`] with a deterministic merge
+//!   by candidate index.
 //!
 //! Everything here is bit-deterministic: the same instance plans the
 //! same strategy, the decomposed evaluator returns identical results at

@@ -9,7 +9,9 @@ use crate::detection::{
 };
 use crate::error::GameError;
 use crate::execute::AuditPolicy;
-use crate::ishm::{CggsEvaluator, ExactEvaluator, Ishm, IshmConfig, IshmOutcome, SearchStats};
+use crate::ishm::{
+    CggsEvaluator, ExactEvaluator, Ishm, IshmConfig, SearchStats, ThresholdEvaluator,
+};
 use crate::master::MasterSolution;
 use crate::model::GameSpec;
 use crate::ordering::AuditOrder;
@@ -179,8 +181,16 @@ pub struct AuditSolution {
     pub stats: SearchStats,
     /// Detection-engine counters of the solve (estimate/prefix-state cache
     /// hits, evictions, trie column passes) — the observability behind the
-    /// `--cache-stats` flag of the experiment drivers.
+    /// `--cache-stats` flag of the experiment drivers. Covers the search
+    /// alone: it is read before `expected_pal` is evaluated.
     pub cache: CacheStats,
+    /// The committed policy's mixture `Pal` per type
+    /// ([`AuditPolicy::expected_pal`]) — what an attacker best-responds to.
+    /// Evaluated on the engine that ran the solve, so it costs no new bank
+    /// draw; its queries are already cached, and cached values are exact,
+    /// so it is bit-identical to evaluating the policy on a fresh
+    /// [`PalEngine`] over `spec.sample_bank(n_samples, seed)`.
+    pub expected_pal: Vec<f64>,
     /// The inner strategy that produced this solution — `exact`, `cggs`,
     /// or a clustered decomposition with its outer level cap. Under a
     /// binding work budget this can sit *below* the planner's pick: it is
@@ -214,8 +224,10 @@ impl OapSolver {
 
     /// Attach a shared prefix-state exchange: before a solve, a snapshot
     /// published under this solver's [`shared_bank_key`] is adopted into
-    /// the fresh engine; after the solve, the engine's states are
-    /// published back. Adoption is bit-identical to solving isolated —
+    /// the fresh engine; after the solve and its
+    /// [`AuditSolution::expected_pal`] pass, the engine's states are
+    /// published back. This solver is the only place the key is derived.
+    /// Adoption is bit-identical to solving isolated —
     /// only wall-clock and cache counters change. The exchange engages on
     /// the [`OapSolver::solve`]/[`OapSolver::solve_warm`] paths, where the
     /// bank provably derives from `(spec, n_samples, seed)`; the
@@ -224,29 +236,6 @@ impl OapSolver {
     pub fn with_shared_cache(mut self, shared: SharedPalCache) -> Self {
         self.shared = Some(shared);
         self
-    }
-
-    /// The [`shared_bank_key`] this solver publishes and adopts under when
-    /// solving `spec` — over the *working* (dedup-applied) spec, since
-    /// that is what the engine evaluates. Exposed so sibling evaluators of
-    /// the same game (e.g. the runtime's predicted-`Pal` pass) can join
-    /// the exchange under the identical key.
-    pub fn share_key(&self, spec: &GameSpec) -> u64 {
-        let working = if self.config.dedup_actions {
-            spec.dedup_actions()
-        } else {
-            spec.clone()
-        };
-        self.working_share_key(&working)
-    }
-
-    fn working_share_key(&self, working: &GameSpec) -> u64 {
-        shared_bank_key(
-            working,
-            self.config.n_samples,
-            self.config.seed,
-            self.config.detection,
-        )
     }
 
     /// Solve the full OAP: ISHM over thresholds with the configured inner
@@ -278,10 +267,16 @@ impl OapSolver {
             spec.clone()
         };
         let bank = working.sample_bank(self.config.n_samples, self.config.seed);
-        let share_key = self
-            .shared
-            .as_ref()
-            .map(|_| self.working_share_key(&working));
+        // The share key is taken over the working (dedup-applied) spec,
+        // since that is what the engine evaluates.
+        let share_key = self.shared.as_ref().map(|_| {
+            shared_bank_key(
+                &working,
+                self.config.n_samples,
+                self.config.seed,
+                self.config.detection,
+            )
+        });
         self.solve_ladder(spec, &working, &bank, warm, share_key)
     }
 
@@ -427,17 +422,19 @@ impl OapSolver {
             ..Default::default()
         });
 
-        let (outcome, cache): (IshmOutcome, CacheStats) = match strategy {
-            SolveStrategy::Exact => {
-                let mut eval = ExactEvaluator::with_threads(working, est, self.config.threads);
-                self.adopt_shared(share_key, eval.engine());
-                let outcome = ishm.solve(working, &mut eval)?;
-                self.publish_shared(share_key, eval.engine());
-                let cache = eval.engine().cache_stats();
-                (outcome, cache)
-            }
-            SolveStrategy::Cggs => {
-                let mut eval = CggsEvaluator::new(
+        match strategy {
+            SolveStrategy::Exact => self.run_ishm(
+                &ishm,
+                working,
+                ExactEvaluator::with_threads(working, est, self.config.threads),
+                ExactEvaluator::engine,
+                share_key,
+                strategy,
+            ),
+            SolveStrategy::Cggs => self.run_ishm(
+                &ishm,
+                working,
+                CggsEvaluator::new(
                     working,
                     est,
                     CggsConfig {
@@ -445,39 +442,59 @@ impl OapSolver {
                         seed_columns: warm.map(|w| w.orders.clone()).unwrap_or_default(),
                         ..Default::default()
                     },
-                );
-                self.adopt_shared(share_key, eval.engine());
-                let outcome = ishm.solve(working, &mut eval)?;
-                self.publish_shared(share_key, eval.engine());
-                let cache = eval.engine().cache_stats();
-                (outcome, cache)
-            }
-            SolveStrategy::Decomposed { .. } => {
-                let mut eval = DecomposedEvaluator::new(
+                ),
+                CggsEvaluator::engine,
+                share_key,
+                strategy,
+            ),
+            SolveStrategy::Decomposed { .. } => self.run_ishm(
+                &ishm,
+                working,
+                DecomposedEvaluator::new(
                     working,
                     est,
                     self.config.threads,
                     warm.map(|w| w.orders.clone()).unwrap_or_default(),
-                );
-                self.adopt_shared(share_key, eval.engine());
-                let outcome = ishm.solve(working, &mut eval)?;
-                self.publish_shared(share_key, eval.engine());
-                let cache = eval.engine().cache_stats();
-                (outcome, cache)
-            }
-        };
+                ),
+                DecomposedEvaluator::engine,
+                share_key,
+                strategy,
+            ),
+        }
+    }
 
+    /// Run ISHM over `eval` and commit its outcome. The engine is used in
+    /// a fixed order: shared states are adopted before the search; the
+    /// cache counters are read right after it, so they cover the search
+    /// alone; the committed policy's `expected_pal` is then evaluated on
+    /// the same engine; and the states are published last, so the
+    /// exchange also holds whatever that evaluation added.
+    fn run_ishm<'a, E: ThresholdEvaluator>(
+        &self,
+        ishm: &Ishm,
+        working: &GameSpec,
+        mut eval: E,
+        engine: fn(&E) -> &PalEngine<'a>,
+        share_key: Option<u64>,
+        strategy: SolveStrategy,
+    ) -> Result<AuditSolution, GameError> {
+        self.adopt_shared(share_key, engine(&eval));
+        let outcome = ishm.solve(working, &mut eval)?;
+        let cache = engine(&eval).cache_stats();
         let policy = AuditPolicy::new(
-            outcome.thresholds.clone(),
-            outcome.orders.clone(),
+            outcome.thresholds,
+            outcome.orders,
             outcome.master.p_orders.clone(),
         );
+        let expected_pal = policy.expected_pal(engine(&eval));
+        self.publish_shared(share_key, engine(&eval));
         Ok(AuditSolution {
             policy,
             loss: outcome.value,
             master: outcome.master,
             stats: outcome.stats,
             cache,
+            expected_pal,
             strategy,
             degrade: None,
         })
@@ -758,6 +775,101 @@ mod tests {
                 first.cache.state_hits
             );
         }
+    }
+
+    /// The committed policy's mixture `Pal` on a fresh engine over a fresh
+    /// bank of the raw spec, as bits.
+    fn fresh_expected_pal(spec: &GameSpec, cfg: &SolverConfig, policy: &AuditPolicy) -> Vec<u64> {
+        let bank = spec.sample_bank(cfg.n_samples, cfg.seed);
+        let est = DetectionEstimator::new(spec, &bank, cfg.detection);
+        bits(&policy.expected_pal(&PalEngine::new(est, 1)))
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn expected_pal_matches_a_fresh_engine_bit_for_bit() {
+        let narrow = random_game(&RandomGameConfig::default(), 59);
+        let wide = random_game(
+            &RandomGameConfig {
+                n_types: 7,
+                ..Default::default()
+            },
+            59,
+        );
+        for (spec, inner) in [
+            (&narrow, InnerKind::Exact),
+            (&narrow, InnerKind::Cggs),
+            (&wide, InnerKind::Cggs),
+            (&wide, InnerKind::Decomposed),
+        ] {
+            let cfg = SolverConfig {
+                n_samples: 60,
+                epsilon: 0.5,
+                inner,
+                ..Default::default()
+            };
+            let isolated = OapSolver::new(cfg.clone()).solve(spec).unwrap();
+            let shared = SharedPalCache::new();
+            let solver = OapSolver::new(cfg.clone()).with_shared_cache(shared.clone());
+            // The first shared solve publishes; the second adopts.
+            let first = solver.solve(spec).unwrap();
+            let second = solver.solve(spec).unwrap();
+            assert!(shared.stats().adoptions >= 1, "{inner:?}");
+            for sol in [&isolated, &first, &second] {
+                assert_eq!(sol.expected_pal.len(), spec.n_types());
+                assert_eq!(
+                    bits(&sol.expected_pal),
+                    fresh_expected_pal(spec, &cfg, &sol.policy),
+                    "{inner:?}"
+                );
+            }
+        }
+        // A truncated ladder commits its final rung's policy, and its Pal.
+        let cfg = SolverConfig {
+            n_samples: 60,
+            epsilon: 0.5,
+            work_budget: Some(1),
+            ..Default::default()
+        };
+        let sol = OapSolver::new(cfg.clone()).solve(&narrow).unwrap();
+        assert_eq!(sol.degrade, Some(DegradeReason::Truncated));
+        assert_eq!(
+            bits(&sol.expected_pal),
+            fresh_expected_pal(&narrow, &cfg, &sol.policy)
+        );
+    }
+
+    #[test]
+    fn cache_counters_exclude_the_expected_pal_pass() {
+        let spec = random_game(&RandomGameConfig::default(), 61);
+        let cfg = SolverConfig {
+            n_samples: 60,
+            epsilon: 0.5,
+            inner: InnerKind::Exact,
+            ..Default::default()
+        };
+        let sol = OapSolver::new(cfg.clone()).solve(&spec).unwrap();
+
+        // The same ISHM run, driven by hand.
+        let working = spec.dedup_actions();
+        let bank = working.sample_bank(cfg.n_samples, cfg.seed);
+        let est = DetectionEstimator::new(&working, &bank, cfg.detection);
+        let mut eval = ExactEvaluator::with_threads(&working, est, cfg.threads);
+        Ishm::new(IshmConfig {
+            epsilon: cfg.epsilon,
+            max_level: SolveStrategy::Exact.level_cap(),
+            ..Default::default()
+        })
+        .solve(&working, &mut eval)
+        .unwrap();
+        assert_eq!(sol.cache, eval.engine().cache_stats());
+        // The pass itself is visible in the counters, so the equality
+        // above shows it was left out.
+        sol.policy.expected_pal(eval.engine());
+        assert_ne!(sol.cache, eval.engine().cache_stats());
     }
 
     #[test]

@@ -29,14 +29,16 @@
 //! Not persisted, recomputed instead: the scenario's alert stream (a pure
 //! function of the scenario and seed), per-period execution RNG streams
 //! (derived — see [`crate::service::EXEC_STREAM_BASE`]), and the
-//! predicted-`Pal` vector (a pure function of spec, policy and solver
-//! config). Decoding never panics: every structural assumption is checked
-//! first and surfaces as a typed [`PersistError`].
+//! predicted-`Pal` vector, computed from the incumbent policy over the
+//! persisted bank once that bank has passed the regeneration check (so
+//! restore draws the bank once, not twice). Decoding never panics: every
+//! structural assumption is checked first and surfaces as a typed
+//! [`PersistError`].
 
 use crate::online::{DriftConfig, OnlineFit};
-use crate::service::{predicted_pal, RuntimeConfig, ServiceState};
+use crate::service::{RuntimeConfig, ServiceState};
 use crate::telemetry::{EpochTelemetry, RuntimeReport};
-use audit_game::detection::{CacheStats, DetectionModel};
+use audit_game::detection::{CacheStats, DetectionEstimator, DetectionModel, PalEngine};
 use audit_game::persist::{
     decode_policy, decode_warm_start, encode_policy, encode_warm_start, load_scenario_snapshot,
     save_scenario_snapshot, PersistError, KIND_RUNTIME_STATE,
@@ -632,8 +634,10 @@ pub fn load_checkpoint(dir: &Path) -> Result<LoadedCheckpoint, PersistError> {
         ));
     }
 
-    // Derived state is recomputed, bit-identically, from persisted inputs.
-    let predicted = predicted_pal(&loaded.spec, &policy, &config.solver, None);
+    // Derived state is recomputed, bit-identically, from persisted inputs:
+    // the predicted `Pal` over the bank just verified.
+    let est = DetectionEstimator::new(&loaded.spec, &loaded.bank, config.solver.detection);
+    let predicted = policy.expected_pal(&PalEngine::new(est, config.solver.threads));
 
     let state = ServiceState {
         epoch: cursor.epoch,

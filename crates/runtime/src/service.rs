@@ -35,7 +35,7 @@ use crate::online::{DriftConfig, OnlineFit};
 use crate::supervisor::{FaultInjector, FaultSite};
 use crate::telemetry::{EpochTelemetry, RuntimeReport};
 use audit_game::attacker::AttackerModel;
-use audit_game::detection::{CacheStats, DetectionEstimator, PalEngine, SharedPalCache};
+use audit_game::detection::{CacheStats, SharedPalCache};
 use audit_game::error::GameError;
 use audit_game::execute::{execute_policy, AuditPolicy, RealizedAlert};
 use audit_game::model::GameSpec;
@@ -188,9 +188,10 @@ pub struct ServiceState {
     pub initial_objective: f64,
     /// Wall-clock milliseconds of the initial solve.
     pub initial_solve_millis: f64,
-    /// The incumbent policy's predicted mixture `Pal` per type, evaluated
-    /// on the solver's sample bank for the committed spec. Derived state:
-    /// recomputed (bit-identically) from `spec` + `policy` on restore.
+    /// The incumbent policy's predicted mixture `Pal` per type: the
+    /// committed solve's [`audit_game::solver::AuditSolution::expected_pal`].
+    /// Derived state: recomputed (bit-identically) on restore from
+    /// `policy` over the checkpoint's verified sample bank.
     pub predicted: Vec<f64>,
     /// The strategic attacker's belief over per-type detection
     /// probabilities: an EWMA of the *published* predicted `Pal` vectors,
@@ -240,13 +241,13 @@ impl AuditService {
             .is_some_and(|inj| inj.fires(round, site))
     }
 
-    /// Attach a shared prefix-state exchange: every solve and
-    /// predicted-`Pal` pass of this service adopts and publishes
-    /// snapshots through it, so services whose sample banks coincide
-    /// amortize each other's column passes. Bit-identical to running
-    /// isolated — adopted states are exact values, and cache counters are
-    /// excluded from the telemetry fingerprint (see
-    /// [`audit_game::detection::SharedPalCache`]).
+    /// Attach a shared prefix-state exchange: every solve of this service
+    /// (cold start, committed re-solve, and the `compare_cold` shadow)
+    /// adopts and publishes snapshots through its solver, so services
+    /// whose sample banks coincide amortize each other's column passes.
+    /// Bit-identical to running isolated — adopted states are exact
+    /// values, and cache counters are excluded from the telemetry
+    /// fingerprint (see [`audit_game::detection::SharedPalCache`]).
     pub fn with_shared_cache(mut self, shared: SharedPalCache) -> Self {
         self.shared = Some(shared);
         self
@@ -416,12 +417,11 @@ impl AuditService {
         let t0 = Instant::now();
         let solution = solver.solve(&spec)?;
         let initial_solve_millis = millis_since(t0);
-        let predicted = predicted_pal(&spec, &solution.policy, &cfg.solver, self.shared.as_ref());
 
         Ok(ServiceState {
             epoch: 0,
             spec,
-            predicted,
+            predicted: solution.expected_pal,
             attacker_belief: vec![0.0; n],
             loss: solution.loss,
             engine_cache: solution.cache,
@@ -717,8 +717,7 @@ impl AuditService {
                     st.spec = new_spec;
                     st.policy = committed.policy;
                     st.loss = committed.loss;
-                    st.predicted =
-                        predicted_pal(&st.spec, &st.policy, &cfg.solver, self.shared.as_ref());
+                    st.predicted = committed.expected_pal;
                     st.epochs_since_resolve = 0;
                     resolved = true;
                 }
@@ -767,35 +766,6 @@ impl AuditService {
         st.epoch += 1;
         Ok(())
     }
-}
-
-/// The committed policy's predicted mixture `Pal` under the spec it was
-/// solved against (evaluated on the same sample bank the solver used).
-/// With a shared exchange attached, the pass adopts the solver's
-/// published prefix states first and publishes its own back — the result
-/// is bitwise unchanged (adopted states are exact values); only column
-/// passes are saved.
-pub(crate) fn predicted_pal(
-    spec: &GameSpec,
-    policy: &AuditPolicy,
-    cfg: &SolverConfig,
-    shared: Option<&SharedPalCache>,
-) -> Vec<f64> {
-    let bank = spec.sample_bank(cfg.n_samples, cfg.seed);
-    let est = DetectionEstimator::new(spec, &bank, cfg.detection);
-    let engine = PalEngine::new(est, cfg.threads);
-    let key = shared.map(|s| {
-        let key = OapSolver::new(cfg.clone()).share_key(spec);
-        if let Some(seed) = s.get(key) {
-            engine.adopt_states(&seed);
-        }
-        key
-    });
-    let predicted = policy.expected_pal(&engine);
-    if let (Some(shared), Some(key)) = (shared, key) {
-        shared.publish(key, engine.export_states());
-    }
-    predicted
 }
 
 fn millis_since(t: Instant) -> f64 {

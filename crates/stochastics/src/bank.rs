@@ -76,45 +76,6 @@ pub struct SampleBank {
     cols32: Option<Vec<u32>>,
 }
 
-/// A contiguous block of bank rows (samples `start..start + len`).
-///
-/// Produced by [`SampleBank::par_chunks`]. Chunk boundaries depend only on
-/// the bank shape and the requested chunk size — never on how many workers
-/// consume them — so any reduction that combines per-chunk partials *in
-/// chunk order* is deterministic and independent of thread count. (Note
-/// that the batched `Pal` engine does not row-parallelize: it splits work
-/// by policy to stay bit-identical to the scalar path. This iterator is
-/// the seam for future reductions that accept chunk-ordered summation.)
-#[derive(Debug, Clone, Copy)]
-pub struct BankChunk<'a> {
-    /// Row-major slice `len × n_types`.
-    rows: &'a [u64],
-    n_types: usize,
-    start: usize,
-}
-
-impl<'a> BankChunk<'a> {
-    /// Index of the first bank row in this chunk.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// Number of rows in this chunk.
-    pub fn len(&self) -> usize {
-        self.rows.len() / self.n_types
-    }
-
-    /// Whether the chunk holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Iterate over the chunk's realizations in bank order.
-    pub fn rows(&self) -> impl Iterator<Item = &'a [u64]> {
-        self.rows.chunks_exact(self.n_types)
-    }
-}
-
 impl SampleBank {
     /// Draw `n_samples` joint realizations from per-type distributions.
     ///
@@ -295,25 +256,6 @@ impl SampleBank {
         self.cols32.as_deref()
     }
 
-    /// Split the bank into contiguous row blocks of (at most) `chunk_rows`
-    /// rows each, suitable for handing to parallel workers.
-    ///
-    /// The boundaries depend only on `n_samples` and `chunk_rows`, so a
-    /// reduction over per-chunk partials taken in chunk order yields the
-    /// same result no matter how many threads consume the iterator.
-    pub fn par_chunks(&self, chunk_rows: usize) -> impl Iterator<Item = BankChunk<'_>> {
-        assert!(chunk_rows > 0, "chunk size must be positive");
-        let n_types = self.n_types;
-        self.data
-            .chunks(chunk_rows * n_types)
-            .enumerate()
-            .map(move |(i, rows)| BankChunk {
-                rows,
-                n_types,
-                start: i * chunk_rows,
-            })
-    }
-
     /// Sample mean count of type `t` across the bank.
     pub fn mean_count(&self, t: usize) -> f64 {
         let sum: u64 = self.column(t).iter().sum();
@@ -477,41 +419,5 @@ mod tests {
     #[should_panic]
     fn from_column_major_rejects_bad_shape() {
         SampleBank::from_column_major(2, 3, vec![0; 5]);
-    }
-
-    #[test]
-    fn par_chunks_cover_every_row_in_order() {
-        let bank = SampleBank::generate(&dists(), 103, 8);
-        for chunk_rows in [1, 7, 50, 103, 200] {
-            let mut seen = 0usize;
-            for chunk in bank.par_chunks(chunk_rows) {
-                assert_eq!(chunk.start(), seen);
-                assert!(chunk.len() <= chunk_rows);
-                assert!(!chunk.is_empty());
-                for (i, row) in chunk.rows().enumerate() {
-                    assert_eq!(row, bank.row(seen + i));
-                }
-                seen += chunk.len();
-            }
-            assert_eq!(seen, bank.n_samples(), "chunk_rows={chunk_rows}");
-        }
-    }
-
-    #[test]
-    fn chunk_boundaries_independent_of_consumer_count() {
-        // The contract the batch engine relies on: boundaries are a pure
-        // function of (n_samples, chunk_rows).
-        let bank = SampleBank::generate(&dists(), 64, 1);
-        let a: Vec<(usize, usize)> = bank.par_chunks(10).map(|c| (c.start(), c.len())).collect();
-        let b: Vec<(usize, usize)> = bank.par_chunks(10).map(|c| (c.start(), c.len())).collect();
-        assert_eq!(a, b);
-        assert_eq!(a.last(), Some(&(60, 4)));
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_chunk_size_rejected() {
-        let bank = SampleBank::from_rows(vec![vec![1]]);
-        let _ = bank.par_chunks(0).count();
     }
 }

@@ -30,7 +30,7 @@ pub mod rng;
 pub mod snapshot;
 pub mod stats;
 
-pub use bank::{BankChunk, JointCountModel, SampleBank};
+pub use bank::{JointCountModel, SampleBank};
 pub use discrete::{
     Constant, CountDistribution, DiscretizedGaussian, Empirical, Mixture, Poisson, UniformCount,
     Zipf,

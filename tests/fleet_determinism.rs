@@ -83,8 +83,14 @@ fn shared_caches_are_bit_identical_to_isolated() {
     let isolated = fleet_over(&["syn-a"], 5, 4, false);
     assert!(shared.shared && !isolated.shared);
     assert_eq!(shared.fingerprint(), isolated.fingerprint());
-    // Sharing actually engaged: snapshots were published and adopted.
-    assert!(shared.shared_cache.publishes > 0);
+    // Sharing actually engaged: snapshots were published and adopted,
+    // exactly once per solve (cold starts plus committed re-solves).
+    assert_eq!(
+        shared.shared_cache.publishes,
+        (shared.tenants.len() + shared.total_resolves()) as u64,
+        "{:?}",
+        shared.shared_cache
+    );
     assert!(
         shared.shared_cache.adoptions > 0,
         "identical banks never shared a snapshot: {:?}",
