@@ -6,9 +6,9 @@
 //! `--flag=<v>` anywhere on the line. This module is that dialect's
 //! single implementation — flag extraction, scenario-key resolution,
 //! count/grid parsing, the `AUDIT_THREADS` default, and the
-//! `--cache-stats` rendering — so a new binary (e.g. `exp_restart`) gets
-//! the whole convention from one import and no binary re-implements a
-//! slightly different spelling of it.
+//! `--cache-stats` rendering — so a new binary gets the whole convention
+//! from one import and no binary re-implements a slightly different
+//! spelling of it.
 //!
 //! The historical homes of these helpers ([`crate::defaults`],
 //! [`crate::scenarios`]) re-export them, so older import paths keep

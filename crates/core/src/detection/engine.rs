@@ -32,9 +32,8 @@
 //!    from its key entirely. ISHM spends its whole early search above the
 //!    saturation point on real scenarios; those candidates collapse.
 //!
-//! The engine prefers the bank's compact `u32` column mirror when present
-//! (counts are validated to fit at bank construction; oversized banks fall
-//! back to the `u64` columns), halving the footprint of the hot columns.
+//! Every column pass streams one contiguous `u64` column of the bank
+//! ([`stochastics::SampleBank::column`]).
 
 use super::cache::SecondChance;
 use super::trie::{Node, PalKey, QueryTrie};
@@ -143,12 +142,12 @@ impl std::fmt::Debug for PalStateSeed {
 }
 
 /// Default number of cached estimates.
-pub const DEFAULT_PAL_CACHE_CAPACITY: usize = 1 << 18;
+const DEFAULT_PAL_CACHE_CAPACITY: usize = 1 << 18;
 
 /// Default memory budget for the prefix-state cache, in bytes. Each entry
 /// costs ~8 bytes per bank sample, so the entry capacity is derived per
 /// engine from the bank size (clamped to a sane range).
-pub const DEFAULT_STATE_CACHE_BYTES: usize = 32 << 20;
+const DEFAULT_STATE_CACHE_BYTES: usize = 32 << 20;
 
 fn default_state_capacity(n_samples: usize) -> usize {
     (DEFAULT_STATE_CACHE_BYTES / (8 * n_samples + 256)).clamp(16, 65_536)
@@ -207,24 +206,17 @@ impl<'a> PalEngine<'a> {
         Self::with_capacities(est, threads, 0, 0)
     }
 
-    /// Build with an explicit estimate-cache capacity (`0` disables all
-    /// cross-call caching, including prefix states).
-    pub fn with_cache_capacity(
-        est: DetectionEstimator<'a>,
-        threads: usize,
-        capacity: usize,
-    ) -> Self {
-        let state_capacity = if capacity == 0 {
-            0
-        } else {
-            default_state_capacity(est.bank.n_samples())
-        };
+    /// Build with an explicit estimate-cache capacity, so tests can drive
+    /// eviction through a tiny cache.
+    #[cfg(test)]
+    fn with_cache_capacity(est: DetectionEstimator<'a>, threads: usize, capacity: usize) -> Self {
+        let state_capacity = default_state_capacity(est.bank.n_samples());
         Self::with_capacities(est, threads, capacity, state_capacity)
     }
 
     /// Build with explicit estimate- and prefix-state-cache capacities
     /// (entries; `0` disables the respective cache).
-    pub fn with_capacities(
+    fn with_capacities(
         est: DetectionEstimator<'a>,
         threads: usize,
         capacity: usize,
@@ -701,10 +693,7 @@ fn walk_set(
         let group = &fresh[i..j];
         let parent = parent_consumed.expect("fresh node requires parent prefix state");
         let c_t = spec.alert_types[t].audit_cost;
-        let col = match bank.compact_column(t) {
-            Some(c) => Col::Compact(c),
-            None => Col::Wide(bank.column(t)),
-        };
+        let col = bank.column(t);
         let swept = group.len() >= 2;
         if swept {
             caps.clear();
@@ -762,14 +751,6 @@ fn walk_set(
     }
 }
 
-/// A bank column in either width; counts widen to `u64` before arithmetic,
-/// so both layouts produce bit-identical results.
-#[derive(Copy, Clone)]
-enum Col<'a> {
-    Wide(&'a [u64]),
-    Compact(&'a [u32]),
-}
-
 #[allow(clippy::too_many_arguments)]
 fn pass_extend(
     model: DetectionModel,
@@ -778,24 +759,7 @@ fn pass_extend(
     b_t: f64,
     thresh_cap: f64,
     parent: &[f64],
-    col: Col<'_>,
-    next: &mut Vec<f64>,
-) -> f64 {
-    match col {
-        Col::Wide(z) => pass_extend_z(model, budget, c_t, b_t, thresh_cap, parent, z, next),
-        Col::Compact(z) => pass_extend_z(model, budget, c_t, b_t, thresh_cap, parent, z, next),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn pass_extend_z<Z: Copy + Into<u64>>(
-    model: DetectionModel,
-    budget: f64,
-    c_t: f64,
-    b_t: f64,
-    thresh_cap: f64,
-    parent: &[f64],
-    col: &[Z],
+    col: &[u64],
     next: &mut Vec<f64>,
 ) -> f64 {
     next.clear();
@@ -803,7 +767,7 @@ fn pass_extend_z<Z: Copy + Into<u64>>(
     let mut sum = 0.0f64;
     for (&cons, &z) in parent.iter().zip(col) {
         let cap = budget_cap(budget, c_t, cons);
-        let (contrib, spent) = detection_step_capped(model, cap, c_t, b_t, thresh_cap, z.into());
+        let (contrib, spent) = detection_step_capped(model, cap, c_t, b_t, thresh_cap, z);
         sum += contrib;
         next.push(cons + spent);
     }
@@ -817,27 +781,12 @@ fn pass_sum(
     b_t: f64,
     thresh_cap: f64,
     parent: &[f64],
-    col: Col<'_>,
-) -> f64 {
-    match col {
-        Col::Wide(z) => pass_sum_z(model, budget, c_t, b_t, thresh_cap, parent, z),
-        Col::Compact(z) => pass_sum_z(model, budget, c_t, b_t, thresh_cap, parent, z),
-    }
-}
-
-fn pass_sum_z<Z: Copy + Into<u64>>(
-    model: DetectionModel,
-    budget: f64,
-    c_t: f64,
-    b_t: f64,
-    thresh_cap: f64,
-    parent: &[f64],
-    col: &[Z],
+    col: &[u64],
 ) -> f64 {
     let mut sum = 0.0f64;
     for (&cons, &z) in parent.iter().zip(col) {
         let cap = budget_cap(budget, c_t, cons);
-        let (contrib, _) = detection_step_capped(model, cap, c_t, b_t, thresh_cap, z.into());
+        let (contrib, _) = detection_step_capped(model, cap, c_t, b_t, thresh_cap, z);
         sum += contrib;
     }
     sum
@@ -851,31 +800,14 @@ fn pass_capped_extend(
     b_t: f64,
     thresh_cap: f64,
     parent: &[f64],
-    col: Col<'_>,
-    next: &mut Vec<f64>,
-) -> f64 {
-    match col {
-        Col::Wide(z) => pass_capped_extend_z(model, caps, c_t, b_t, thresh_cap, parent, z, next),
-        Col::Compact(z) => pass_capped_extend_z(model, caps, c_t, b_t, thresh_cap, parent, z, next),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn pass_capped_extend_z<Z: Copy + Into<u64>>(
-    model: DetectionModel,
-    caps: &[f64],
-    c_t: f64,
-    b_t: f64,
-    thresh_cap: f64,
-    parent: &[f64],
-    col: &[Z],
+    col: &[u64],
     next: &mut Vec<f64>,
 ) -> f64 {
     next.clear();
     next.reserve(parent.len());
     let mut sum = 0.0f64;
     for ((&cap, &cons), &z) in caps.iter().zip(parent).zip(col) {
-        let (contrib, spent) = detection_step_capped(model, cap, c_t, b_t, thresh_cap, z.into());
+        let (contrib, spent) = detection_step_capped(model, cap, c_t, b_t, thresh_cap, z);
         sum += contrib;
         next.push(cons + spent);
     }
@@ -888,25 +820,11 @@ fn pass_capped_sum(
     c_t: f64,
     b_t: f64,
     thresh_cap: f64,
-    col: Col<'_>,
-) -> f64 {
-    match col {
-        Col::Wide(z) => pass_capped_sum_z(model, caps, c_t, b_t, thresh_cap, z),
-        Col::Compact(z) => pass_capped_sum_z(model, caps, c_t, b_t, thresh_cap, z),
-    }
-}
-
-fn pass_capped_sum_z<Z: Copy + Into<u64>>(
-    model: DetectionModel,
-    caps: &[f64],
-    c_t: f64,
-    b_t: f64,
-    thresh_cap: f64,
-    col: &[Z],
+    col: &[u64],
 ) -> f64 {
     let mut sum = 0.0f64;
     for (&cap, &z) in caps.iter().zip(col) {
-        let (contrib, _) = detection_step_capped(model, cap, c_t, b_t, thresh_cap, z.into());
+        let (contrib, _) = detection_step_capped(model, cap, c_t, b_t, thresh_cap, z);
         sum += contrib;
     }
     sum

@@ -17,12 +17,12 @@
 //! Two evaluation paths share the same arithmetic:
 //!
 //! * [`DetectionEstimator`] — the scalar reference: one policy at a time,
-//!   one row of the bank at a time;
+//!   one sample of the bank at a time;
 //! * [`PalEngine`] — the batched engine: many `(sequence, thresholds)`
 //!   queries in one call, grouped into a **prefix trie** so shared audit
 //!   prefixes are evaluated once per batch (and carried *across* batches
 //!   by a prefix-state cache), streamed column-by-column over the bank's
-//!   compact layout, fanned out through
+//!   column-major counts, fanned out through
 //!   [`crate::parallel::parallel_map_indexed`] (contiguous runs of trie
 //!   subtrees per worker) and memoized across calls.
 //!
@@ -39,9 +39,7 @@ mod engine;
 mod shared;
 mod trie;
 
-pub use engine::{
-    CacheStats, PalEngine, PalStateSeed, DEFAULT_PAL_CACHE_CAPACITY, DEFAULT_STATE_CACHE_BYTES,
-};
+pub use engine::{CacheStats, PalEngine, PalStateSeed};
 pub use shared::{shared_bank_key, SharedCacheStats, SharedPalCache};
 
 use crate::model::GameSpec;
@@ -109,16 +107,7 @@ impl<'a> DetectionEstimator<'a> {
             self.spec.n_types(),
             "order/type arity mismatch"
         );
-        assert_eq!(thresholds.len(), self.spec.n_types());
-        let mut acc = vec![0.0f64; self.spec.n_types()];
-        for z in self.bank.rows() {
-            self.accumulate_sample(order.types(), thresholds, z, &mut acc);
-        }
-        let n = self.bank.n_samples() as f64;
-        for a in &mut acc {
-            *a /= n;
-        }
-        acc
+        self.pal_prefix(order.types(), thresholds)
     }
 
     /// `Pal` restricted to a *prefix* of an order: types in `prefix` are
@@ -128,58 +117,23 @@ impl<'a> DetectionEstimator<'a> {
     pub fn pal_prefix(&self, prefix: &[usize], thresholds: &[f64]) -> Vec<f64> {
         assert!(prefix.len() <= self.spec.n_types());
         assert_eq!(thresholds.len(), self.spec.n_types());
-        let mut acc = vec![0.0f64; self.spec.n_types()];
-        for z in self.bank.rows() {
-            self.accumulate_sample(prefix, thresholds, z, &mut acc);
-        }
-        let n = self.bank.n_samples() as f64;
-        for a in &mut acc {
-            *a /= n;
-        }
-        acc
-    }
-
-    /// One sample's detection ratios, added into `acc` (indexed by type).
-    fn accumulate_sample(&self, seq: &[usize], thresholds: &[f64], z: &[u64], acc: &mut [f64]) {
-        let costs = &self.spec.alert_types;
-        let budget = self.spec.budget;
-        // Cumulative budget consumed by predecessor types.
-        let mut consumed = 0.0f64;
-        for &t in seq {
-            let c_t = costs[t].audit_cost;
-            let b_t = thresholds[t];
-            let thresh_cap = (b_t / c_t).floor().max(0.0);
-            let (contrib, spent) =
-                detection_step(self.model, budget, c_t, b_t, thresh_cap, consumed, z[t]);
-            acc[t] += contrib;
-            consumed += spent;
-        }
-    }
-
-    /// Average number of alerts of each type audited per period under
-    /// `(o, b)` — an operational statistic reported by the harness.
-    pub fn expected_audited(&self, order: &AuditOrder, thresholds: &[f64]) -> Vec<f64> {
         let costs = &self.spec.alert_types;
         let budget = self.spec.budget;
         let mut acc = vec![0.0f64; self.spec.n_types()];
-        for z in self.bank.rows() {
+        // Sample-major on purpose: the reference walks one realization at
+        // a time, where the engine streams one column at a time.
+        for s in 0..self.bank.n_samples() {
+            // Cumulative budget consumed by predecessor types.
             let mut consumed = 0.0f64;
-            for &t in order.types() {
+            for &t in prefix {
                 let c_t = costs[t].audit_cost;
                 let b_t = thresholds[t];
-                let zt = z[t] as f64;
-                let remaining = budget - consumed;
-                let bt_cap = if remaining > 0.0 {
-                    (remaining / c_t).floor().max(0.0)
-                } else {
-                    0.0
-                };
-                let n_t = bt_cap.min((b_t / c_t).floor().max(0.0)).min(zt);
-                acc[t] += n_t;
-                consumed += match self.model {
-                    DetectionModel::Operational => n_t * c_t,
-                    _ => b_t.min(zt * c_t),
-                };
+                let thresh_cap = (b_t / c_t).floor().max(0.0);
+                let zt = self.bank.column(t)[s];
+                let (contrib, spent) =
+                    detection_step(self.model, budget, c_t, b_t, thresh_cap, consumed, zt);
+                acc[t] += contrib;
+                consumed += spent;
             }
         }
         let n = self.bank.n_samples() as f64;
@@ -257,7 +211,7 @@ pub(crate) fn detection_step_capped(
 ///
 /// Keeping this in one place is what guarantees the two paths agree
 /// *bitwise*: both perform exactly this arithmetic on exactly the same
-/// operands, and differ only in loop nesting order (row-major vs
+/// operands, and differ only in loop nesting order (sample-major vs
 /// trie-node-major), which touches no floating-point operation.
 #[inline]
 fn detection_step(
@@ -489,19 +443,5 @@ mod tests {
         // With zero threshold the lone alert cannot be audited.
         let pal = est.pal(&AuditOrder::identity(1), &[0.0]);
         assert_eq!(pal[0], 0.0);
-    }
-
-    #[test]
-    fn expected_audited_respects_budget() {
-        let s = spec(2.0);
-        let bank = bank_for(&s);
-        let est = DetectionEstimator::new(&s, &bank, DetectionModel::PaperApprox);
-        let audited = est.expected_audited(&AuditOrder::identity(2), &[10.0, 10.0]);
-        let spent: f64 = audited
-            .iter()
-            .zip(s.audit_costs())
-            .map(|(&n, c)| n * c)
-            .sum();
-        assert!(spent <= s.budget + 1e-9);
     }
 }

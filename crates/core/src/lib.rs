@@ -128,7 +128,7 @@ pub mod prelude {
         ISHM_FULL_MAX_TYPES,
     };
     pub use crate::quantal::QuantalResponse;
-    pub use crate::scenario::{BankSource, Registry, Scenario, SnapshotVerify};
+    pub use crate::scenario::{Registry, Scenario};
     pub use crate::simulation::{simulate_policy, SimulationReport};
     pub use crate::solver::{
         AuditSolution, DegradeReason, InnerKind, OapSolver, SolverConfig, WarmStart,

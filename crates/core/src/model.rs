@@ -377,8 +377,8 @@ impl GameSpec {
             // Probe the joint sampler with a small fixed-seed bank so two
             // specs differing only in correlation structure hash apart.
             let probe = self.sample_bank(8, 0xF1D0);
-            for row in probe.rows() {
-                for &z in row {
+            for s in 0..probe.n_samples() {
+                for z in probe.row(s) {
                     h.word(z);
                 }
             }
@@ -606,10 +606,10 @@ mod tests {
         s.joint_counts = Some(Arc::new(LockstepCounts));
         s.validate().unwrap();
         let bank = s.sample_bank(64, 9);
-        assert!(bank.rows().all(|r| r[0] == r[1]), "correlation lost");
+        assert_eq!(bank.column(0), bank.column(1), "correlation lost");
         // Same spec without the joint model samples independently.
         let indep = tiny_spec().sample_bank(64, 9);
-        assert!(indep.rows().any(|r| r[0] != r[1]));
+        assert_ne!(indep.column(0), indep.column(1));
     }
 
     #[test]

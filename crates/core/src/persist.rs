@@ -1,8 +1,10 @@
 //! Game-level persistence on top of [`stochastics::snapshot`]: codecs for
 //! [`GameSpec`], [`WarmStart`], [`AuditPolicy`], and the combined
 //! scenario snapshot (spec + common-random-number bank + provenance) that
-//! the [`crate::scenario::BankSource`] seam and the runtime's
-//! checkpoint/restore are built on.
+//! the runtime checkpoint writes as its `bank.snap`. A solve never reads
+//! its bank from a snapshot: it always draws
+//! `spec.sample_bank(n_samples, seed)`, and the checkpoint loader uses the
+//! persisted bank only as an integrity probe against that draw.
 //!
 //! Specs are persisted **by constructor parameters**, not by evaluated
 //! pmfs: every count distribution and joint model stores the arguments of
@@ -407,17 +409,14 @@ pub fn save_scenario_snapshot(
 
 /// Decode a scenario snapshot from bytes, verifying container integrity,
 /// spec fingerprint, and spec/bank shape agreement.
-pub fn scenario_snapshot_from_bytes(
-    bytes: &[u8],
-    opts: BankReadOptions,
-) -> Result<ScenarioSnapshot, PersistError> {
+pub fn scenario_snapshot_from_bytes(bytes: &[u8]) -> Result<ScenarioSnapshot, PersistError> {
     let snap = Snapshot::from_bytes(bytes)?;
     snap.expect_kind(KIND_SCENARIO_BANK)?;
     let mut prov = snap.section(TAG_PROVENANCE)?;
     let key = prov.get_str()?;
     let seed = prov.get_u64()?;
     let spec = decode_spec(&snap)?;
-    let bank = read_bank(&snap, opts)?;
+    let bank = read_bank(&snap)?;
     if bank.n_types() != spec.n_types() {
         return Err(PersistError::Provenance(format!(
             "bank covers {} types but the spec has {}",
@@ -433,15 +432,16 @@ pub fn scenario_snapshot_from_bytes(
     })
 }
 
-/// Load a scenario snapshot from a file.
+/// Load a scenario snapshot from a file. The options are ignored: a bank
+/// has one on-disk layout.
 pub fn load_scenario_snapshot(
     path: &Path,
-    opts: BankReadOptions,
+    _opts: BankReadOptions,
 ) -> Result<ScenarioSnapshot, PersistError> {
     let bytes = std::fs::read(path).map_err(|e| {
         PersistError::Snapshot(SnapshotError::Io(format!("{}: {e}", path.display())))
     })?;
-    scenario_snapshot_from_bytes(&bytes, opts)
+    scenario_snapshot_from_bytes(&bytes)
 }
 
 impl From<PersistError> for GameError {
@@ -578,7 +578,7 @@ mod tests {
         let spec = sc.build_small(3).unwrap();
         let bank = spec.sample_bank(64, 3);
         let bytes = scenario_snapshot_bytes(sc.key(), 3, &spec, &bank).unwrap();
-        let snap = scenario_snapshot_from_bytes(&bytes, BankReadOptions::default()).unwrap();
+        let snap = scenario_snapshot_from_bytes(&bytes).unwrap();
         assert_eq!(snap.key, "syn-correlated");
         assert_eq!(snap.seed, 3);
         assert_eq!(snap.spec.fingerprint(), spec.fingerprint());

@@ -34,15 +34,13 @@ use crate::datasets::syn_a_with_budget;
 use crate::error::GameError;
 use crate::general_sum::DamageModel;
 use crate::model::{AttackAction, Attacker, GameSpec, GameSpecBuilder};
-use crate::persist::{load_scenario_snapshot, PersistError};
 use crate::quantal::QuantalResponse;
 use rand::Rng;
-use std::path::PathBuf;
 use std::sync::Arc;
 use stochastics::rng::{derive_seed, stream_rng};
-use stochastics::snapshot::{BankReadOptions, DistParams, JointParams};
+use stochastics::snapshot::{DistParams, JointParams};
 use stochastics::{
-    CountDistribution, DiscretizedGaussian, JointCountModel, Mixture, Poisson, SampleBank, Zipf,
+    CountDistribution, DiscretizedGaussian, JointCountModel, Mixture, Poisson, Zipf,
 };
 
 /// A named, reproducible audit setting.
@@ -98,107 +96,7 @@ pub trait Scenario: Send + Sync {
     fn alert_stream(&self, seed: u64, n_periods: usize) -> Result<Vec<Vec<u64>>, GameError> {
         let spec = self.build(seed)?;
         let bank = spec.sample_bank(n_periods.max(1), derive_seed(seed, 0xA1E7));
-        Ok(bank.rows().take(n_periods).map(|r| r.to_vec()).collect())
-    }
-}
-
-/// Where a scenario's common-random-number sample bank comes from: the
-/// seam through which every workload gets its data.
-///
-/// Historically banks were always regenerated from the seed on every run
-/// — fine at 1000 rows, prohibitive at the million-row banks that sharpen
-/// the paper's Monte-Carlo estimates. [`BankSource::resolve`] makes the
-/// choice explicit: regenerate from seed, or load a persisted snapshot.
-/// The snapshot path is always **fingerprint-verified**: decoding checks
-/// the container checksum and demands the reconstructed spec fingerprint
-/// match the stored one, and `resolve` additionally checks scenario key
-/// and bank shape. The [`SnapshotVerify`] knob picks how far provenance
-/// checking goes beyond that: [`SnapshotVerify::Rebuild`] (the default)
-/// also rebuilds the spec from the stored seed and demands a bit-identical
-/// [`GameSpec::fingerprint`] — a snapshot cannot silently substitute a
-/// different game — while [`SnapshotVerify::Fingerprint`] skips the
-/// rebuild, the fast path when the scenario build itself is expensive
-/// (the simulator-backed workloads) and the caller separately audits
-/// banks against regeneration (as the runtime checkpoint loader and the
-/// `exp_restart` driver both do).
-#[derive(Debug, Clone)]
-pub enum BankSource {
-    /// Build the spec and draw the bank fresh from `seed` (the historical
-    /// behaviour).
-    Regenerate {
-        /// Seed for both the spec build and the bank draw.
-        seed: u64,
-    },
-    /// Load spec and bank from a scenario snapshot file (see
-    /// `persist::save_scenario_snapshot`).
-    Snapshot {
-        /// Path of the snapshot file.
-        path: PathBuf,
-        /// How much provenance to verify beyond the container checksum
-        /// and internal fingerprint.
-        verify: SnapshotVerify,
-    },
-}
-
-/// Provenance-verification depth of [`BankSource::Snapshot`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SnapshotVerify {
-    /// Rebuild the spec from the stored seed and demand a bit-identical
-    /// fingerprint — the strongest check, at the cost of one scenario
-    /// build.
-    #[default]
-    Rebuild,
-    /// Trust the checksummed container and its internal spec fingerprint;
-    /// verify only scenario key and bank shape. Skips the scenario
-    /// rebuild — the fast restart path for large banks.
-    Fingerprint,
-}
-
-impl BankSource {
-    /// Produce the `(spec, bank)` pair for `scenario`, either by
-    /// regeneration or by verified snapshot load. The returned bank always
-    /// holds exactly `n_samples` rows; a snapshot of a different size is
-    /// rejected rather than silently resampled.
-    pub fn resolve(
-        &self,
-        scenario: &dyn Scenario,
-        n_samples: usize,
-    ) -> Result<(GameSpec, SampleBank), GameError> {
-        match self {
-            BankSource::Regenerate { seed } => {
-                let spec = scenario.build(*seed)?;
-                let bank = spec.sample_bank(n_samples, *seed);
-                Ok((spec, bank))
-            }
-            BankSource::Snapshot { path, verify } => {
-                let snap = load_scenario_snapshot(path, BankReadOptions::default())?;
-                if snap.key != scenario.key() {
-                    return Err(PersistError::Provenance(format!(
-                        "snapshot was saved from scenario '{}', not '{}'",
-                        snap.key,
-                        scenario.key()
-                    ))
-                    .into());
-                }
-                if *verify == SnapshotVerify::Rebuild {
-                    let regenerated = scenario.build(snap.seed)?;
-                    let computed = regenerated.fingerprint();
-                    let stored = snap.spec.fingerprint();
-                    if stored != computed {
-                        return Err(PersistError::FingerprintMismatch { stored, computed }.into());
-                    }
-                }
-                if snap.bank.n_samples() != n_samples {
-                    return Err(PersistError::Provenance(format!(
-                        "snapshot bank holds {} samples, caller wants {}",
-                        snap.bank.n_samples(),
-                        n_samples
-                    ))
-                    .into());
-                }
-                Ok((snap.spec, snap.bank))
-            }
-        }
+        Ok((0..n_periods).map(|s| bank.row(s)).collect())
     }
 }
 
@@ -261,18 +159,6 @@ impl Registry {
     /// Build the full-scale game of scenario `key` with `seed`.
     pub fn build(&self, key: &str, seed: u64) -> Result<GameSpec, GameError> {
         self.resolve(key)?.build(seed)
-    }
-
-    /// Resolve scenario `key` and its `(spec, bank)` pair through a
-    /// [`BankSource`] — the one-call entry point for drivers that accept a
-    /// `--snapshot` flag.
-    pub fn build_banked(
-        &self,
-        key: &str,
-        source: &BankSource,
-        n_samples: usize,
-    ) -> Result<(GameSpec, SampleBank), GameError> {
-        source.resolve(self.resolve(key)?.as_ref(), n_samples)
     }
 }
 
@@ -1215,8 +1101,10 @@ mod tests {
         // positive: storms lift both.
         let (m0, m1) = (bank.mean_count(0), bank.mean_count(1));
         let cov: f64 = bank
-            .rows()
-            .map(|r| (r[0] as f64 - m0) * (r[1] as f64 - m1))
+            .column(0)
+            .iter()
+            .zip(bank.column(1))
+            .map(|(&z0, &z1)| (z0 as f64 - m0) * (z1 as f64 - m1))
             .sum::<f64>()
             / bank.n_samples() as f64;
         assert!(cov > 1.0, "expected strong positive covariance, got {cov}");
@@ -1230,12 +1118,12 @@ mod tests {
         let mut weekend_sum = 0u64;
         let mut weekday_n = 0u64;
         let mut weekend_n = 0u64;
-        for (i, row) in bank.rows().enumerate() {
+        for (i, &z) in bank.column(0).iter().enumerate() {
             if i % 7 < 5 {
-                weekday_sum += row[0];
+                weekday_sum += z;
                 weekday_n += 1;
             } else {
-                weekend_sum += row[0];
+                weekend_sum += z;
                 weekend_n += 1;
             }
         }
@@ -1245,72 +1133,6 @@ mod tests {
             weekday_mean > weekend_mean + 2.0,
             "weekday {weekday_mean} vs weekend {weekend_mean}"
         );
-    }
-
-    #[test]
-    fn bank_source_regenerate_matches_direct_build() {
-        let r = registry();
-        let sc = r.get("syn-seasonal").unwrap();
-        let (spec, bank) = BankSource::Regenerate { seed: 5 }
-            .resolve(sc.as_ref(), 48)
-            .unwrap();
-        let direct = sc.build(5).unwrap();
-        assert_eq!(spec.fingerprint(), direct.fingerprint());
-        assert_eq!(
-            bank.columns_flat(),
-            direct.sample_bank(48, 5).columns_flat()
-        );
-    }
-
-    #[test]
-    fn bank_source_snapshot_roundtrips_and_verifies() {
-        use crate::persist::save_scenario_snapshot;
-        let r = registry();
-        let sc = r.get("syn-correlated").unwrap();
-        let spec = sc.build(9).unwrap();
-        let bank = spec.sample_bank(32, 9);
-        let dir = std::env::temp_dir().join(format!("audit-banksource-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corr.snap");
-        save_scenario_snapshot(&path, sc.key(), 9, &spec, &bank).unwrap();
-
-        let source = BankSource::Snapshot {
-            path: path.clone(),
-            verify: SnapshotVerify::Rebuild,
-        };
-        let (loaded_spec, loaded_bank) = source.resolve(sc.as_ref(), 32).unwrap();
-        assert_eq!(loaded_spec.fingerprint(), spec.fingerprint());
-        assert_eq!(loaded_bank.columns_flat(), bank.columns_flat());
-
-        // The rebuild-free mode agrees bit-for-bit on an authentic file.
-        let fast = BankSource::Snapshot {
-            path: path.clone(),
-            verify: SnapshotVerify::Fingerprint,
-        };
-        let (fast_spec, fast_bank) = fast.resolve(sc.as_ref(), 32).unwrap();
-        assert_eq!(fast_spec.fingerprint(), spec.fingerprint());
-        assert_eq!(fast_bank.columns_flat(), bank.columns_flat());
-
-        // Wrong scenario: the key check fires.
-        let other = r.get("syn-seasonal").unwrap();
-        assert!(matches!(
-            source.resolve(other.as_ref(), 32),
-            Err(GameError::Persist(
-                crate::persist::PersistError::Provenance(_)
-            ))
-        ));
-        // Wrong sample count: the shape check fires.
-        assert!(matches!(
-            source.resolve(sc.as_ref(), 64),
-            Err(GameError::Persist(
-                crate::persist::PersistError::Provenance(_)
-            ))
-        ));
-        // The registry convenience resolves the same pair.
-        let (spec2, bank2) = r.build_banked("syn-correlated", &source, 32).unwrap();
-        assert_eq!(spec2.fingerprint(), spec.fingerprint());
-        assert_eq!(bank2.columns_flat(), bank.columns_flat());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

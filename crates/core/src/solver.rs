@@ -228,11 +228,8 @@ impl OapSolver {
     /// [`AuditSolution::expected_pal`] pass, the engine's states are
     /// published back. This solver is the only place the key is derived.
     /// Adoption is bit-identical to solving isolated —
-    /// only wall-clock and cache counters change. The exchange engages on
-    /// the [`OapSolver::solve`]/[`OapSolver::solve_warm`] paths, where the
-    /// bank provably derives from `(spec, n_samples, seed)`; the
-    /// explicit-bank path stays isolated, since an arbitrary caller bank
-    /// has no sound shared key.
+    /// only wall-clock and cache counters change. The key is sound because
+    /// every solve draws its bank from `(spec, n_samples, seed)`.
     pub fn with_shared_cache(mut self, shared: SharedPalCache) -> Self {
         self.shared = Some(shared);
         self
@@ -278,35 +275,6 @@ impl OapSolver {
             )
         });
         self.solve_ladder(spec, &working, &bank, warm, share_key)
-    }
-
-    /// Solve on an explicitly supplied common-random-number bank instead
-    /// of regenerating one from `(n_samples, seed)` — the entry point of
-    /// the snapshot path. With a bank equal to
-    /// `spec.sample_bank(config.n_samples, config.seed)` (which is what a
-    /// verified scenario snapshot holds — dedup merges actions, never
-    /// distributions, so the working spec draws the identical bank) the
-    /// result is bit-identical to [`OapSolver::solve_warm`].
-    pub fn solve_with_bank(
-        &self,
-        spec: &GameSpec,
-        bank: &stochastics::SampleBank,
-        warm: Option<&WarmStart>,
-    ) -> Result<AuditSolution, GameError> {
-        spec.validate()?;
-        if bank.n_types() != spec.n_types() {
-            return Err(GameError::InvalidConfig(format!(
-                "bank covers {} types but the game has {}",
-                bank.n_types(),
-                spec.n_types()
-            )));
-        }
-        let working = if self.config.dedup_actions {
-            spec.dedup_actions()
-        } else {
-            spec.clone()
-        };
-        self.solve_ladder(spec, &working, bank, warm, None)
     }
 
     /// The inner strategy this solve will run: the configured
@@ -714,30 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_bank_is_bit_identical_to_regeneration() {
-        let spec = random_game(&RandomGameConfig::default(), 31);
-        for inner in [InnerKind::Exact, InnerKind::Cggs, InnerKind::Decomposed] {
-            let solver = OapSolver::new(SolverConfig {
-                n_samples: 60,
-                epsilon: 0.25,
-                inner,
-                ..Default::default()
-            });
-            let implicit = solver.solve(&spec).unwrap();
-            let bank = spec.sample_bank(60, 0);
-            let explicit = solver.solve_with_bank(&spec, &bank, None).unwrap();
-            assert_eq!(
-                implicit.loss.to_bits(),
-                explicit.loss.to_bits(),
-                "{inner:?}"
-            );
-            assert_eq!(implicit.policy.thresholds, explicit.policy.thresholds);
-            assert_eq!(implicit.policy.orders, explicit.policy.orders);
-            assert_eq!(implicit.policy.probs, explicit.policy.probs);
-        }
-    }
-
-    #[test]
     fn shared_cache_adoption_is_bit_identical() {
         let spec = random_game(&RandomGameConfig::default(), 37);
         let cfg = SolverConfig {
@@ -968,17 +912,6 @@ mod tests {
             assert_eq!(sol.degrade, again.degrade, "budget {budget}");
             assert_eq!(sol.policy.thresholds, again.policy.thresholds);
         }
-    }
-
-    #[test]
-    fn mismatched_bank_shape_rejected() {
-        let spec = random_game(&RandomGameConfig::default(), 1);
-        let bank = stochastics::SampleBank::from_rows(vec![vec![1u64; spec.n_types() + 1]]);
-        let solver = OapSolver::new(SolverConfig::default());
-        assert!(matches!(
-            solver.solve_with_bank(&spec, &bank, None),
-            Err(GameError::InvalidConfig(_))
-        ));
     }
 
     #[test]

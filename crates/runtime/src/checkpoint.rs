@@ -40,14 +40,12 @@ use crate::service::{RuntimeConfig, ServiceState};
 use crate::telemetry::{EpochTelemetry, RuntimeReport};
 use audit_game::detection::{CacheStats, DetectionEstimator, DetectionModel, PalEngine};
 use audit_game::persist::{
-    decode_policy, decode_warm_start, encode_policy, encode_warm_start, load_scenario_snapshot,
-    save_scenario_snapshot, PersistError, KIND_RUNTIME_STATE,
+    decode_policy, decode_warm_start, encode_policy, encode_warm_start, save_scenario_snapshot,
+    scenario_snapshot_from_bytes, PersistError, KIND_RUNTIME_STATE,
 };
 use audit_game::solver::{DegradeReason, InnerKind, SolverConfig, WarmStart};
 use std::path::Path;
-use stochastics::snapshot::{
-    BankReadOptions, SectionReader, SectionWriter, Snapshot, SnapshotError,
-};
+use stochastics::snapshot::{SectionReader, SectionWriter, Snapshot, SnapshotError};
 use stochastics::StreamingMoments;
 
 /// File name of the scenario snapshot (spec + sample bank) in a
@@ -598,7 +596,10 @@ pub fn load_checkpoint(dir: &Path) -> Result<LoadedCheckpoint, PersistError> {
         )));
     }
 
-    let loaded = load_scenario_snapshot(&dir.join(BANK_FILE), BankReadOptions::default())?;
+    let loaded = {
+        let path = dir.join(BANK_FILE);
+        scenario_snapshot_from_bytes(&std::fs::read(&path).map_err(|e| io_err(&path, e))?)?
+    };
     if loaded.key != cursor.key {
         return Err(PersistError::Provenance(format!(
             "state file belongs to scenario '{}', bank file to '{}'",

@@ -26,8 +26,8 @@
 //! before any value is handed to the caller.
 //!
 //! On top of the container this module defines the codec for the
-//! stochastic substrate itself: [`SampleBank`] columns (`u64` columns
-//! plus the optional compact `u32` mirror) and the constructor-parameter
+//! stochastic substrate itself: [`SampleBank`] columns (one section of
+//! column-major `u64` counts) and the constructor-parameter
 //! enums [`DistParams`] / [`JointParams`] through which count
 //! distributions and joint count models round-trip **bit-exactly** —
 //! reconstruction re-runs the original constructors on the original
@@ -49,7 +49,11 @@ pub const MAGIC: [u8; 8] = *b"AAUDSNAP";
 /// Current snapshot format version. Bump when the container layout or any
 /// section encoding changes shape; readers reject files from the future
 /// (see the format-stability golden in `tests/persist_roundtrip.rs`).
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Version 2 stores a bank as its `u64` columns only. Version 1 files also
+/// carry a compact `u32` copy of those columns in section `0x12`; readers
+/// never look that section up, so v1 files load unchanged.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Size of the fixed container header in bytes.
 pub const HEADER_LEN: usize = 32;
@@ -244,16 +248,6 @@ impl SectionWriter {
         }
     }
 
-    /// Append a length-prefixed `u32` column, padded to 8 bytes.
-    pub fn put_u32s(&mut self, xs: &[u32]) {
-        self.put_usize(xs.len());
-        self.buf.reserve(pad8(xs.len() * 4));
-        for &x in xs {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
-        self.buf.resize(pad8(self.buf.len()), 0);
-    }
-
     /// Append a length-prefixed `f64` column (bit-exact words).
     pub fn put_f64s(&mut self, xs: &[f64]) {
         self.put_usize(xs.len());
@@ -328,7 +322,10 @@ impl<'a> SectionReader<'a> {
     /// Read a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, SnapshotError> {
         let len = self.get_usize()?;
-        let bytes = self.take(pad8(len))?;
+        let padded = len
+            .checked_next_multiple_of(8)
+            .ok_or(SnapshotError::Malformed("string length overflow".into()))?;
+        let bytes = self.take(padded)?;
         String::from_utf8(bytes[..len].to_vec())
             .map_err(|_| SnapshotError::Malformed("string is not UTF-8".into()))
     }
@@ -343,19 +340,6 @@ impl<'a> SectionReader<'a> {
         Ok(bytes
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
-    }
-
-    /// Read a length-prefixed `u32` column.
-    pub fn get_u32s(&mut self) -> Result<Vec<u32>, SnapshotError> {
-        let len = self.get_usize()?;
-        let raw = len
-            .checked_mul(4)
-            .ok_or(SnapshotError::Malformed("column length overflow".into()))?;
-        let bytes = self.take(pad8(raw))?;
-        Ok(bytes[..raw]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
             .collect())
     }
 
@@ -593,22 +577,14 @@ impl Snapshot {
 pub const TAG_BANK_SHAPE: u64 = 0x10;
 /// Section tag: column-major `u64` counts (`n_types × n_samples`).
 pub const TAG_BANK_COLS: u64 = 0x11;
-/// Section tag: optional compact `u32` column mirror.
-pub const TAG_BANK_COLS32: u64 = 0x12;
 
-/// How a persisted bank's derived layouts are re-established on load.
+/// Bank-loading options. A bank has one on-disk layout, so there is
+/// nothing to choose; the type remains for callers that still pass it.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BankReadOptions {
-    /// `true`: ignore any persisted compact mirror and rebuild all derived
-    /// layouts from the `u64` columns. `false` (default): cross-check the
-    /// persisted mirror against the columns and fail on disagreement —
-    /// corruption hardening beyond the payload checksum.
-    pub rebuild_mirrors: bool,
-}
+pub struct BankReadOptions;
 
-/// Append the bank's columnar sections to a container: the authoritative
-/// `u64` column matrix plus, when present, the compact `u32` mirror. The
-/// row-major layout is derived, not stored.
+/// Append the bank's sections to a container: its shape and its
+/// column-major `u64` counts.
 pub fn write_bank(snap: &mut Snapshot, bank: &SampleBank) {
     let mut shape = SectionWriter::new();
     shape.put_usize(bank.n_types());
@@ -618,17 +594,10 @@ pub fn write_bank(snap: &mut Snapshot, bank: &SampleBank) {
     let mut cols = SectionWriter::new();
     cols.put_u64s(bank.columns_flat());
     snap.add_section(TAG_BANK_COLS, cols);
-
-    if let Some(mirror) = bank.compact_columns_flat() {
-        let mut compact = SectionWriter::new();
-        compact.put_u32s(mirror);
-        snap.add_section(TAG_BANK_COLS32, compact);
-    }
 }
 
-/// Decode a bank from its columnar sections, rebuilding the row-major
-/// layout and (per [`BankReadOptions`]) the compact mirror.
-pub fn read_bank(snap: &Snapshot, opts: BankReadOptions) -> Result<SampleBank, SnapshotError> {
+/// Decode a bank from its shape and column sections.
+pub fn read_bank(snap: &Snapshot) -> Result<SampleBank, SnapshotError> {
     let mut shape = snap.section(TAG_BANK_SHAPE)?;
     let n_types = shape.get_usize()?;
     let n_samples = shape.get_usize()?;
@@ -645,18 +614,7 @@ pub fn read_bank(snap: &Snapshot, opts: BankReadOptions) -> Result<SampleBank, S
             cols.len()
         )));
     }
-    let bank = SampleBank::from_column_major(n_types, n_samples, cols);
-    if !opts.rebuild_mirrors {
-        if let Some(mut stored) = snap.try_section(TAG_BANK_COLS32) {
-            let mirror = stored.get_u32s()?;
-            if Some(mirror.as_slice()) != bank.compact_columns_flat() {
-                return Err(SnapshotError::Malformed(
-                    "compact column mirror disagrees with the u64 columns".into(),
-                ));
-            }
-        }
-    }
-    Ok(bank)
+    Ok(SampleBank::from_column_major(n_types, n_samples, cols))
 }
 
 // ---------------------------------------------------------------------
@@ -1025,7 +983,6 @@ mod tests {
         snap.add_section(0xA, a);
         let mut b = SectionWriter::new();
         b.put_u64s(&[1, 2, 3]);
-        b.put_u32s(&[4, 5, 6, 7, 8]);
         b.put_f64s(&[0.25, -0.5]);
         snap.add_section(0xB, b);
 
@@ -1041,7 +998,6 @@ mod tests {
         assert_eq!(r.remaining(), 0);
         let mut r = back.section(0xB).unwrap();
         assert_eq!(r.get_u64s().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.get_u32s().unwrap(), vec![4, 5, 6, 7, 8]);
         assert_eq!(r.get_f64s().unwrap(), vec![0.25, -0.5]);
         assert!(back.try_section(0xC).is_none());
         assert!(matches!(
@@ -1120,6 +1076,27 @@ mod tests {
         }
     }
 
+    #[test]
+    fn forged_string_lengths_are_malformed_not_panics() {
+        // Checksum-valid sections whose string length word promises more
+        // bytes than any buffer holds, up to the padding overflow.
+        for len in [u64::MAX, u64::MAX - 3, 1 << 40] {
+            let mut snap = Snapshot::new(1);
+            let mut s = SectionWriter::new();
+            s.put_u64(len);
+            snap.add_section(0x1, s);
+            let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+            let got = back.section(0x1).unwrap().get_str();
+            assert!(
+                matches!(
+                    got,
+                    Err(SnapshotError::Malformed(_) | SnapshotError::Truncated { .. })
+                ),
+                "length {len:#x} decoded to {got:?}"
+            );
+        }
+    }
+
     fn magic_err() -> Result<Snapshot, SnapshotError> {
         Err(SnapshotError::BadMagic)
     }
@@ -1144,39 +1121,42 @@ mod tests {
         let bank = SampleBank::generate_from(dists.iter().map(|d| d.as_ref()), 257, 42);
         let mut snap = Snapshot::new(2);
         write_bank(&mut snap, &bank);
-        let bytes = snap.to_bytes();
-        for rebuild in [false, true] {
-            let back = read_bank(
-                &Snapshot::from_bytes(&bytes).unwrap(),
-                BankReadOptions {
-                    rebuild_mirrors: rebuild,
-                },
-            )
-            .unwrap();
-            assert_eq!(back.n_types(), bank.n_types());
-            assert_eq!(back.n_samples(), bank.n_samples());
-            assert_eq!(back.columns_flat(), bank.columns_flat());
-            assert_eq!(back.compact_columns_flat(), bank.compact_columns_flat());
-            for s in 0..bank.n_samples() {
-                assert_eq!(back.row(s), bank.row(s));
-            }
-        }
+        let back = read_bank(&Snapshot::from_bytes(&snap.to_bytes()).unwrap()).unwrap();
+        assert_eq!(back.n_types(), bank.n_types());
+        assert_eq!(back.n_samples(), bank.n_samples());
+        assert_eq!(back.columns_flat(), bank.columns_flat());
     }
 
     #[test]
     fn oversized_bank_roundtrips_without_mirror() {
         let big = u64::from(u32::MAX) + 7;
         let bank = SampleBank::from_rows(vec![vec![1, big], vec![2, 3]]);
-        assert!(!bank.has_compact_columns());
         let mut snap = Snapshot::new(2);
         write_bank(&mut snap, &bank);
-        let back = read_bank(
-            &Snapshot::from_bytes(&snap.to_bytes()).unwrap(),
-            BankReadOptions::default(),
-        )
-        .unwrap();
-        assert!(!back.has_compact_columns());
-        assert_eq!(back.column(1), bank.column(1));
+        let back = read_bank(&Snapshot::from_bytes(&snap.to_bytes()).unwrap()).unwrap();
+        assert_eq!(back.column(1), &[big, 3]);
+    }
+
+    #[test]
+    fn v1_bank_with_its_u32_section_still_loads() {
+        let bank = SampleBank::from_rows(vec![vec![4, 0], vec![9, 2], vec![1, 7]]);
+        let mut snap = Snapshot::new(2);
+        write_bank(&mut snap, &bank);
+        // Version 1 also wrote the counts as a length-prefixed, 8-padded
+        // `u32` column under tag 0x12.
+        let mut mirror = SectionWriter::new();
+        mirror.put_usize(bank.columns_flat().len());
+        for pair in bank.columns_flat().chunks(2) {
+            let lo = pair[0];
+            let hi = pair.get(1).copied().unwrap_or(0);
+            mirror.put_u64(lo | (hi << 32));
+        }
+        snap.add_section(0x12, mirror);
+        let mut bytes = snap.to_bytes();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let back = read_bank(&Snapshot::from_bytes(&bytes).unwrap()).unwrap();
+        assert_eq!(back.n_samples(), 3);
+        assert_eq!(back.columns_flat(), bank.columns_flat());
     }
 
     #[test]
@@ -1193,10 +1173,7 @@ mod tests {
         let mut cols = SectionWriter::new();
         cols.put_u64s(bank.columns_flat());
         bad.add_section(TAG_BANK_COLS, cols);
-        assert!(matches!(
-            read_bank(&bad, BankReadOptions::default()),
-            Err(SnapshotError::Malformed(_))
-        ));
+        assert!(matches!(read_bank(&bad), Err(SnapshotError::Malformed(_))));
     }
 
     #[test]

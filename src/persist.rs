@@ -16,10 +16,9 @@
 //!   / [`AuditService::restore`](audit_runtime::AuditService::restore).
 //!
 //! This module re-exports all three under `alert_audit::persist` so
-//! downstream code (and the `exp_restart` / `exp_online` drivers) can
-//! name the whole stack from one path. The scenario-side seam is
-//! [`BankSource`]: drivers resolve `(spec, bank)` either by regeneration
-//! from a seed or by verified snapshot load.
+//! downstream code (and the `exp_online` binary) can name the whole stack
+//! from one path. Scenario snapshots exist for the checkpoint's
+//! `bank.snap`; a solve always draws its bank from the spec and seed.
 //!
 //! [`GameSpec`]: audit_game::model::GameSpec
 
@@ -35,7 +34,5 @@ pub use audit_game::persist::{
     KIND_SCENARIO_BANK, TAG_POLICY, TAG_PROVENANCE, TAG_SPEC_ATTACKERS, TAG_SPEC_JOINT,
     TAG_SPEC_META, TAG_SPEC_TYPES, TAG_WARM_START,
 };
-
-pub use audit_game::scenario::{BankSource, SnapshotVerify};
 
 pub use audit_runtime::checkpoint::{load_checkpoint, save_checkpoint, LoadedCheckpoint};

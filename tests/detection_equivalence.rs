@@ -8,9 +8,9 @@
 //! `pal_prefix` for every query, at every thread count — including
 //! everything the incremental layers reorganize: prefix-trie sharing,
 //! commutative path folding, cross-batch prefix states, saturation
-//! classing, single-coordinate sweeps, and the compact `u32` column
-//! mirror. These tests enforce exact `==` on the returned `f64` vectors —
-//! no tolerances anywhere.
+//! classing, single-coordinate sweeps, and counts beyond 32 bits. These
+//! tests enforce exact `==` on the returned `f64` vectors — no tolerances
+//! anywhere.
 
 use alert_audit::game::datasets::{random_game, RandomGameConfig};
 use alert_audit::game::detection::{DetectionEstimator, DetectionModel, PalEngine, PalQuery};
@@ -159,7 +159,7 @@ fn trie_batch_matches_scalar_on_all_registry_scenarios() {
     // real-data shapes (mixed audit costs, empirical count models, joint
     // correlated samplers) exercise every branch of the trie evaluator —
     // folding on/off, saturation classing with bank-max below the support
-    // max, compact vs wide columns.
+    // max.
     let reg = alert_audit::scenario::registry();
     for sc in reg.iter() {
         let spec = sc.build_small(7).expect("scenario builds");
@@ -233,33 +233,29 @@ fn sweep_matches_per_candidate_loop_on_random_games() {
 }
 
 #[test]
-fn compact_and_wide_columns_are_bit_identical() {
-    // A bank with a count beyond u32 falls back to the wide (u64) columns;
-    // the same rows with the count clamped into range keep the compact
-    // mirror. Both paths must agree with the scalar reference exactly.
+fn counts_above_u32_match_the_scalar_reference() {
+    // The bank holds every count as a `u64`: one beyond `u32::MAX` flows
+    // through the engine's column passes exactly as the scalar path reads
+    // it.
     let spec = random_game(&cfg(2, 5.0), 3);
-    let rows_small: Vec<Vec<u64>> = vec![vec![2, 3], vec![0, 7], vec![5, 1], vec![4, 4]];
-    let mut rows_big = rows_small.clone();
-    rows_big[2][0] = u64::from(u32::MAX) + 9;
-    let compact = SampleBank::from_rows(rows_small);
-    let wide = SampleBank::from_rows(rows_big);
-    assert!(compact.has_compact_columns());
-    assert!(!wide.has_compact_columns());
-    for bank in [&compact, &wide] {
-        for model in MODELS {
-            let est = DetectionEstimator::new(&spec, bank, model);
-            for threads in THREAD_COUNTS {
-                let engine = PalEngine::new(est, threads);
-                let queries = probe_queries(2, &[1.5, 6.0]);
-                let batch = engine.pal_batch(&queries);
-                for (q, got) in queries.iter().zip(&batch) {
-                    assert_eq!(
-                        got,
-                        &est.pal_prefix(&q.seq, &q.thresholds),
-                        "compact={}, model {model:?}, threads {threads}",
-                        bank.has_compact_columns()
-                    );
-                }
+    let bank = SampleBank::from_rows(vec![
+        vec![2, 3],
+        vec![0, 7],
+        vec![u64::from(u32::MAX) + 9, 1],
+        vec![4, 4],
+    ]);
+    for model in MODELS {
+        let est = DetectionEstimator::new(&spec, &bank, model);
+        for threads in THREAD_COUNTS {
+            let engine = PalEngine::new(est, threads);
+            let queries = probe_queries(2, &[1.5, 6.0]);
+            let batch = engine.pal_batch(&queries);
+            for (q, got) in queries.iter().zip(&batch) {
+                assert_eq!(
+                    got,
+                    &est.pal_prefix(&q.seq, &q.thresholds),
+                    "model {model:?}, threads {threads}"
+                );
             }
         }
     }

@@ -7,27 +7,25 @@
 //!    encode → decode → re-encode of the scenario snapshot (provenance +
 //!    spec + bank) is byte-identical, so a snapshot can be copied through
 //!    any number of load/save cycles without drifting.
-//! 2. **Solver equivalence** — solving on a snapshot-loaded bank is
-//!    bit-identical to solving on a regenerated one (ISHM + CGGS inner,
-//!    and the exact inner on the paper game), across worker thread
-//!    counts: the persisted path may never change a result.
+//! 2. **Bank equivalence** — a loaded snapshot fingerprints like the saved
+//!    spec, and its bank equals the bank a solve of the loaded spec draws.
+//!    A solve reads nothing else, so the persisted path may never change a
+//!    result.
 //! 3. **Corruption hardening** — a table of mutilated files (truncated at
 //!    every interesting boundary, payload bit flips, foreign magic,
 //!    future format version, wrong container kind) all surface typed
 //!    [`PersistError`]s, never panics and never a silently-wrong load.
 //!
-//! A committed golden snapshot (`tests/golden/persist_format_v1.snap`)
+//! A committed golden snapshot (`tests/golden/persist_format_v2.snap`)
 //! additionally pins the on-disk encoding itself: if the byte layout
 //! changes, the test demands a deliberate `FORMAT_VERSION` bump and a
 //! regeneration via `UPDATE_GOLDEN=1 cargo test --test persist_roundtrip`.
 
 use alert_audit::persist::{
     load_scenario_snapshot, scenario_snapshot_bytes, scenario_snapshot_from_bytes, BankReadOptions,
-    BankSource, PersistError, Snapshot, SnapshotError, SnapshotVerify, FORMAT_VERSION, HEADER_LEN,
+    PersistError, Snapshot, SnapshotError, FORMAT_VERSION, HEADER_LEN,
 };
 use alert_audit::scenario::registry;
-use audit_game::error::GameError;
-use audit_game::solver::{InnerKind, OapSolver, SolverConfig};
 
 const BANK_ROWS: usize = 120;
 
@@ -44,8 +42,8 @@ fn snapshot_bytes_for(key: &str) -> Vec<u8> {
 fn every_registry_scenario_roundtrips_byte_identically() {
     for sc in registry().iter() {
         let bytes = snapshot_bytes_for(sc.key());
-        let snap = scenario_snapshot_from_bytes(&bytes, BankReadOptions::default())
-            .unwrap_or_else(|e| panic!("{}: {e}", sc.key()));
+        let snap =
+            scenario_snapshot_from_bytes(&bytes).unwrap_or_else(|e| panic!("{}: {e}", sc.key()));
         assert_eq!(snap.key, sc.key());
         let again = scenario_snapshot_bytes(&snap.key, snap.seed, &snap.spec, &snap.bank)
             .unwrap_or_else(|e| panic!("{}: {e}", sc.key()));
@@ -58,49 +56,10 @@ fn every_registry_scenario_roundtrips_byte_identically() {
     }
 }
 
-fn assert_bit_identical(
-    key: &str,
-    threads: usize,
-    a: &audit_game::solver::AuditSolution,
-    b: &audit_game::solver::AuditSolution,
-) {
-    let ctx = format!("{key} at {threads} thread(s)");
-    assert_eq!(
-        a.loss.to_bits(),
-        b.loss.to_bits(),
-        "{ctx}: loss diverged between regenerated and snapshot banks"
-    );
-    assert_eq!(
-        a.policy
-            .thresholds
-            .iter()
-            .map(|x| x.to_bits())
-            .collect::<Vec<_>>(),
-        b.policy
-            .thresholds
-            .iter()
-            .map(|x| x.to_bits())
-            .collect::<Vec<_>>(),
-        "{ctx}: thresholds diverged"
-    );
-    assert_eq!(a.policy.orders, b.policy.orders, "{ctx}: orders diverged");
-    assert_eq!(
-        a.policy
-            .probs
-            .iter()
-            .map(|x| x.to_bits())
-            .collect::<Vec<_>>(),
-        b.policy
-            .probs
-            .iter()
-            .map(|x| x.to_bits())
-            .collect::<Vec<_>>(),
-        "{ctx}: order probabilities diverged"
-    );
-}
-
-/// Solving on a loaded bank must be indistinguishable from solving on a
-/// regenerated one — on every scenario, at 1/2/4 worker threads.
+/// A solve reads only its spec and the bank `spec.sample_bank(n, seed)`.
+/// A loaded snapshot that fingerprints like the saved spec and holds that
+/// same bank therefore solves bit-identically to regeneration, on every
+/// scenario.
 #[test]
 fn snapshot_bank_solves_bit_identically_to_regeneration() {
     let reg = registry();
@@ -110,28 +69,19 @@ fn snapshot_bank_solves_bit_identically_to_regeneration() {
         let spec = sc.build_small(seed).unwrap();
         let bank = spec.sample_bank(BANK_ROWS, seed);
         let bytes = scenario_snapshot_bytes(key, seed, &spec, &bank).unwrap();
-        let snap = scenario_snapshot_from_bytes(&bytes, BankReadOptions::default()).unwrap();
-        for threads in [1usize, 2, 4] {
-            let solver = OapSolver::new(SolverConfig {
-                epsilon: sc.suggested_epsilon(),
-                n_samples: BANK_ROWS,
-                seed,
-                threads,
-                ..Default::default()
-            });
-            let fresh = solver
-                .solve_with_bank(&spec, &bank, None)
-                .unwrap_or_else(|e| panic!("{key}: {e}"));
-            let loaded = solver
-                .solve_with_bank(&snap.spec, &snap.bank, None)
-                .unwrap_or_else(|e| panic!("{key}: {e}"));
-            assert_bit_identical(key, threads, &fresh, &loaded);
-        }
+        let snap = scenario_snapshot_from_bytes(&bytes).unwrap();
+        assert_eq!(snap.spec.fingerprint(), spec.fingerprint(), "{key}");
+        assert_eq!(snap.bank.columns_flat(), bank.columns_flat(), "{key}");
+        assert_eq!(
+            snap.spec.sample_bank(BANK_ROWS, seed).columns_flat(),
+            bank.columns_flat(),
+            "{key}: the loaded spec draws a different bank"
+        );
     }
 }
 
-/// The exact inner evaluator takes a different code path through the
-/// detection engine; pin it on the paper game.
+/// The exact inner evaluator solves the deduplicated working spec; pin
+/// that the loaded paper game yields the same working game and bank.
 #[test]
 fn exact_inner_matches_on_snapshot_bank_too() {
     let reg = registry();
@@ -140,71 +90,14 @@ fn exact_inner_matches_on_snapshot_bank_too() {
     let spec = sc.build_small(seed).unwrap();
     let bank = spec.sample_bank(BANK_ROWS, seed);
     let bytes = scenario_snapshot_bytes("syn-a", seed, &spec, &bank).unwrap();
-    let snap = scenario_snapshot_from_bytes(&bytes, BankReadOptions::default()).unwrap();
-    let solver = OapSolver::new(SolverConfig {
-        epsilon: sc.suggested_epsilon(),
-        n_samples: BANK_ROWS,
-        seed,
-        inner: InnerKind::Exact,
-        ..Default::default()
-    });
-    let fresh = solver.solve_with_bank(&spec, &bank, None).unwrap();
-    let loaded = solver
-        .solve_with_bank(&snap.spec, &snap.bank, None)
-        .unwrap();
-    assert_bit_identical("syn-a/exact", 1, &fresh, &loaded);
-}
-
-/// `BankSource` is the drivers' seam; both arms must agree bit-for-bit.
-#[test]
-fn bank_source_arms_agree() {
-    let reg = registry();
-    let sc = reg.resolve("syn-seasonal").unwrap().clone();
-    let seed = sc.default_seed();
-    let dir = std::env::temp_dir().join(format!("audit-banksource-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("bank.snap");
-
-    let (spec, bank) = BankSource::Regenerate { seed }
-        .resolve(sc.as_ref(), BANK_ROWS)
-        .unwrap();
-    alert_audit::persist::save_scenario_snapshot(&path, sc.key(), seed, &spec, &bank).unwrap();
-    for verify in [SnapshotVerify::Rebuild, SnapshotVerify::Fingerprint] {
-        let (spec2, bank2) = BankSource::Snapshot {
-            path: path.clone(),
-            verify,
-        }
-        .resolve(sc.as_ref(), BANK_ROWS)
-        .unwrap();
-        assert_eq!(spec.fingerprint(), spec2.fingerprint());
-        assert_eq!(bank.columns_flat(), bank2.columns_flat());
-
-        // A snapshot of the wrong size is rejected, not resampled.
-        let err = BankSource::Snapshot {
-            path: path.clone(),
-            verify,
-        }
-        .resolve(sc.as_ref(), BANK_ROWS + 1)
-        .unwrap_err();
-        assert!(
-            matches!(err, GameError::Persist(PersistError::Provenance(_))),
-            "unexpected error: {err}"
-        );
-        // And a snapshot from another scenario is rejected by key, even
-        // without the rebuild check.
-        let other = reg.resolve("syn-a").unwrap().clone();
-        let err = BankSource::Snapshot {
-            path: path.clone(),
-            verify,
-        }
-        .resolve(other.as_ref(), BANK_ROWS)
-        .unwrap_err();
-        assert!(
-            matches!(err, GameError::Persist(PersistError::Provenance(_))),
-            "unexpected error: {err}"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
+    let snap = scenario_snapshot_from_bytes(&bytes).unwrap();
+    let (working, loaded) = (spec.dedup_actions(), snap.spec.dedup_actions());
+    assert_eq!(loaded.fingerprint(), working.fingerprint());
+    assert_eq!(
+        loaded.sample_bank(BANK_ROWS, seed).columns_flat(),
+        snap.bank.columns_flat()
+    );
+    assert_eq!(snap.bank.columns_flat(), bank.columns_flat());
 }
 
 // ---------------------------------------------------------------------
@@ -358,7 +251,7 @@ fn corrupted_snapshots_fail_with_typed_errors_not_panics() {
         // Exercise the real file path, not just the byte path.
         let path = dir.join(format!("case_{i}.snap"));
         std::fs::write(&path, bytes).unwrap();
-        match load_scenario_snapshot(&path, BankReadOptions::default()) {
+        match load_scenario_snapshot(&path, BankReadOptions) {
             Ok(_) => failures.push(format!("{label}: loaded successfully?!")),
             Err(e) if expect.matches(&e) => {}
             Err(e) => failures.push(format!("{label}: wanted {}, got: {e}", expect.name())),
@@ -372,7 +265,7 @@ fn corrupted_snapshots_fail_with_typed_errors_not_panics() {
 fn missing_file_is_a_typed_io_error() {
     let err = load_scenario_snapshot(
         std::path::Path::new("/nonexistent/audit-snapshot.snap"),
-        BankReadOptions::default(),
+        BankReadOptions,
     )
     .unwrap_err();
     assert!(
@@ -422,6 +315,6 @@ fn on_disk_format_matches_the_committed_golden_snapshot() {
     );
     // The golden bytes must also still parse — guards against committing
     // a mutilated golden.
-    let snap = scenario_snapshot_from_bytes(&golden, BankReadOptions::default()).unwrap();
+    let snap = scenario_snapshot_from_bytes(&golden).unwrap();
     assert_eq!(snap.key, "syn-a");
 }

@@ -57,6 +57,32 @@ fn full_scale_builds_are_reproducible() {
     }
 }
 
+/// The spec fingerprint of a joint-model scenario hashes a fixed-seed
+/// probe bank sample by sample, so these pins cover the bank's draw order
+/// and layout, not just the spec's parameters. Values at the default seed.
+#[test]
+fn joint_model_spec_fingerprints_are_pinned() {
+    let reg = registry();
+    for (key, full, small) in [
+        (
+            "syn-correlated",
+            0x2612d145766f6995u64,
+            0x95e84a0b04a5fd5bu64,
+        ),
+        ("syn-seasonal", 0x91f2f5e6d166ee5d, 0x395324421f77ef82),
+    ] {
+        let sc = reg.get(key).unwrap();
+        let seed = sc.default_seed();
+        let build = sc.build(seed).unwrap().fingerprint();
+        let build_small = sc.build_small(seed).unwrap().fingerprint();
+        assert_eq!(build, full, "{key}: build fingerprint {build:016x}");
+        assert_eq!(
+            build_small, small,
+            "{key}: build_small fingerprint {build_small:016x}"
+        );
+    }
+}
+
 /// Alert streams are deterministic, shaped `n_periods × n_types`, and
 /// distinct across seeds (for every scenario whose stream is stochastic).
 #[test]
