@@ -21,7 +21,7 @@
 
 use crate::detection::{DetectionEstimator, PalEngine, PalQuery};
 use crate::error::GameError;
-use crate::master::{MasterSolution, MasterSolver};
+use crate::master::{MasterMemo, MasterSolution};
 use crate::model::GameSpec;
 use crate::ordering::{AuditOrder, PrecedenceConstraints};
 use crate::payoff::{action_utility, PayoffMatrix};
@@ -84,7 +84,8 @@ pub struct CggsOutcome {
     pub master: MasterSolution,
     /// The generated order columns (aligned with `master.p_orders`).
     pub orders: Vec<AuditOrder>,
-    /// Number of master LPs solved.
+    /// Number of master iterations; repeats are answered from the solve's
+    /// memo.
     pub iterations: usize,
     /// `true` when the oracle proved no improving column exists (within
     /// its heuristic power); `false` when `max_columns` was hit.
@@ -129,6 +130,20 @@ impl Cggs {
         engine: &PalEngine<'_>,
         thresholds: &[f64],
     ) -> Result<CggsOutcome, GameError> {
+        self.solve_with_memo(spec, engine, &mut MasterMemo::default(), thresholds)
+    }
+
+    /// [`Cggs::solve_with_engine`] with a caller-owned master memo, so a
+    /// search that replays identical column-generation runs (ISHM
+    /// candidates differing only in types the budget never reaches) solves
+    /// each distinct master once. The memo must serve `spec` alone.
+    pub(crate) fn solve_with_memo(
+        &self,
+        spec: &GameSpec,
+        engine: &PalEngine<'_>,
+        masters: &mut MasterMemo,
+        thresholds: &[f64],
+    ) -> Result<CggsOutcome, GameError> {
         spec.validate()?;
         let n = spec.n_types();
         assert_eq!(thresholds.len(), n);
@@ -156,7 +171,7 @@ impl Cggs {
         let mut converged = false;
 
         while matrix.n_orders() < self.config.max_columns {
-            let master = MasterSolver::solve(spec, &matrix)?;
+            let master = masters.solve(spec, &matrix)?;
             iterations += 1;
 
             let candidate = match self.config.oracle {
@@ -188,7 +203,7 @@ impl Cggs {
         }
 
         // Column budget exhausted: return the best master found.
-        let master = MasterSolver::solve(spec, &matrix)?;
+        let master = masters.solve(spec, &matrix)?;
         Ok(CggsOutcome {
             master,
             orders: matrix.orders,
@@ -338,6 +353,7 @@ pub(crate) fn score_from_pal(spec: &GameSpec, pal: &[f64], y: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::detection::DetectionModel;
+    use crate::master::MasterSolver;
     use crate::model::{AttackAction, Attacker, GameSpecBuilder};
     use std::sync::Arc;
     use stochastics::Constant;

@@ -24,13 +24,34 @@
 //!    ISHM's single-coordinate shrink candidates (which share every prefix
 //!    avoiding the shrunk coordinate) hit this cache constantly, making
 //!    consecutive solver queries incremental instead of from-scratch.
-//! 4. **Saturation classing**: a threshold whose audit cap
-//!    `⌊b_t/C_t⌋` covers the largest count in the bank (plus one for the
-//!    attack-inclusive model) can never bind — every such threshold is
-//!    detection-equivalent, so cache keys canonicalize them to one class
-//!    and thresholds of types *outside* a query's sequence are excluded
-//!    from its key entirely. ISHM spends its whole early search above the
-//!    saturation point on real scenarios; those candidates collapse.
+//! 4. **Saturation classing**: a threshold that can never bind is
+//!    detection-equivalent to every other such threshold, so cache keys
+//!    canonicalize them to one class, and thresholds of types *outside* a
+//!    query's sequence are excluded from its key entirely. Two kinds
+//!    saturate: an audit cap `⌊b_t/C_t⌋` that covers the largest count in
+//!    the bank (plus one for the attack-inclusive model), and any
+//!    `b_t ≥ B`, the whole period budget. ISHM starts every search at
+//!    full coverage, which on most scenarios lies far above `B`; those
+//!    candidates collapse.
+//!
+//! Why `b ≥ B` is exact for all three detection models. Thresholds are
+//! budget shares and never negative, so the budget consumed before a type
+//! is some `c ≥ 0`. Take two thresholds `b, b' ≥ B` for type `t`:
+//!
+//! * **The type's own audits.** The budget cap `⌊(B−c)/C_t⌋ ≤ ⌊B/C_t⌋ ≤
+//!   ⌊b/C_t⌋`, so the threshold cap never binds: `n_t`, the zero-count
+//!   rule and the contribution do not depend on `b`.
+//! * **Budget consumed after the type.** The operational model spends
+//!   `n_t·C_t`, the same under both. Paper-approx and attack-inclusive
+//!   add `min(b, Z_t·C_t)`: the same when `Z_t·C_t ≤ min(b, b')`, and
+//!   otherwise at least `B` under both.
+//! * **Later types.** Once the consumed budget reaches `B`, every later
+//!   type's budget cap is 0 and the consumed budget stays at least `B`,
+//!   so every later contribution is 0 under both.
+//!
+//! So every `Pal` is bit-identical under either threshold, a prefix state
+//! cached under one extends correctly under the other, and count- and
+//! budget-saturated thresholds form one class.
 //!
 //! Every column pass streams one contiguous `u64` column of the bank
 //! ([`stochastics::SampleBank::column`]).
@@ -168,7 +189,12 @@ const SATURATED_BITS: u64 = 0x7FF0_0000_0000_0000;
 /// formula consumes the *raw* `b_t` (`consumed += min(b_t, Z_t·C_t)`), so
 /// thresholds equal under rounding can still yield different estimates.
 /// The only safe collapses — proven by the saturation argument above — are
-/// exactly the ones the canonical form applies.
+/// exactly the ones the canonical form applies: the saturated tail, which
+/// holds every threshold whose audit cap covers the bank's largest count
+/// and every threshold at or above the period budget `B`.
+///
+/// Thresholds must not be negative (NaN is tolerated): the `b ≥ B` class
+/// relies on the consumed budget never falling, and every query asserts it.
 pub struct PalEngine<'a> {
     est: DetectionEstimator<'a>,
     threads: usize,
@@ -316,12 +342,13 @@ impl<'a> PalEngine<'a> {
     }
 
     /// The canonical bit pattern of threshold `b` for type `t`: saturated
-    /// thresholds collapse to one class, everything else keys by exact
-    /// bits.
+    /// thresholds (at or above the period budget, or with an audit cap
+    /// covering the bank's largest count) collapse to one class,
+    /// everything else keys by exact bits.
     fn canonical_bits(&self, t: usize, b: f64) -> u64 {
-        let c_t = self.est.spec.alert_types[t].audit_cost;
-        let cap = (b / c_t).floor().max(0.0);
-        if cap >= self.sat_units[t] {
+        let spec = self.est.spec;
+        let cap = (b / spec.alert_types[t].audit_cost).floor().max(0.0);
+        if b >= spec.budget || cap >= self.sat_units[t] {
             SATURATED_BITS
         } else {
             b.to_bits()
@@ -330,10 +357,12 @@ impl<'a> PalEngine<'a> {
 
     /// Canonical equivalence key of a full threshold vector: two vectors
     /// with equal keys produce bit-identical `Pal` results for **every**
-    /// sequence on this engine's bank (saturated coordinates collapse).
-    /// Solver-side objective memos key on this to skip equivalent LPs.
+    /// sequence on this engine's bank (saturated coordinates, including
+    /// every one at or above the period budget, collapse). Solver-side
+    /// objective memos key on this to skip equivalent LPs.
     pub fn threshold_class_key(&self, thresholds: &[f64]) -> Vec<u64> {
         assert_eq!(thresholds.len(), self.est.spec.n_types());
+        assert_non_negative(thresholds);
         thresholds
             .iter()
             .enumerate()
@@ -372,7 +401,8 @@ impl<'a> PalEngine<'a> {
     ///
     /// The sweep is processed in **sorted threshold order**: candidates
     /// are sorted, detection-equivalent runs (exact duplicates plus the
-    /// entire saturated tail at or above the varying type's largest bank
+    /// entire saturated tail: every candidate at or above the period
+    /// budget, or whose audit cap covers the varying type's largest bank
     /// count) collapse to one evaluation each, and the surviving class
     /// representatives share the trie — the prefix before `coord`'s
     /// position is paid once, `coord`'s siblings share one budget-cap
@@ -438,6 +468,7 @@ impl<'a> PalEngine<'a> {
         let mut seen = vec![false; n_types];
         for q in queries {
             assert_eq!(q.thresholds.len(), n_types, "threshold arity mismatch");
+            assert_non_negative(&q.thresholds);
             assert!(q.seq.len() <= n_types, "sequence longer than type set");
             // Audit sequences must not repeat a type: the column sweep
             // visits each type once, so a duplicate would silently diverge
@@ -627,6 +658,15 @@ impl std::fmt::Debug for PalEngine<'_> {
             .field("stats", &self.cache_stats())
             .finish()
     }
+}
+
+/// Reject negative thresholds, on which the budget-saturated class is
+/// unsound: a negative `min(b_t, Z_t·C_t)` would hand consumed budget back.
+fn assert_non_negative(thresholds: &[f64]) {
+    assert!(
+        thresholds.iter().all(|&b| b >= 0.0 || b.is_nan()),
+        "thresholds must not be negative"
+    );
 }
 
 /// Shared read-only context of one trie walk.
@@ -1278,7 +1318,9 @@ mod tests {
 
     #[test]
     fn threshold_class_keys_separate_only_equivalent_vectors() {
-        let s = spec(2.0);
+        // B = 10 lies above every threshold these assertions tell apart,
+        // so the count saturation point alone draws the class boundary.
+        let s = spec(10.0);
         let bank = bank_for(&s);
         let est = DetectionEstimator::new(&s, &bank, DetectionModel::PaperApprox);
         let engine = PalEngine::new(est, 1);
@@ -1303,5 +1345,39 @@ mod tests {
             engine.threshold_class_key(&[3.0, 4.0]),
             engine.threshold_class_key(&[4.0, 4.0])
         );
+    }
+
+    #[test]
+    fn thresholds_at_or_above_the_budget_share_a_class() {
+        // B = 2: type-0 thresholds 2.0 and 3.0 both reach the budget, so
+        // neither binds (attack-inclusive would need a cap of 3 to reach
+        // count saturation) and every model gives identical `Pal`.
+        let s = spec(2.0);
+        let bank = bank_for(&s);
+        for model in MODELS {
+            let est = DetectionEstimator::new(&s, &bank, model);
+            let engine = PalEngine::new(est, 1);
+            assert_eq!(
+                engine.threshold_class_key(&[2.0, 1.0]),
+                engine.threshold_class_key(&[3.0, 1.0]),
+                "model {model:?}"
+            );
+            for order in AuditOrder::enumerate_all(2) {
+                assert_eq!(
+                    est.pal(&order, &[2.0, 1.0]),
+                    est.pal(&order, &[3.0, 1.0]),
+                    "model {model:?}, order {order}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must not be negative")]
+    fn engine_rejects_negative_thresholds() {
+        let s = spec(2.0);
+        let bank = bank_for(&s);
+        let est = DetectionEstimator::new(&s, &bank, DetectionModel::PaperApprox);
+        PalEngine::new(est, 1).pal_prefix(&[0], &[1.0, -1.0]);
     }
 }

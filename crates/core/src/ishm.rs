@@ -20,7 +20,7 @@
 use crate::cggs::{Cggs, CggsConfig};
 use crate::detection::{DetectionEstimator, PalEngine, PalQuery};
 use crate::error::GameError;
-use crate::master::{MasterSolution, MasterSolver};
+use crate::master::{MasterMemo, MasterSolution, MasterSolver};
 use crate::model::GameSpec;
 use crate::ordering::AuditOrder;
 use crate::payoff::PayoffMatrix;
@@ -90,13 +90,16 @@ pub trait ThresholdEvaluator {
 /// Holds a [`PalEngine`] for the whole ISHM run, so `Pal` estimates are
 /// shared across every candidate threshold vector the search revisits, and
 /// an objective memo keyed by the engine's **canonical threshold class**
-/// (saturated coordinates collapse), so revisited and
-/// detection-equivalent candidates skip the master LP entirely. (ISHM
-/// revisits a lot: different shrink ratios floor onto the same lattice
-/// point, each accepted improvement restarts the level-1 sweep, and the
-/// early search shrinks thresholds that are still above the saturation
-/// point.) [`ThresholdEvaluator::prime`] evaluates a whole sweep batch as
-/// one `(order × candidate)` trie frontier, so candidates differing in a
+/// (saturated coordinates collapse, including every one at or above the
+/// period budget), so revisited and detection-equivalent candidates skip
+/// the master LP entirely. (ISHM revisits a lot: different shrink ratios
+/// floor onto the same lattice point, each accepted improvement restarts
+/// the level-1 sweep, and the early search shrinks thresholds that are
+/// still above the budget.) With that memo a master rarely repeats (on
+/// syn-a-b6 the one repeat per solve is [`ThresholdEvaluator::solve_full`]'s
+/// final master), so this evaluator keeps no master memo.
+/// [`ThresholdEvaluator::prime`] evaluates a whole sweep batch as one
+/// `(order × candidate)` trie frontier, so candidates differing in a
 /// single coordinate share every audit prefix that avoids it.
 pub struct ExactEvaluator<'a> {
     spec: &'a GameSpec,
@@ -217,11 +220,17 @@ impl ThresholdEvaluator for ExactEvaluator<'_> {
 /// reuse comes from the engine instead — the prefix-state cache serves
 /// every greedy trial whose prefix avoids the shrunk coordinate, and the
 /// canonical keys collapse saturated candidates outright.
+///
+/// It also owns one master memo for its lifetime, which is one solve.
+/// Candidates of different classes often replay the same column
+/// generation — they differ only in types the budget never reaches, so
+/// every column's `Pal` agrees — and each distinct master is solved once.
 pub struct CggsEvaluator<'a> {
     spec: &'a GameSpec,
     engine: PalEngine<'a>,
     cggs: Cggs,
     values: HashMap<Vec<u64>, f64>,
+    masters: MasterMemo,
 }
 
 impl<'a> CggsEvaluator<'a> {
@@ -233,6 +242,7 @@ impl<'a> CggsEvaluator<'a> {
             engine,
             cggs: Cggs::new(config),
             values: HashMap::new(),
+            masters: MasterMemo::default(),
         }
     }
 
@@ -250,7 +260,7 @@ impl ThresholdEvaluator for CggsEvaluator<'_> {
         }
         let v = self
             .cggs
-            .solve_with_engine(self.spec, &self.engine, thresholds)?
+            .solve_with_memo(self.spec, &self.engine, &mut self.masters, thresholds)?
             .master
             .value;
         self.values.insert(key, v);
@@ -261,9 +271,9 @@ impl ThresholdEvaluator for CggsEvaluator<'_> {
         &mut self,
         thresholds: &[f64],
     ) -> Result<(MasterSolution, Vec<AuditOrder>), GameError> {
-        let out = self
-            .cggs
-            .solve_with_engine(self.spec, &self.engine, thresholds)?;
+        let out =
+            self.cggs
+                .solve_with_memo(self.spec, &self.engine, &mut self.masters, thresholds)?;
         Ok((out.master, out.orders))
     }
 }
@@ -847,5 +857,91 @@ mod tests {
         fn default_config() -> Self {
             Ishm::new(IshmConfig::default())
         }
+    }
+
+    /// [`CggsEvaluator`] without the shared master memo: every CGGS run
+    /// goes through [`Cggs::solve_with_engine`] and its fresh memo. Sums
+    /// the master iterations of all runs.
+    struct FreshMasterEvaluator<'a> {
+        spec: &'a GameSpec,
+        engine: PalEngine<'a>,
+        cggs: Cggs,
+        values: HashMap<Vec<u64>, f64>,
+        iterations: usize,
+    }
+
+    impl ThresholdEvaluator for FreshMasterEvaluator<'_> {
+        fn evaluate(&mut self, thresholds: &[f64]) -> Result<f64, GameError> {
+            let key = self.engine.threshold_class_key(thresholds);
+            if let Some(&v) = self.values.get(&key) {
+                return Ok(v);
+            }
+            let (master, _) = self.solve_full(thresholds)?;
+            self.values.insert(key, master.value);
+            Ok(master.value)
+        }
+
+        fn solve_full(
+            &mut self,
+            thresholds: &[f64],
+        ) -> Result<(MasterSolution, Vec<AuditOrder>), GameError> {
+            let out = self
+                .cggs
+                .solve_with_engine(self.spec, &self.engine, thresholds)?;
+            self.iterations += out.iterations;
+            Ok((out.master, out.orders))
+        }
+    }
+
+    #[test]
+    fn master_memo_is_bit_identical_and_skips_repeated_masters() {
+        use crate::datasets::{random_game, RandomGameConfig};
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // B = 4 against full-coverage thresholds of 6 to 17: the budget
+        // binds, so many candidates replay the same column generation.
+        let spec = random_game(
+            &RandomGameConfig {
+                n_types: 7,
+                n_attackers: 4,
+                n_victims: 6,
+                budget: 4.0,
+                allow_opt_out: false,
+                benign_prob: 0.15,
+            },
+            5,
+        );
+        let bank = spec.sample_bank(64, 5);
+        let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
+        let ishm = Ishm::new(IshmConfig {
+            epsilon: 0.5,
+            ..Default::default()
+        });
+
+        let mut memo = CggsEvaluator::new(&spec, est, CggsConfig::default());
+        let got = ishm.solve(&spec, &mut memo).unwrap();
+        let mut fresh = FreshMasterEvaluator {
+            spec: &spec,
+            engine: PalEngine::new(est, 1),
+            cggs: Cggs::default(),
+            values: HashMap::new(),
+            iterations: 0,
+        };
+        let want = ishm.solve(&spec, &mut fresh).unwrap();
+
+        assert_eq!(got.value.to_bits(), want.value.to_bits());
+        assert_eq!(bits(&got.thresholds), bits(&want.thresholds));
+        assert_eq!(bits(&got.master.p_orders), bits(&want.master.p_orders));
+        assert_eq!(bits(&got.master.y_actions), bits(&want.master.y_actions));
+        assert_eq!(got.orders, want.orders);
+        assert_eq!(
+            got.stats.thresholds_explored,
+            want.stats.thresholds_explored
+        );
+        assert!(
+            memo.masters.len() < fresh.iterations,
+            "the memo solved {} masters for {} master iterations",
+            memo.masters.len(),
+            fresh.iterations
+        );
     }
 }

@@ -29,6 +29,7 @@ use crate::model::GameSpec;
 use crate::payoff::PayoffMatrix;
 use lp_solver::{Problem, Relation, Sense};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Solution of the master problem for a fixed threshold vector and a fixed
 /// set of candidate orders `Q`.
@@ -60,11 +61,13 @@ impl MasterSolver {
                 "master problem needs at least one candidate order".into(),
             ));
         }
+        // Nothing reads a master's variable or row names (MPS export writes
+        // positional ones), so none are built: `""` allocates nothing.
         let mut lp = Problem::new(Sense::Maximize);
-        let mu = lp.add_free_var("mu", 1.0);
+        let mu = lp.add_free_var("", 1.0);
         let n_actions = matrix.index.n_actions();
         let ys: Vec<_> = (0..n_actions)
-            .map(|i| lp.add_var(format!("y{i}"), 0.0, 0.0, f64::INFINITY))
+            .map(|_| lp.add_var("", 0.0, 0.0, f64::INFINITY))
             .collect();
 
         // Per-attacker mass constraints. Attackers without actions are
@@ -82,13 +85,13 @@ impl MasterSolver {
                 continue;
             }
             let terms: Vec<_> = matrix.index.range(e).map(|i| (ys[i], 1.0)).collect();
-            let row = lp.add_constraint(format!("mass_e{e}"), terms, rel, att.attack_prob);
+            let row = lp.add_constraint("", terms, rel, att.attack_prob);
             attacker_rows.push(Some(row));
         }
 
         // Per-order value constraints: μ − Σ y·U_a(o) ≤ 0.
         let mut order_rows = Vec::with_capacity(matrix.n_orders());
-        for (col, values) in matrix.values.iter().enumerate() {
+        for values in &matrix.values {
             let mut terms = Vec::with_capacity(n_actions + 1);
             terms.push((mu, 1.0));
             for (i, &u) in values.iter().enumerate() {
@@ -96,7 +99,7 @@ impl MasterSolver {
                     terms.push((ys[i], -u));
                 }
             }
-            order_rows.push(lp.add_constraint(format!("order{col}"), terms, Relation::Le, 0.0));
+            order_rows.push(lp.add_constraint("", terms, Relation::Le, 0.0));
         }
 
         let sol = lp.solve()?;
@@ -193,6 +196,42 @@ impl MasterSolver {
             y_actions,
             lp_iterations: sol.iterations,
         })
+    }
+}
+
+/// The master solutions of one solve, keyed by the bits of
+/// [`PayoffMatrix::pals`], column by column.
+///
+/// A hit is exact: the memo serves one spec, each utility column is the
+/// pure function `utility_column(spec, pal)`, and the master LP is a pure
+/// function of those utilities. The key takes `n_types` words per column
+/// where the utilities would take `n_actions` (7 against 174 on Rea A).
+#[derive(Debug, Default)]
+pub(crate) struct MasterMemo {
+    solutions: HashMap<Vec<u64>, MasterSolution>,
+}
+
+impl MasterMemo {
+    /// The stored solution for `matrix`'s columns, or
+    /// [`MasterSolver::solve`]'s, which is then stored.
+    pub(crate) fn solve(
+        &mut self,
+        spec: &GameSpec,
+        matrix: &PayoffMatrix,
+    ) -> Result<MasterSolution, GameError> {
+        let key: Vec<u64> = matrix.pals.iter().flatten().map(|p| p.to_bits()).collect();
+        if let Some(sol) = self.solutions.get(&key) {
+            return Ok(sol.clone());
+        }
+        let sol = MasterSolver::solve(spec, matrix)?;
+        self.solutions.insert(key, sol.clone());
+        Ok(sol)
+    }
+
+    /// Distinct masters solved so far.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.solutions.len()
     }
 }
 

@@ -51,16 +51,6 @@ impl ActionIndex {
     pub fn range(&self, e: usize) -> std::ops::Range<usize> {
         self.offsets[e]..self.offsets[e + 1]
     }
-
-    /// Attacker owning flat index `i`.
-    pub fn attacker_of(&self, i: usize) -> usize {
-        // offsets is sorted; binary search for the containing window.
-        match self.offsets.binary_search(&i) {
-            Ok(e) if e + 1 < self.offsets.len() => e,
-            Ok(e) => e - 1,
-            Err(e) => e - 1,
-        }
-    }
 }
 
 /// Payoff matrix `U_a(o, b, ⟨e,v⟩)` for a concrete threshold vector and a
@@ -293,9 +283,6 @@ mod tests {
         assert_eq!(idx.n_attackers(), 2);
         assert_eq!(idx.range(0), 0..2);
         assert_eq!(idx.range(1), 2..3);
-        assert_eq!(idx.attacker_of(0), 0);
-        assert_eq!(idx.attacker_of(1), 0);
-        assert_eq!(idx.attacker_of(2), 1);
     }
 
     #[test]

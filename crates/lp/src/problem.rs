@@ -123,7 +123,10 @@ impl Problem {
 
     /// Add a linear constraint `Σ coeff·var (rel) rhs`.
     ///
-    /// Duplicate variable references in `terms` are summed.
+    /// Duplicate variable references in `terms` are merged into one term at
+    /// the variable's first position; its coefficient is the sum of the
+    /// duplicates taken left to right in the order given. The merge costs
+    /// O(k log k) in the number of terms.
     pub fn add_constraint(
         &mut self,
         name: impl Into<String>,
@@ -132,18 +135,13 @@ impl Problem {
         rhs: f64,
     ) -> ConstrId {
         let id = ConstrId(self.constraints.len());
-        let mut merged: Vec<(usize, f64)> = Vec::with_capacity(terms.len());
-        for (v, c) in terms {
-            debug_assert!(v.0 < self.vars.len(), "variable from another model");
-            if let Some(slot) = merged.iter_mut().find(|(idx, _)| *idx == v.0) {
-                slot.1 += c;
-            } else {
-                merged.push((v.0, c));
-            }
-        }
+        debug_assert!(
+            terms.iter().all(|(v, _)| v.0 < self.vars.len()),
+            "variable from another model"
+        );
         self.constraints.push(Constraint {
             name: name.into(),
-            terms: merged,
+            terms: merge_duplicate_terms(terms),
             rel,
             rhs,
         });
@@ -279,6 +277,28 @@ impl Problem {
     }
 }
 
+/// Merge duplicate variables of one constraint: stable-sort the terms by
+/// variable (each variable's duplicates stay in the order given), sum each
+/// run left to right, then restore first-appearance order.
+fn merge_duplicate_terms(terms: Vec<(VarId, f64)>) -> Vec<(usize, f64)> {
+    let mut by_var: Vec<(usize, usize, f64)> = terms
+        .into_iter()
+        .enumerate()
+        .map(|(pos, (v, c))| (v.0, pos, c))
+        .collect();
+    by_var.sort_by_key(|&(v, _, _)| v);
+    // (first position, variable, running sum)
+    let mut merged: Vec<(usize, usize, f64)> = Vec::with_capacity(by_var.len());
+    for (v, pos, c) in by_var {
+        match merged.last_mut() {
+            Some(last) if last.1 == v => last.2 += c,
+            _ => merged.push((pos, v, c)),
+        }
+    }
+    merged.sort_unstable_by_key(|&(pos, _, _)| pos);
+    merged.into_iter().map(|(_, v, c)| (v, c)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,8 +322,27 @@ mod tests {
     fn duplicate_terms_are_merged() {
         let mut p = Problem::minimize();
         let x = p.add_var("x", 1.0, 0.0, f64::INFINITY);
+        let y = p.add_var("y", 1.0, 0.0, f64::INFINITY);
+        let z = p.add_var("z", 1.0, 0.0, f64::INFINITY);
         p.add_constraint("c", vec![(x, 1.0), (x, 2.0)], Relation::Eq, 6.0);
         assert_eq!(p.constraints[0].terms, vec![(0, 3.0)]);
+        // Interleaved duplicates keep first-appearance order.
+        p.add_constraint(
+            "d",
+            vec![(y, 1.0), (x, 2.0), (y, 3.0), (z, 4.0), (x, 5.0)],
+            Relation::Le,
+            0.0,
+        );
+        assert_eq!(p.constraints[1].terms, vec![(1, 4.0), (0, 7.0), (2, 4.0)]);
+        // The sum runs in the order given: (1e16 + 1) + (−1e16) = 0, where
+        // adding the two large terms first would give 1.
+        p.add_constraint(
+            "e",
+            vec![(z, 1e16), (x, 1.0), (z, 1.0), (z, -1e16)],
+            Relation::Le,
+            0.0,
+        );
+        assert_eq!(p.constraints[2].terms, vec![(2, 0.0), (0, 1.0)]);
     }
 
     #[test]

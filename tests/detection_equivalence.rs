@@ -322,6 +322,78 @@ fn cross_batch_prefix_states_replay_scalar_results() {
 }
 
 #[test]
+fn thresholds_at_or_above_the_budget_are_served_from_the_caches() {
+    // A threshold at or above the period budget B can never bind, so
+    // moving every such coordinate to another value ≥ B changes no `Pal`
+    // and no cache key. Both values stay below the count-saturation point,
+    // so only the budget rule puts them in one class.
+    const B: f64 = 2.0;
+    let lift = |b: f64| if b >= B { b + 0.5 } else { b };
+    for seed in 0..4u64 {
+        let n_types = 3 + (seed % 2) as usize;
+        let spec = random_game(&cfg(n_types, B), seed);
+        let bank = spec.sample_bank(64, seed ^ 0xB0B);
+        let grids: Vec<Vec<f64>> = vec![
+            vec![B; n_types],
+            (0..n_types)
+                .map(|t| if t % 2 == 0 { B + 0.25 } else { 0.5 * t as f64 })
+                .collect(),
+            (0..n_types)
+                .map(|t| [1.5, B, 0.0, B + 0.25][t % 4])
+                .collect(),
+        ];
+        for t in 0..n_types {
+            let highest = lift(B + 0.25);
+            assert!(
+                highest.floor() < bank.max_count(t) as f64,
+                "seed {seed}: type {t} would saturate by count"
+            );
+        }
+        let queries_over = |lifted: bool| -> Vec<PalQuery> {
+            let mut queries = Vec::new();
+            for grid in &grids {
+                let thresholds: Vec<f64> = if lifted {
+                    grid.iter().map(|&b| lift(b)).collect()
+                } else {
+                    grid.clone()
+                };
+                for order in AuditOrder::enumerate_all(n_types) {
+                    for len in 1..=n_types {
+                        queries.push(PalQuery::prefix(&order.types()[..len], &thresholds));
+                    }
+                }
+            }
+            queries
+        };
+        let (first, second) = (queries_over(false), queries_over(true));
+        for model in MODELS {
+            let est = DetectionEstimator::new(&spec, &bank, model);
+            for threads in THREAD_COUNTS {
+                let engine = PalEngine::new(est, threads);
+                let check = |queries: &[PalQuery]| {
+                    for (q, got) in queries.iter().zip(engine.pal_batch(queries)) {
+                        assert_eq!(
+                            got,
+                            est.pal_prefix(&q.seq, &q.thresholds),
+                            "seed {seed}, model {model:?}, threads {threads}, query {q:?}"
+                        );
+                    }
+                };
+                check(&first);
+                let evaluated = engine.cache_stats().columns_evaluated;
+                check(&second);
+                assert_eq!(
+                    engine.cache_stats().columns_evaluated,
+                    evaluated,
+                    "seed {seed}, model {model:?}, threads {threads}: the lifted grid \
+                     evaluated columns"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn cache_hits_replay_the_exact_first_answer() {
     let spec = random_game(&cfg(3, 5.0), 11);
     let bank = spec.sample_bank(128, 3);
