@@ -9,11 +9,16 @@
 //!     [--checkpoint-dir <dir> [--checkpoint-epoch <k>]] [--restore]
 //! ```
 //!
-//! `--compare-cold` additionally runs a shadow cold solve at every
-//! re-solve and reports the cold-vs-warm latency and objective gap (the
-//! numbers behind `BENCH_runtime.json`); `--json` emits the full
-//! telemetry log as JSON instead of the table; `--cache-stats` prints the
-//! detection engine's counters summed over the committed solves.
+//! `--compare-cold` steps the service one epoch at a time and, after each
+//! epoch that re-solved, solves the newly committed spec cold with a
+//! fresh solver under the run's solver configuration, outside the
+//! service; it reports the mean warm and cold latency over those epochs
+//! and the worst committed-minus-cold objective gap. The service runs
+//! exactly as without the flag, so the fingerprint is the same, and the
+//! flag works with `--restore` (comparing the epochs run after the
+//! restore). `--json` emits the full telemetry log as JSON instead of the
+//! table; `--cache-stats` prints the detection engine's counters summed
+//! over the committed solves.
 //!
 //! `--checkpoint-dir <dir>` runs the loop only up to `--checkpoint-epoch`
 //! (default: half the horizon), persists the full service state to the
@@ -30,8 +35,9 @@ use audit_bench::cli::{
     take_value_flag,
 };
 use audit_bench::report::{f4, Table};
-use audit_game::solver::SolverConfig;
+use audit_game::solver::{OapSolver, SolverConfig};
 use audit_runtime::{AuditService, RuntimeConfig};
+use std::time::Instant;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -61,7 +67,6 @@ fn main() {
     let defaults = RuntimeConfig::default();
     let cfg = RuntimeConfig {
         epochs,
-        compare_cold,
         solver: SolverConfig {
             threads,
             ..defaults.solver
@@ -73,21 +78,54 @@ fn main() {
         cfg.periods_per_epoch, cfg.drift.window_periods, cfg.drift.ks_threshold, threads
     );
 
-    let t0 = std::time::Instant::now();
-    let report = if restore {
-        let dir = checkpoint_dir.expect("--restore needs --checkpoint-dir <dir>");
-        let (service, state) = AuditService::restore(scenario, &dir).expect("checkpoint loads");
+    let t0 = Instant::now();
+    let (service, mut state) = if restore {
+        let dir = checkpoint_dir
+            .as_deref()
+            .expect("--restore needs --checkpoint-dir <dir>");
+        let (service, state) = AuditService::restore(scenario, dir).expect("checkpoint loads");
         eprintln!(
             "restored checkpoint at epoch {}/{} from {} (config carried by the checkpoint)",
             state.epoch,
             service.config().epochs,
             dir.display()
         );
-        service.resume(state).expect("service loop resumes")
-    } else if let Some(dir) = checkpoint_dir {
+        (service, state)
+    } else {
         let service = AuditService::new(scenario, cfg);
-        let stop = checkpoint_epoch.unwrap_or(epochs / 2).max(1);
-        let state = service.run_until(stop).expect("service loop runs");
+        let state = service.start_state().expect("cold start solves");
+        (service, state)
+    };
+    // Without --restore, --checkpoint-dir stops the run at the checkpoint
+    // epoch and saves it there.
+    let save_to = checkpoint_dir.filter(|_| !restore);
+    let horizon = service.config().epochs;
+    let stop = match save_to {
+        Some(_) => checkpoint_epoch.unwrap_or(epochs / 2).clamp(1, horizon),
+        None => horizon,
+    };
+    let stream = service.full_alert_stream().expect("alert stream derives");
+    // A saving run prints no report, so it compares nothing.
+    let cold_solver = (compare_cold && save_to.is_none())
+        .then(|| OapSolver::new(service.config().solver.clone()));
+    // Per compared re-solve: (warm ms, cold ms, committed − cold objective).
+    let mut compared: Vec<(f64, f64, f64)> = Vec::new();
+    while state.epoch < stop {
+        let next = state.epoch + 1;
+        service
+            .advance_with_stream(&mut state, next, &stream)
+            .expect("service loop runs");
+        let e = state.records.last().expect("the epoch was recorded");
+        let Some(solver) = cold_solver.as_ref().filter(|_| e.resolved) else {
+            continue;
+        };
+        let warm_millis = e.solve_millis.expect("a re-solve records its latency");
+        let t = Instant::now();
+        let cold = solver.solve(&state.spec).expect("cold solve runs");
+        let cold_millis = t.elapsed().as_secs_f64() * 1e3;
+        compared.push((warm_millis, cold_millis, e.objective - cold.loss));
+    }
+    if let Some(dir) = save_to {
         service.checkpoint(&state, &dir).expect("checkpoint saves");
         println!(
             "checkpoint: epoch {} of {} written to {}",
@@ -97,11 +135,8 @@ fn main() {
         );
         eprintln!("elapsed: {:.1?}", t0.elapsed());
         return;
-    } else {
-        AuditService::new(scenario, cfg)
-            .run()
-            .expect("service loop runs")
-    };
+    }
+    let report = service.report(state);
     let elapsed = t0.elapsed();
 
     if json {
@@ -160,17 +195,24 @@ fn main() {
             f4(damage)
         ));
     }
-    if let Some(stats) = report.resolve_stats() {
-        summary(match (stats.mean_cold_millis, stats.speedup) {
-            (Some(cold), Some(speedup)) => format!(
-                "re-solve latency: warm {:.1} ms vs cold {:.1} ms ({:.2}x), max objective gap {}",
-                stats.mean_solve_millis,
-                cold,
-                speedup,
-                f4(stats.max_objective_gap.unwrap_or(0.0)),
-            ),
-            _ => format!("re-solve latency: warm {:.1} ms", stats.mean_solve_millis),
-        });
+    if !compared.is_empty() {
+        let n = compared.len() as f64;
+        let warm = compared.iter().map(|c| c.0).sum::<f64>() / n;
+        let cold = compared.iter().map(|c| c.1).sum::<f64>() / n;
+        let gap = compared
+            .iter()
+            .map(|c| c.2)
+            .fold(f64::NEG_INFINITY, f64::max);
+        summary(format!(
+            "re-solve latency: warm {warm:.1} ms vs cold {cold:.1} ms ({:.2}x), max objective gap {}",
+            cold / warm,
+            f4(gap),
+        ));
+    } else if let Some(stats) = report.resolve_stats() {
+        summary(format!(
+            "re-solve latency: warm {:.1} ms",
+            stats.mean_solve_millis
+        ));
     }
     if cache_stats {
         for line in render_cache_stats(&report.engine_cache).lines() {

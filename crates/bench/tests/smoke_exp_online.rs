@@ -53,11 +53,15 @@ fn exp_online_fingerprint_is_rerun_and_thread_invariant() {
     let base = run(&["3", "1", "--scenario", "syn-seasonal"]);
     assert!(base.status.success());
     let fp = fingerprint_of(&String::from_utf8_lossy(&base.stdout));
-    for args in [
-        ["3", "1", "--scenario", "syn-seasonal"],
-        ["3", "4", "--scenario", "syn-seasonal"],
-    ] {
-        let again = run(&args);
+    // The cold comparison runs outside the service, so it must not move
+    // the fingerprint either.
+    let inputs: [&[&str]; 3] = [
+        &["3", "1", "--scenario", "syn-seasonal"],
+        &["3", "4", "--scenario", "syn-seasonal"],
+        &["3", "1", "--scenario", "syn-seasonal", "--compare-cold"],
+    ];
+    for args in inputs {
+        let again = run(args);
         assert!(again.status.success());
         assert_eq!(
             fp,

@@ -39,14 +39,16 @@ pub enum OracleKind {
     Exhaustive,
 }
 
+/// Reduced-cost tolerance for convergence: a priced column enters the
+/// master only if it improves the value by more than this.
+const REDUCED_COST_TOL: f64 = 1e-7;
+
 /// CGGS configuration.
 #[derive(Debug, Clone)]
 pub struct CggsConfig {
     /// Upper bound on generated columns (safety valve; the algorithm
     /// normally converges in far fewer).
     pub max_columns: usize,
-    /// Reduced-cost tolerance for convergence.
-    pub tol: f64,
     /// Pricing oracle.
     pub oracle: OracleKind,
     /// Organizational constraints restricting the feasible order set `O`.
@@ -68,7 +70,6 @@ impl Default for CggsConfig {
     fn default() -> Self {
         Self {
             max_columns: 256,
-            tol: 1e-7,
             oracle: OracleKind::Greedy,
             precedence: PrecedenceConstraints::none(),
             threads: 1,
@@ -187,7 +188,7 @@ impl Cggs {
             // auditor push the value below the current μ.
             let pal = engine.pal(&candidate, thresholds);
             let f = score_from_pal(spec, &pal, &master.y_actions);
-            let improving = f < master.value - self.config.tol;
+            let improving = f < master.value - REDUCED_COST_TOL;
             let fresh = !matrix.orders.contains(&candidate);
             if improving && fresh {
                 matrix.push_order_with_engine(spec, engine, candidate, thresholds);

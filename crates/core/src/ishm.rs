@@ -116,27 +116,10 @@ impl<'a> ExactEvaluator<'a> {
 
     /// Build with the full order set and `threads` batch workers.
     pub fn with_threads(spec: &'a GameSpec, est: DetectionEstimator<'a>, threads: usize) -> Self {
-        let orders = AuditOrder::enumerate_all(spec.n_types());
-        Self::from_engine(spec, PalEngine::new(est, threads), orders)
-    }
-
-    /// Build with an explicit (e.g. precedence-filtered) order set.
-    pub fn with_orders(
-        spec: &'a GameSpec,
-        est: DetectionEstimator<'a>,
-        orders: Vec<AuditOrder>,
-    ) -> Self {
-        Self::from_engine(spec, PalEngine::new(est, 1), orders)
-    }
-
-    /// Build from a caller-configured engine (benchmarks use this to
-    /// compare cached against uncached evaluation).
-    pub fn from_engine(spec: &'a GameSpec, engine: PalEngine<'a>, orders: Vec<AuditOrder>) -> Self {
-        assert!(!orders.is_empty(), "order set must be non-empty");
         Self {
             spec,
-            engine,
-            orders,
+            engine: PalEngine::new(est, threads),
+            orders: AuditOrder::enumerate_all(spec.n_types()),
             values: HashMap::new(),
         }
     }
@@ -278,14 +261,15 @@ impl ThresholdEvaluator for CggsEvaluator<'_> {
     }
 }
 
+/// Minimal strict improvement ISHM accepts for a shrink (guards against
+/// accepting float noise and guarantees termination).
+const IMPROVEMENT_TOL: f64 = 1e-9;
+
 /// ISHM configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IshmConfig {
     /// Step size `ε ∈ (0, 1]` controlling the shrink-ratio grid.
     pub epsilon: f64,
-    /// Minimal strict improvement to accept a shrink (guards against
-    /// accepting float noise and guarantees termination).
-    pub improvement_tol: f64,
     /// Warm-start threshold vector: when set, the shrink search starts
     /// from this point (clamped elementwise to the full-coverage upper
     /// bounds) instead of from full coverage. An online re-solve passes a
@@ -317,7 +301,6 @@ impl Default for IshmConfig {
     fn default() -> Self {
         Self {
             epsilon: 0.1,
-            improvement_tol: 1e-9,
             initial_thresholds: None,
             max_level: None,
             eval_budget: None,
@@ -476,7 +459,7 @@ impl Ishm {
                 // An improvement found in a partial (budget-clipped) scan
                 // is still accepted: degradation commits the best vector
                 // seen, it never discards paid-for progress.
-                if best_obj < obj - self.config.improvement_tol {
+                if best_obj < obj - IMPROVEMENT_TOL {
                     obj = best_obj;
                     let combo = &combos[best_combo.expect("improvement implies a combo")];
                     for &k in combo {

@@ -1,5 +1,5 @@
 //! Game-level persistence on top of [`stochastics::snapshot`]: codecs for
-//! [`GameSpec`], [`WarmStart`], [`AuditPolicy`], and the combined
+//! [`GameSpec`], [`AuditPolicy`], and the combined
 //! scenario snapshot (spec + common-random-number bank + provenance) that
 //! the runtime checkpoint writes as its `bank.snap`. A solve never reads
 //! its bank from a snapshot: it always draws
@@ -26,7 +26,6 @@ use crate::execute::AuditPolicy;
 use crate::model::{AttackAction, Attacker, GameSpec, GameSpecBuilder};
 use crate::ordering::AuditOrder;
 use crate::scenario::{RegimeMixingCounts, SeasonalCounts};
-use crate::solver::WarmStart;
 use std::path::Path;
 use std::sync::Arc;
 use stochastics::snapshot::{
@@ -51,8 +50,6 @@ pub const TAG_SPEC_TYPES: u64 = 0x21;
 pub const TAG_SPEC_ATTACKERS: u64 = 0x22;
 /// Section tag: optional joint count model parameters.
 pub const TAG_SPEC_JOINT: u64 = 0x23;
-/// Section tag: warm-start state (thresholds + CGGS seed orders).
-pub const TAG_WARM_START: u64 = 0x30;
 /// Section tag: an executable audit policy.
 pub const TAG_POLICY: u64 = 0x31;
 
@@ -77,6 +74,14 @@ pub enum PersistError {
     Provenance(String),
     /// The decoded spec or policy is structurally invalid.
     Spec(String),
+    /// The container was written in a format version older than the
+    /// oldest layout its payload codec still reads.
+    StaleFormat {
+        /// Version in the container header.
+        found: u32,
+        /// Oldest version the codec reads.
+        oldest: u32,
+    },
 }
 
 impl std::fmt::Display for PersistError {
@@ -91,6 +96,11 @@ impl std::fmt::Display for PersistError {
             ),
             PersistError::Provenance(msg) => write!(f, "snapshot provenance mismatch: {msg}"),
             PersistError::Spec(msg) => write!(f, "snapshot decodes to an invalid object: {msg}"),
+            PersistError::StaleFormat { found, oldest } => write!(
+                f,
+                "snapshot format version {found} predates version {oldest}, the oldest \
+                 this payload's reader accepts"
+            ),
         }
     }
 }
@@ -264,7 +274,7 @@ pub fn decode_spec(snap: &Snapshot) -> Result<GameSpec, PersistError> {
 }
 
 // ---------------------------------------------------------------------
-// WarmStart / AuditPolicy codecs
+// AuditPolicy codec
 // ---------------------------------------------------------------------
 
 fn encode_orders(w: &mut SectionWriter, orders: &[AuditOrder]) {
@@ -290,38 +300,6 @@ fn decode_orders(r: &mut SectionReader<'_>) -> Result<Vec<AuditOrder>, PersistEr
         orders.push(AuditOrder::new(perm).map_err(|e| PersistError::Spec(e.to_string()))?);
     }
     Ok(orders)
-}
-
-/// Append warm-start state (ISHM thresholds + CGGS seed order columns).
-pub fn encode_warm_start(snap: &mut Snapshot, warm: &WarmStart) {
-    let mut w = SectionWriter::new();
-    match &warm.thresholds {
-        Some(th) => {
-            w.put_bool(true);
-            w.put_f64s(th);
-        }
-        None => w.put_bool(false),
-    }
-    encode_orders(&mut w, &warm.orders);
-    snap.add_section(TAG_WARM_START, w);
-}
-
-/// Decode warm-start state.
-pub fn decode_warm_start(snap: &Snapshot) -> Result<WarmStart, PersistError> {
-    let mut r = snap.section(TAG_WARM_START)?;
-    let thresholds = if r.get_bool()? {
-        let th = r.get_f64s()?;
-        if th.iter().any(|x| !x.is_finite()) {
-            return Err(PersistError::Spec("non-finite warm threshold".into()));
-        }
-        Some(th)
-    } else {
-        None
-    };
-    Ok(WarmStart {
-        thresholds,
-        orders: decode_orders(&mut r)?,
-    })
 }
 
 /// Append an executable audit policy (thresholds + mixed orders + their
@@ -513,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_and_policy_roundtrip() {
+    fn policy_roundtrip() {
         let spec = registry().build("syn-a", 0).unwrap();
         let sol = OapSolver::new(SolverConfig {
             n_samples: 40,
@@ -525,25 +503,12 @@ mod tests {
 
         let mut snap = Snapshot::new(KIND_RUNTIME_STATE);
         encode_policy(&mut snap, &sol.policy);
-        encode_warm_start(&mut snap, &WarmStart::from_policy(&sol.policy));
         let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
 
         let policy = decode_policy(&back).unwrap();
         assert_eq!(policy.thresholds, sol.policy.thresholds);
         assert_eq!(policy.orders, sol.policy.orders);
         assert_eq!(policy.probs, sol.policy.probs);
-
-        let warm = decode_warm_start(&back).unwrap();
-        assert_eq!(warm.thresholds.as_deref(), Some(&sol.policy.thresholds[..]));
-        assert_eq!(warm.orders, sol.policy.orders);
-
-        // Empty warm start roundtrips too.
-        let mut snap = Snapshot::new(KIND_RUNTIME_STATE);
-        encode_warm_start(&mut snap, &WarmStart::default());
-        let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
-        let warm = decode_warm_start(&back).unwrap();
-        assert!(warm.thresholds.is_none());
-        assert!(warm.orders.is_empty());
     }
 
     #[test]

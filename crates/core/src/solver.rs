@@ -387,7 +387,6 @@ impl OapSolver {
             initial_thresholds: warm.and_then(|w| w.thresholds.clone()),
             max_level: strategy.level_cap(),
             eval_budget,
-            ..Default::default()
         });
 
         match strategy {

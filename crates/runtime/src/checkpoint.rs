@@ -16,34 +16,41 @@
 //!   regenerates and compares.
 //! * **`state.snap`** — the runtime state (`KIND_RUNTIME_STATE`): the
 //!   full [`RuntimeConfig`] (so restore needs no flags re-specified), the
-//!   epoch cursor, the incumbent [`AuditPolicy`] plus the [`WarmStart`]
-//!   derived from it, the engine cache counters, the drift tracker
-//!   (recent windows exactly, lifetime moments by their f64 bits), and
-//!   every recorded [`EpochTelemetry`]. The cursor also stores the
-//!   **fingerprint of the partial report** — the same
-//!   [`RuntimeReport::fingerprint`] the property suite pins — and restore
-//!   recomputes it over the decoded records, so a checkpoint whose
-//!   telemetry chain was tampered with (even checksum-consistently, by
-//!   rewriting both) still has to forge a matching FNV chain to load.
+//!   epoch cursor, the incumbent [`AuditPolicy`], the engine cache
+//!   counters, the drift tracker (recent windows exactly, lifetime
+//!   moments by their f64 bits), and every recorded [`EpochTelemetry`].
+//!   The cursor also stores the **fingerprint of the partial report** —
+//!   the same [`RuntimeReport::fingerprint`] the property suite pins —
+//!   and restore recomputes it over the decoded records, so a checkpoint
+//!   whose telemetry chain was tampered with (even checksum-consistently,
+//!   by rewriting both) still has to forge a matching FNV chain to load.
 //!
 //! Not persisted, recomputed instead: the scenario's alert stream (a pure
 //! function of the scenario and seed), per-period execution RNG streams
-//! (derived — see [`crate::service::EXEC_STREAM_BASE`]), and the
-//! predicted-`Pal` vector, computed from the incumbent policy over the
-//! persisted bank once that bank has passed the regeneration check (so
-//! restore draws the bank once, not twice). Decoding never panics: every
-//! structural assumption is checked first and surfaces as a typed
-//! [`PersistError`].
+//! (derived — see [`crate::service::EXEC_STREAM_BASE`]), the next
+//! re-solve's warm start (derived from the incumbent policy and the specs
+//! by [`crate::service::warm_start_rescaled`]), and the predicted-`Pal`
+//! vector, computed from the incumbent policy over the persisted bank
+//! once that bank has passed the regeneration check (so restore draws the
+//! bank once, not twice). Decoding never panics: every structural
+//! assumption is checked first and surfaces as a typed [`PersistError`].
+//!
+//! State files older than snapshot format version 3 use a layout whose
+//! words would decode as different fields, so [`load_checkpoint`] refuses
+//! them with [`PersistError::StaleFormat`] and [`restore_or_cold`]
+//! cold-starts. `bank.snap` reads every version up to the current one.
+//!
+//! [`AuditPolicy`]: audit_game::execute::AuditPolicy
 
 use crate::online::{DriftConfig, OnlineFit};
 use crate::service::{RuntimeConfig, ServiceState};
 use crate::telemetry::{EpochTelemetry, RuntimeReport};
 use audit_game::detection::{CacheStats, DetectionEstimator, DetectionModel, PalEngine};
 use audit_game::persist::{
-    decode_policy, decode_warm_start, encode_policy, encode_warm_start, save_scenario_snapshot,
-    scenario_snapshot_from_bytes, PersistError, KIND_RUNTIME_STATE,
+    decode_policy, encode_policy, save_scenario_snapshot, scenario_snapshot_from_bytes,
+    PersistError, KIND_RUNTIME_STATE,
 };
-use audit_game::solver::{DegradeReason, InnerKind, SolverConfig, WarmStart};
+use audit_game::solver::{DegradeReason, InnerKind, SolverConfig};
 use std::path::Path;
 use stochastics::snapshot::{SectionReader, SectionWriter, Snapshot, SnapshotError};
 use stochastics::StreamingMoments;
@@ -72,6 +79,10 @@ pub const TAG_RT_CACHE: u64 = 0x42;
 pub const TAG_RT_FIT: u64 = 0x43;
 /// Section tag: recorded per-epoch telemetry.
 pub const TAG_RT_TELEMETRY: u64 = 0x44;
+
+/// Oldest snapshot format version whose runtime-state layout
+/// [`load_checkpoint`] reads.
+const OLDEST_STATE_VERSION: u32 = 3;
 
 /// A decoded checkpoint: which scenario it belongs to, the configuration
 /// the run was started with, and the mid-run state ready for
@@ -146,11 +157,7 @@ fn encode_config(snap: &mut Snapshot, cfg: &RuntimeConfig) {
     w.put_usize(cfg.solver.threads);
     w.put_usize(cfg.drift.window_periods);
     w.put_f64(cfg.drift.ks_threshold);
-    w.put_usize(cfg.drift.cooldown_epochs);
     put_opt_usize(&mut w, cfg.drift.max_stale_epochs);
-    w.put_f64(cfg.drift.fit_coverage);
-    w.put_bool(cfg.warm_start);
-    w.put_bool(cfg.compare_cold);
     put_opt_usize(&mut w, cfg.solver.work_budget);
     snap.add_section(TAG_RT_CONFIG, w);
 }
@@ -180,11 +187,7 @@ fn decode_config(snap: &Snapshot) -> Result<RuntimeConfig, PersistError> {
     let threads = r.get_usize()?;
     let window_periods = r.get_usize()?;
     let ks_threshold = r.get_f64()?;
-    let cooldown_epochs = r.get_usize()?;
     let max_stale_epochs = get_opt_usize(&mut r)?;
-    let fit_coverage = r.get_f64()?;
-    let warm_start = r.get_bool()?;
-    let compare_cold = r.get_bool()?;
     let work_budget = get_opt_usize(&mut r)?;
     if epochs == 0 || periods_per_epoch == 0 {
         return Err(PersistError::Spec("empty epoch horizon".into()));
@@ -192,7 +195,7 @@ fn decode_config(snap: &Snapshot) -> Result<RuntimeConfig, PersistError> {
     if window_periods == 0 || n_samples == 0 {
         return Err(PersistError::Spec("empty window or sample bank".into()));
     }
-    if !(epsilon.is_finite() && ks_threshold.is_finite() && fit_coverage.is_finite()) {
+    if !(epsilon.is_finite() && ks_threshold.is_finite()) {
         return Err(PersistError::Spec("non-finite configuration scalar".into()));
     }
     Ok(RuntimeConfig {
@@ -212,12 +215,8 @@ fn decode_config(snap: &Snapshot) -> Result<RuntimeConfig, PersistError> {
         drift: DriftConfig {
             window_periods,
             ks_threshold,
-            cooldown_epochs,
             max_stale_epochs,
-            fit_coverage,
         },
-        warm_start,
-        compare_cold,
     })
 }
 
@@ -402,9 +401,6 @@ fn encode_telemetry(snap: &mut Snapshot, records: &[EpochTelemetry]) {
         w.put_f64(e.auditor_damage);
         put_opt_usize(&mut w, e.solve_explored);
         put_opt_f64(&mut w, e.solve_millis);
-        put_opt_f64(&mut w, e.cold_objective);
-        put_opt_usize(&mut w, e.cold_explored);
-        put_opt_f64(&mut w, e.cold_millis);
         w.put_bool(e.degrade.is_some());
         if let Some(d) = &e.degrade {
             w.put_u64(d.code());
@@ -440,9 +436,6 @@ fn decode_telemetry(snap: &Snapshot) -> Result<Vec<EpochTelemetry>, PersistError
             auditor_damage: r.get_f64()?,
             solve_explored: get_opt_usize(&mut r)?,
             solve_millis: get_opt_f64(&mut r)?,
-            cold_objective: get_opt_f64(&mut r)?,
-            cold_explored: get_opt_usize(&mut r)?,
-            cold_millis: get_opt_f64(&mut r)?,
             degrade: if r.get_bool()? {
                 Some(degrade_from_code(r.get_u64()?)?)
             } else {
@@ -535,7 +528,6 @@ pub fn save_checkpoint(
     let fingerprint = partial_fingerprint(scenario_key, cfg, state, &state.engine_cache);
     encode_cursor(&mut snap, scenario_key, state, fingerprint);
     encode_policy(&mut snap, &state.policy);
-    encode_warm_start(&mut snap, &WarmStart::from_policy(&state.policy));
     encode_cache(&mut snap, &state.engine_cache);
     encode_fit(&mut snap, &state.fit);
     encode_telemetry(&mut snap, &state.records);
@@ -545,26 +537,28 @@ pub fn save_checkpoint(
 
 /// Load and fully verify a checkpoint directory. Beyond the per-file
 /// container checks (magic, version, checksum, section framing), this
-/// cross-validates the two files and the chain of invariants the epoch
-/// loop maintains: spec fingerprint, bank-vs-regeneration equality,
-/// scenario-key agreement, telemetry-chain fingerprint, record count vs
-/// epoch cursor, drift-tracker period count, and alert-id continuity.
+/// refuses state files older than the current runtime-state layout
+/// ([`PersistError::StaleFormat`]) and cross-validates the two files and
+/// the chain of invariants the epoch loop maintains: spec fingerprint,
+/// bank-vs-regeneration equality, scenario-key agreement,
+/// telemetry-chain fingerprint, record count vs epoch cursor,
+/// drift-tracker period count, and alert-id continuity.
 pub fn load_checkpoint(dir: &Path) -> Result<LoadedCheckpoint, PersistError> {
     let snap = Snapshot::read_from(&dir.join(STATE_FILE))?;
     snap.expect_kind(KIND_RUNTIME_STATE)?;
+    if snap.version < OLDEST_STATE_VERSION {
+        return Err(PersistError::StaleFormat {
+            found: snap.version,
+            oldest: OLDEST_STATE_VERSION,
+        });
+    }
     let config = decode_config(&snap)?;
     let cursor = decode_cursor(&snap)?;
     let policy = decode_policy(&snap)?;
-    let warm = decode_warm_start(&snap)?;
     let cache = decode_cache(&snap)?;
     let fit = decode_fit(&snap)?;
     let records = decode_telemetry(&snap)?;
 
-    if warm.orders != policy.orders || warm.thresholds.as_deref() != Some(&policy.thresholds[..]) {
-        return Err(PersistError::Provenance(
-            "persisted warm start disagrees with the incumbent policy".into(),
-        ));
-    }
     if cursor.epoch > config.epochs {
         return Err(PersistError::Provenance(format!(
             "cursor at epoch {} beyond the {}-epoch horizon",
@@ -844,8 +838,6 @@ mod tests {
                 max_stale_epochs: Some(3),
                 ..Default::default()
             },
-            warm_start: true,
-            compare_cold: false,
         }
     }
 
@@ -921,7 +913,6 @@ mod tests {
             forged.add_section(tag, w);
         }
         encode_policy(&mut forged, &decode_policy(&snap).unwrap());
-        encode_warm_start(&mut forged, &decode_warm_start(&snap).unwrap());
         encode_cache(&mut forged, &decode_cache(&snap).unwrap());
         encode_fit(&mut forged, &decode_fit(&snap).unwrap());
         encode_telemetry(&mut forged, &records);
@@ -932,6 +923,33 @@ mod tests {
         assert!(matches!(
             load_checkpoint(&dir),
             Err(PersistError::FingerprintMismatch { .. })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn state_files_older_than_format_3_are_refused() {
+        let reg = registry();
+        let scenario = reg.get("syn-seasonal").unwrap().clone();
+        let service = AuditService::new(Arc::clone(&scenario), small_config());
+        let state = service.run_until(2).unwrap();
+        let dir = temp_dir("stale-format");
+        service.checkpoint(&state, &dir).unwrap();
+        assert!(load_checkpoint(&dir).is_ok());
+
+        // Stamp the header as version 2. The checksum covers only the
+        // payload, so the container itself still validates.
+        let path = dir.join(STATE_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        assert!(Snapshot::read_from(&path).is_ok());
+        assert!(matches!(
+            load_checkpoint(&dir),
+            Err(PersistError::StaleFormat {
+                found: 2,
+                oldest: 3
+            })
         ));
         std::fs::remove_dir_all(&dir).ok();
     }

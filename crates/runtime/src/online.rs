@@ -14,6 +14,9 @@ use std::sync::Arc;
 use stochastics::gof::ks_statistic;
 use stochastics::{fit_discretized_gaussian, CountDistribution, StreamingMoments};
 
+/// Truncation coverage of the refit Gaussians (the paper's 99.5%).
+pub const FIT_COVERAGE: f64 = 0.995;
+
 /// Configuration of the drift gate.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DriftConfig {
@@ -23,17 +26,12 @@ pub struct DriftConfig {
     pub window_periods: usize,
     /// KS distance above which the committed model is declared broken.
     pub ks_threshold: f64,
-    /// Minimum epochs between re-solves (the gate result is ignored while
-    /// the incumbent is younger than this).
-    pub cooldown_epochs: usize,
     /// Force a refit + re-solve once the incumbent policy is this many
     /// epochs old, even without drift (a max-staleness refresh,
     /// recalibrating to the lifetime moments rather than the recent
     /// window — see [`OnlineFit::refit_lifetime`]). `None` disables the
     /// staleness path.
     pub max_stale_epochs: Option<usize>,
-    /// Truncation coverage of the refit Gaussians (the paper uses 99.5%).
-    pub fit_coverage: f64,
 }
 
 impl Default for DriftConfig {
@@ -41,9 +39,7 @@ impl Default for DriftConfig {
         Self {
             window_periods: 10,
             ks_threshold: 0.25,
-            cooldown_epochs: 1,
             max_stale_epochs: None,
-            fit_coverage: 0.995,
         }
     }
 }
@@ -186,14 +182,15 @@ impl OnlineFit {
     }
 
     /// Refit one count model per type from the recent window (moment-fit
-    /// discretized Gaussians at `coverage`, the paper's synthetic-model
-    /// family) — the **drift** path: react to what just changed.
-    pub fn refit(&self, coverage: f64) -> Vec<Arc<dyn CountDistribution>> {
+    /// discretized Gaussians at [`FIT_COVERAGE`], the paper's
+    /// synthetic-model family) — the **drift** path: react to what just
+    /// changed.
+    pub fn refit(&self) -> Vec<Arc<dyn CountDistribution>> {
         self.windows
             .iter()
             .map(|w| {
                 assert!(!w.is_empty(), "cannot refit before any observation");
-                Arc::new(fit_discretized_gaussian(w, coverage)) as Arc<dyn CountDistribution>
+                Arc::new(fit_discretized_gaussian(w, FIT_COVERAGE)) as Arc<dyn CountDistribution>
             })
             .collect()
     }
@@ -202,12 +199,12 @@ impl OnlineFit {
     /// moments ([`stochastics::fit_gaussian_from_moments`]) — the
     /// **staleness-refresh** path: no drift was detected, so recalibrate
     /// to the long-run workload rather than chase the last window.
-    pub fn refit_lifetime(&self, coverage: f64) -> Vec<Arc<dyn CountDistribution>> {
+    pub fn refit_lifetime(&self) -> Vec<Arc<dyn CountDistribution>> {
         self.lifetime
             .iter()
             .map(|m| {
                 assert!(m.count() > 0, "cannot refit before any observation");
-                Arc::new(stochastics::fit_gaussian_from_moments(m, coverage))
+                Arc::new(stochastics::fit_gaussian_from_moments(m, FIT_COVERAGE))
                     as Arc<dyn CountDistribution>
             })
             .collect()
@@ -257,7 +254,7 @@ mod tests {
         for _ in 0..4 {
             fit.observe(&[12]);
         }
-        let models = fit.refit(0.995);
+        let models = fit.refit();
         assert!((models[0].mean() - 12.0).abs() < 1.0);
         // Lifetime still remembers the calm past.
         assert!(fit.lifetime(0).mean() < 5.0);
@@ -274,8 +271,8 @@ mod tests {
         }
         // Window refit chases the burst; lifetime refit stays anchored to
         // the long-run mean (20·2 + 4·12)/24 ≈ 3.67.
-        let windowed = fit.refit(0.995);
-        let lifetime = fit.refit_lifetime(0.995);
+        let windowed = fit.refit();
+        let lifetime = fit.refit_lifetime();
         assert!(windowed[0].mean() > lifetime[0].mean() + 4.0);
         assert!((lifetime[0].mean() - 88.0 / 24.0).abs() < 1.0);
     }

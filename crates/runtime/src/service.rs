@@ -65,6 +65,10 @@ pub const EXEC_STREAM_BASE: u64 = 0x0E0C_0000_0000_0000;
 /// pre-seam behaviour.
 pub const ATTACK_STREAM_BASE: u64 = 0x0A77_0000_0000_0000;
 
+/// Minimum incumbent age, in epochs, before a drift verdict may trigger a
+/// re-solve: the epoch right after a re-solve ignores the gate.
+const COOLDOWN_EPOCHS: usize = 1;
+
 /// Configuration of one service run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RuntimeConfig {
@@ -79,14 +83,6 @@ pub struct RuntimeConfig {
     pub solver: SolverConfig,
     /// Drift gate configuration.
     pub drift: DriftConfig,
-    /// Warm-start re-solves from the incumbent solution (`false` forces
-    /// cold re-solves; results may differ within the heuristic's
-    /// tolerance, only the search path is guaranteed cheaper warm).
-    pub warm_start: bool,
-    /// Additionally run a shadow **cold** solve at every re-solve and
-    /// record its objective/latency next to the committed warm one — the
-    /// built-in cold-vs-warm comparison behind `BENCH_runtime.json`.
-    pub compare_cold: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -104,8 +100,6 @@ impl Default for RuntimeConfig {
                 ..Default::default()
             },
             drift: DriftConfig::default(),
-            warm_start: true,
-            compare_cold: false,
         }
     }
 }
@@ -242,12 +236,12 @@ impl AuditService {
     }
 
     /// Attach a shared prefix-state exchange: every solve of this service
-    /// (cold start, committed re-solve, and the `compare_cold` shadow)
-    /// adopts and publishes snapshots through its solver, so services
-    /// whose sample banks coincide amortize each other's column passes.
-    /// Bit-identical to running isolated — adopted states are exact
-    /// values, and cache counters are excluded from the telemetry
-    /// fingerprint (see [`audit_game::detection::SharedPalCache`]).
+    /// (the cold start and each committed re-solve) adopts and publishes
+    /// snapshots through its solver, so services whose sample banks
+    /// coincide amortize each other's column passes. Bit-identical to
+    /// running isolated — adopted states are exact values, and cache
+    /// counters are excluded from the telemetry fingerprint (see
+    /// [`audit_game::detection::SharedPalCache`]).
     pub fn with_shared_cache(mut self, shared: SharedPalCache) -> Self {
         self.shared = Some(shared);
         self
@@ -273,7 +267,7 @@ impl AuditService {
     /// `stop_epoch`, returning the live state — the checkpointable half
     /// of [`AuditService::run`]. `stop_epoch >= epochs` runs to the end.
     pub fn run_until(&self, stop_epoch: usize) -> Result<ServiceState, GameError> {
-        let mut state = self.start()?;
+        let mut state = self.start_state()?;
         self.advance(&mut state, stop_epoch)?;
         Ok(state)
     }
@@ -301,10 +295,10 @@ impl AuditService {
         }
     }
 
-    /// Persist the state (spec + solver sample bank, incumbent policy and
-    /// warm-start, drift tracker, epoch cursor, telemetry chain) to
-    /// `dir`, from which [`AuditService::restore`] can resume in a fresh
-    /// process. See [`crate::checkpoint`] for the on-disk layout.
+    /// Persist the state (spec + solver sample bank, incumbent policy,
+    /// drift tracker, epoch cursor, telemetry chain) to `dir`, from which
+    /// [`AuditService::restore`] can resume in a fresh process. See
+    /// [`crate::checkpoint`] for the on-disk layout.
     pub fn checkpoint(&self, state: &ServiceState, dir: &Path) -> Result<(), GameError> {
         crate::checkpoint::save_checkpoint(dir, self.scenario.key(), &self.config, state)
             .map_err(GameError::from)?;
@@ -363,14 +357,6 @@ impl AuditService {
         }
     }
 
-    /// Cold-start seam for schedulers that interleave many services
-    /// (see `crate::fleet`): build and solve the scenario, returning the
-    /// live state without running any epoch. Equivalent to the first half
-    /// of [`AuditService::run_until`].
-    pub fn start_state(&self) -> Result<ServiceState, GameError> {
-        self.start()
-    }
-
     /// The scenario's full alert stream for this service's horizon — the
     /// input [`AuditService::advance_with_stream`] consumes. Split out so
     /// a round-based scheduler derives it once instead of per epoch.
@@ -381,11 +367,10 @@ impl AuditService {
         )
     }
 
-    /// As the internal advance loop, but over a caller-held alert stream
-    /// (from [`AuditService::full_alert_stream`]): run epochs until
-    /// `stop` (clamped to the configured horizon). Bit-identical to
-    /// [`AuditService::run_until`]/resume — the stream is deterministic
-    /// in `(seed, horizon)` either way.
+    /// Run epochs until `stop` (clamped to the configured horizon) over a
+    /// caller-held alert stream (from [`AuditService::full_alert_stream`]).
+    /// Bit-identical to [`AuditService::run_until`]/resume, which derive
+    /// the same stream — it is deterministic in `(seed, horizon)`.
     pub fn advance_with_stream(
         &self,
         state: &mut ServiceState,
@@ -399,8 +384,12 @@ impl AuditService {
         Ok(())
     }
 
-    /// Cold start: build and solve the scenario, arm the drift tracker.
-    fn start(&self) -> Result<ServiceState, GameError> {
+    /// Cold start: build and solve the scenario and arm the drift
+    /// tracker, returning the live state without running any epoch — the
+    /// first half of [`AuditService::run_until`], and the seam for callers
+    /// that step the loop themselves (`crate::fleet`, `exp_online
+    /// --compare-cold`).
+    pub fn start_state(&self) -> Result<ServiceState, GameError> {
         // Round 0 is the cold start in the fault plan's round keying.
         if self.fault(0, FaultSite::SolverPanic) {
             panic!(
@@ -435,20 +424,13 @@ impl AuditService {
         })
     }
 
-    /// Run epochs until `stop` (clamped to the configured horizon).
+    /// [`AuditService::advance_with_stream`] over the derived stream,
+    /// which is only derived when an epoch remains to run.
     fn advance(&self, state: &mut ServiceState, stop: usize) -> Result<(), GameError> {
-        let cfg = &self.config;
-        let stop = stop.min(cfg.epochs);
-        if state.epoch >= stop {
+        if state.epoch >= stop.min(self.config.epochs) {
             return Ok(());
         }
-        let stream = self
-            .scenario
-            .alert_stream(cfg.seed, cfg.epochs * cfg.periods_per_epoch)?;
-        while state.epoch < stop {
-            self.run_epoch(state, &stream)?;
-        }
-        Ok(())
+        self.advance_with_stream(state, stop, &self.full_alert_stream()?)
     }
 
     /// Execute one epoch: run the committed policy period by period, gate
@@ -664,16 +646,13 @@ impl AuditService {
         let gate_age = st.epochs_since_resolve;
         // Injected solve faults force a re-solve attempt this epoch so
         // the degradation path they target actually runs.
-        let resolve = (drift && st.epochs_since_resolve >= cfg.drift.cooldown_epochs)
+        let resolve = (drift && st.epochs_since_resolve >= COOLDOWN_EPOCHS)
             || stale
             || budget_fault
             || solve_fault;
 
         let mut solve_explored = None;
         let mut solve_millis = None;
-        let mut cold_objective = None;
-        let mut cold_explored = None;
-        let mut cold_millis = None;
         let mut degrade = None;
         let mut resolved = false;
         if resolve {
@@ -682,31 +661,22 @@ impl AuditService {
             // refresh (gate quiet) recalibrates to the lifetime
             // streaming moments instead.
             new_spec.distributions = if drift {
-                st.fit.refit(cfg.drift.fit_coverage)
+                st.fit.refit()
             } else {
-                st.fit.refit_lifetime(cfg.drift.fit_coverage)
+                st.fit.refit_lifetime()
             };
             // The service's committed model is the refit marginals; a
             // stale correlated sampler would contradict them.
             new_spec.joint_counts = None;
 
-            if cfg.compare_cold {
-                let t = Instant::now();
-                let shadow = solver.solve(&new_spec)?;
-                cold_millis = Some(millis_since(t));
-                cold_objective = Some(shadow.loss);
-                cold_explored = Some(shadow.stats.thresholds_explored);
-            }
             let warm = warm_start_rescaled(&st.policy, &st.spec, &new_spec);
             let t = Instant::now();
             let committed = if solve_fault {
                 Err(GameError::InvalidConfig(
                     "injected fault: solve-error on the committed re-solve".into(),
                 ))
-            } else if cfg.warm_start {
-                solver.solve_warm(&new_spec, Some(&warm))
             } else {
-                solver.solve(&new_spec)
+                solver.solve_warm(&new_spec, Some(&warm))
             };
             match committed {
                 Ok(committed) => {
@@ -757,9 +727,6 @@ impl AuditService {
             auditor_damage,
             solve_explored,
             solve_millis,
-            cold_objective,
-            cold_explored,
-            cold_millis,
             degrade,
             ks_degenerate,
         });

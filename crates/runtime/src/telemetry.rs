@@ -67,13 +67,6 @@ pub struct EpochTelemetry {
     /// Wall-clock milliseconds of the committed re-solve, when one ran.
     /// **Excluded from the fingerprint** (nondeterministic).
     pub solve_millis: Option<f64>,
-    /// Shadow cold solve objective (only with `compare_cold`).
-    pub cold_objective: Option<f64>,
-    /// Shadow cold solve explored count (only with `compare_cold`).
-    pub cold_explored: Option<usize>,
-    /// Shadow cold solve wall-clock milliseconds. **Excluded from the
-    /// fingerprint.**
-    pub cold_millis: Option<f64>,
     /// How the committed re-solve degraded under its work budget, when it
     /// did: ladder fallback ([`DegradeReason::Degraded`]), exhausted floor
     /// ([`DegradeReason::Truncated`]), or solve failure absorbed by
@@ -101,11 +94,11 @@ pub struct RuntimeReport {
     /// fingerprint.**
     pub initial_solve_millis: f64,
     /// Detection-engine counters summed over the initial solve and every
-    /// *committed* re-solve (shadow cold solves are excluded) — the
-    /// observability behind `exp_online --cache-stats`. Deterministic, but
-    /// **excluded from the fingerprint**: the fingerprint pins observable
-    /// behaviour (policies, audits, objectives), not evaluator internals,
-    /// so engine tuning cannot shift recorded fingerprints.
+    /// committed re-solve — the observability behind `exp_online
+    /// --cache-stats`. Deterministic, but **excluded from the
+    /// fingerprint**: the fingerprint pins observable behaviour (policies,
+    /// audits, objectives), not evaluator internals, so engine tuning
+    /// cannot shift recorded fingerprints.
     pub engine_cache: CacheStats,
     /// Per-epoch records.
     pub epochs: Vec<EpochTelemetry>,
@@ -170,11 +163,14 @@ impl RuntimeReport {
             h.word(e.attacker_utility.to_bits());
             h.word(e.auditor_damage.to_bits());
             h.word(e.solve_explored.map(|n| n as u64 + 1).unwrap_or(0));
-            // Presence bit first: `Some(0.0)` hashes as bits 0, which a
-            // bare unwrap_or(0) would conflate with `None`.
-            h.word(e.cold_objective.is_some() as u64);
-            h.word(e.cold_objective.map(f64::to_bits).unwrap_or(0));
-            h.word(e.cold_explored.map(|n| n as u64 + 1).unwrap_or(0));
+            // Three constant words where the removed shadow-cold-solve
+            // fields (presence, objective, explored count) used to hash.
+            // Every run without a shadow solve hashed exactly `0, 0, 0`
+            // here, so recorded fingerprints stay valid; the versioned
+            // fingerprint encoding (ROADMAP item 5) retires these words.
+            h.word(0);
+            h.word(0);
+            h.word(0);
             // Robustness fields hash only when set: a fault-free,
             // unbudgeted run carries none of them and its fingerprint is
             // bit-identical to the pre-supervisor encoding.
@@ -197,16 +193,6 @@ pub struct ResolveStats {
     pub resolves: usize,
     /// Mean wall-clock milliseconds of the committed re-solves.
     pub mean_solve_millis: f64,
-    /// Mean wall-clock milliseconds of the shadow cold solves (only when
-    /// the run compared against cold).
-    pub mean_cold_millis: Option<f64>,
-    /// `mean_cold_millis / mean_solve_millis` — how much cheaper the
-    /// committed (warm) re-solve was than a cold one.
-    pub speedup: Option<f64>,
-    /// Worst `committed − cold` objective gap across re-solves; at most
-    /// ~0 when warm-starting (the warm start is value-equivalent to the
-    /// cold start, so warm can only match or beat cold).
-    pub max_objective_gap: Option<f64>,
 }
 
 impl RuntimeReport {
@@ -216,28 +202,10 @@ impl RuntimeReport {
         if resolved.is_empty() {
             return None;
         }
-        let mean = |xs: Vec<f64>| xs.iter().sum::<f64>() / xs.len() as f64;
-        let mean_solve_millis = mean(
-            resolved
-                .iter()
-                .filter_map(|e| e.solve_millis)
-                .collect::<Vec<_>>(),
-        );
-        let cold: Vec<f64> = resolved.iter().filter_map(|e| e.cold_millis).collect();
-        let mean_cold_millis = (!cold.is_empty()).then(|| mean(cold));
-        let speedup = mean_cold_millis.map(|c| c / mean_solve_millis);
-        let max_objective_gap = resolved
-            .iter()
-            .filter_map(|e| e.cold_objective.map(|c| e.objective - c))
-            .fold(None, |acc: Option<f64>, g| {
-                Some(acc.map_or(g, |a| a.max(g)))
-            });
+        let millis: Vec<f64> = resolved.iter().filter_map(|e| e.solve_millis).collect();
         Some(ResolveStats {
             resolves: resolved.len(),
-            mean_solve_millis,
-            mean_cold_millis,
-            speedup,
-            max_objective_gap,
+            mean_solve_millis: millis.iter().sum::<f64>() / millis.len() as f64,
         })
     }
 }
@@ -294,9 +262,6 @@ mod tests {
             auditor_damage: 0.0,
             solve_explored: None,
             solve_millis: None,
-            cold_objective: None,
-            cold_explored: None,
-            cold_millis: None,
             degrade: None,
             ks_degenerate: false,
         }
@@ -320,7 +285,6 @@ mod tests {
         let mut b = report();
         b.initial_solve_millis = 9999.0;
         b.epochs[1].solve_millis = Some(123.4);
-        b.epochs[1].cold_millis = Some(0.1);
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
@@ -333,8 +297,6 @@ mod tests {
             |r: &mut RuntimeReport| r.epochs[1].resolved = true,
             |r: &mut RuntimeReport| r.epochs[0].thresholds[0] = 2.0,
             |r: &mut RuntimeReport| r.epochs[1].solve_explored = Some(0),
-            // Some(0.0) must hash apart from None (presence bit).
-            |r: &mut RuntimeReport| r.epochs[1].cold_objective = Some(0.0),
             |r: &mut RuntimeReport| r.seed = 8,
             |r: &mut RuntimeReport| r.epochs[0].attacks_launched = 1,
             |r: &mut RuntimeReport| r.epochs[0].attacks_detected = 1,
@@ -351,6 +313,17 @@ mod tests {
             mutate(&mut b);
             assert_ne!(a.fingerprint(), b.fingerprint());
         }
+    }
+
+    /// Pins the hashed encoding: a change to the words the fingerprint
+    /// feeds (order, constants, presence markers) fails here in-process
+    /// instead of silently invalidating every recorded fingerprint.
+    #[test]
+    fn fixture_fingerprint_is_pinned() {
+        assert_eq!(
+            format!("{:016x}", report().fingerprint()),
+            "381d51163255c695"
+        );
     }
 
     #[test]

@@ -52,8 +52,14 @@ pub const MAGIC: [u8; 8] = *b"AAUDSNAP";
 ///
 /// Version 2 stores a bank as its `u64` columns only. Version 1 files also
 /// carry a compact `u32` copy of those columns in section `0x12`; readers
-/// never look that section up, so v1 files load unchanged.
-pub const FORMAT_VERSION: u32 = 2;
+/// never look that section up, so v1 files load unchanged. Version 3
+/// changed only the runtime-state payload (its configuration and
+/// telemetry sections lost fields, and the warm-start section is gone);
+/// a bank's layout is the same as in version 2. The container reader
+/// accepts every version up to this one and records which it parsed in
+/// [`Snapshot::version`], so a payload codec can refuse versions whose
+/// layout it no longer reads.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Size of the fixed container header in bytes.
 pub const HEADER_LEN: usize = 32;
@@ -366,6 +372,9 @@ impl<'a> SectionReader<'a> {
 /// or parsed from a file, so serializing is one buffer copy and parsing
 /// a million-row bank does not re-copy its columns section by section.
 pub struct Snapshot {
+    /// Format version from the parsed header; [`FORMAT_VERSION`] for a
+    /// container built in memory.
+    pub version: u32,
     /// Caller-defined payload kind (what the sections describe).
     pub kind: u32,
     /// Section framing + bodies, exactly as written to disk.
@@ -378,6 +387,7 @@ impl Snapshot {
     /// An empty container of the given payload kind.
     pub fn new(kind: u32) -> Self {
         Self {
+            version: FORMAT_VERSION,
             kind,
             payload: Vec::new(),
             index: Vec::new(),
@@ -411,11 +421,12 @@ impl Snapshot {
             .map(|(_, range)| SectionReader::new(&self.payload[range.clone()]))
     }
 
-    /// Serialize to the on-disk byte layout (header + checksummed payload).
+    /// Serialize to the on-disk byte layout (header + checksummed payload),
+    /// stamped with the container's [`Snapshot::version`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        out.extend_from_slice(&self.version.to_le_bytes());
         out.extend_from_slice(&self.kind.to_le_bytes());
         out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
         out.extend_from_slice(&fnv1a_words(&self.payload).to_le_bytes());
@@ -426,10 +437,11 @@ impl Snapshot {
     /// Parse and fully validate the on-disk byte layout: magic, version,
     /// payload length, checksum, and section framing.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let (kind, payload_range) = Self::validate(bytes)?;
+        let (version, kind, payload_range) = Self::validate(bytes)?;
         let payload = bytes[payload_range].to_vec();
         let index = Self::index_payload(&payload)?;
         Ok(Self {
+            version,
             kind,
             payload,
             index,
@@ -440,11 +452,12 @@ impl Snapshot {
     /// is sliced out of the given allocation instead of copied — the
     /// file-read path hands its buffer straight to the container.
     pub fn from_vec(mut bytes: Vec<u8>) -> Result<Self, SnapshotError> {
-        let (kind, payload_range) = Self::validate(&bytes)?;
+        let (version, kind, payload_range) = Self::validate(&bytes)?;
         bytes.truncate(payload_range.end);
         bytes.drain(..payload_range.start);
         let index = Self::index_payload(&bytes)?;
         Ok(Self {
+            version,
             kind,
             payload: bytes,
             index,
@@ -452,8 +465,8 @@ impl Snapshot {
     }
 
     /// Header + checksum validation shared by the borrowing and owning
-    /// parsers; returns the payload kind and byte range.
-    fn validate(bytes: &[u8]) -> Result<(u32, std::ops::Range<usize>), SnapshotError> {
+    /// parsers; returns the format version, payload kind and byte range.
+    fn validate(bytes: &[u8]) -> Result<(u32, u32, std::ops::Range<usize>), SnapshotError> {
         if bytes.len() < HEADER_LEN {
             return Err(SnapshotError::Truncated {
                 needed: HEADER_LEN,
@@ -490,7 +503,7 @@ impl Snapshot {
         if computed != stored {
             return Err(SnapshotError::ChecksumMismatch { stored, computed });
         }
-        Ok((kind, HEADER_LEN..needed))
+        Ok((version, kind, HEADER_LEN..needed))
     }
 
     /// Walk the section framing of a checksum-verified payload and build
@@ -1154,7 +1167,9 @@ mod tests {
         snap.add_section(0x12, mirror);
         let mut bytes = snap.to_bytes();
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let back = read_bank(&Snapshot::from_bytes(&bytes).unwrap()).unwrap();
+        let parsed = Snapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(parsed.version, 1);
+        let back = read_bank(&parsed).unwrap();
         assert_eq!(back.n_samples(), 3);
         assert_eq!(back.columns_flat(), bank.columns_flat());
     }

@@ -305,8 +305,6 @@ fn run_adaptive_cell(
                 max_stale_epochs: Some(2),
                 ..Default::default()
             },
-            warm_start: true,
-            compare_cold: false,
         },
     )
     .run()?;

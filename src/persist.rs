@@ -8,7 +8,7 @@
 //!   columns, and the distribution constructor parameters;
 //! * `audit_game::persist` — the game-layer payloads: [`GameSpec`]
 //!   by constructor parameters with fingerprint verification, audit
-//!   policies, ISHM warm starts, and the scenario snapshot
+//!   policies, and the scenario snapshot
 //!   (provenance + spec + bank in one `KIND_SCENARIO_BANK` file);
 //! * [`audit_runtime::checkpoint`] — the full service checkpoint
 //!   (`bank.snap` + `state.snap`) behind
@@ -28,11 +28,11 @@ pub use stochastics::snapshot::{
 };
 
 pub use audit_game::persist::{
-    decode_policy, decode_spec, decode_warm_start, encode_policy, encode_spec, encode_warm_start,
-    instantiate_joint, load_scenario_snapshot, save_scenario_snapshot, scenario_snapshot_bytes,
+    decode_policy, decode_spec, encode_policy, encode_spec, instantiate_joint,
+    load_scenario_snapshot, save_scenario_snapshot, scenario_snapshot_bytes,
     scenario_snapshot_from_bytes, PersistError, ScenarioSnapshot, KIND_RUNTIME_STATE,
     KIND_SCENARIO_BANK, TAG_POLICY, TAG_PROVENANCE, TAG_SPEC_ATTACKERS, TAG_SPEC_JOINT,
-    TAG_SPEC_META, TAG_SPEC_TYPES, TAG_WARM_START,
+    TAG_SPEC_META, TAG_SPEC_TYPES,
 };
 
 pub use audit_runtime::checkpoint::{load_checkpoint, save_checkpoint, LoadedCheckpoint};

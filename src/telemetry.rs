@@ -55,9 +55,6 @@ fn epoch_to_json(e: &EpochTelemetry) -> Value {
         opt_num(e.solve_explored.map(|n| n as f64)),
     ));
     pairs.push(("solve_millis", opt_num(e.solve_millis)));
-    pairs.push(("cold_objective", opt_num(e.cold_objective)));
-    pairs.push(("cold_explored", opt_num(e.cold_explored.map(|n| n as f64))));
-    pairs.push(("cold_millis", opt_num(e.cold_millis)));
     pairs.push((
         "degrade",
         e.degrade
@@ -104,15 +101,11 @@ fn health_to_json(h: &TenantHealth) -> Value {
 /// resolve statistics, and the deterministic fingerprint (as a hex
 /// string — JSON numbers cannot carry 64 bits exactly).
 pub fn report_to_json(report: &RuntimeReport) -> Value {
-    let opt_num = |x: Option<f64>| x.map(Value::Num).unwrap_or(Value::Null);
     let resolve_stats = match report.resolve_stats() {
         None => Value::Null,
         Some(s) => Value::obj([
             ("resolves", Value::Num(s.resolves as f64)),
             ("mean_solve_millis", Value::Num(s.mean_solve_millis)),
-            ("mean_cold_millis", opt_num(s.mean_cold_millis)),
-            ("speedup", opt_num(s.speedup)),
-            ("max_objective_gap", opt_num(s.max_objective_gap)),
         ]),
     };
     Value::obj([
@@ -259,8 +252,6 @@ mod tests {
                     ..Default::default()
                 },
                 drift: DriftConfig::default(),
-                warm_start: true,
-                compare_cold: false,
             },
         )
         .run()
@@ -301,8 +292,6 @@ mod tests {
                 ..Default::default()
             },
             drift: DriftConfig::default(),
-            warm_start: true,
-            compare_cold: false,
         };
         let tenants = (0..2)
             .map(|i| TenantSpec {

@@ -42,7 +42,6 @@ fn config(epochs: usize) -> RuntimeConfig {
             max_stale_epochs: Some(2),
             ..Default::default()
         },
-        ..Default::default()
     }
 }
 

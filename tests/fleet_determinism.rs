@@ -25,8 +25,6 @@ fn tenant_config(seed: u64) -> RuntimeConfig {
             ..Default::default()
         },
         drift: DriftConfig::default(),
-        warm_start: true,
-        compare_cold: false,
     }
 }
 

@@ -16,7 +16,7 @@
 //!    future format version, wrong container kind) all surface typed
 //!    [`PersistError`]s, never panics and never a silently-wrong load.
 //!
-//! A committed golden snapshot (`tests/golden/persist_format_v2.snap`)
+//! A committed golden snapshot (`tests/golden/persist_format_v3.snap`)
 //! additionally pins the on-disk encoding itself: if the byte layout
 //! changes, the test demands a deliberate `FORMAT_VERSION` bump and a
 //! regeneration via `UPDATE_GOLDEN=1 cargo test --test persist_roundtrip`.
@@ -317,4 +317,11 @@ fn on_disk_format_matches_the_committed_golden_snapshot() {
     // a mutilated golden.
     let snap = scenario_snapshot_from_bytes(&golden).unwrap();
     assert_eq!(snap.key, "syn-a");
+    // Version 3 changed only the runtime-state payload: the same bank
+    // file stamped as version 2 loads to the same snapshot.
+    let mut v2 = golden.clone();
+    v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let old = scenario_snapshot_from_bytes(&v2).unwrap();
+    assert_eq!(old.spec.fingerprint(), snap.spec.fingerprint());
+    assert_eq!(old.bank.columns_flat(), snap.bank.columns_flat());
 }

@@ -142,8 +142,6 @@ fn wide_runtime_config(seed: u64) -> RuntimeConfig {
             max_stale_epochs: Some(1),
             ..Default::default()
         },
-        warm_start: true,
-        compare_cold: false,
     }
 }
 

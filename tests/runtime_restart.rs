@@ -39,9 +39,7 @@ fn config(epochs: usize, threads: usize) -> RuntimeConfig {
             window_periods: 8,
             ks_threshold: 0.25,
             max_stale_epochs: Some(4),
-            ..Default::default()
         },
-        ..Default::default()
     }
 }
 
