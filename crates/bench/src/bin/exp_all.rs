@@ -14,7 +14,7 @@
 //! the drifting `syn-seasonal` scenario for a short multi-epoch window and
 //! prints its telemetry summary.
 
-use audit_bench::defaults::default_threads;
+use audit_bench::cli::default_threads;
 use audit_bench::scenarios::{registry_sweep, render_sweep};
 use std::process::Command;
 

@@ -9,10 +9,6 @@
 //! `--cache-stats` rendering — so a new binary gets the whole convention
 //! from one import and no binary re-implements a slightly different
 //! spelling of it.
-//!
-//! The historical homes of these helpers ([`crate::defaults`],
-//! [`crate::scenarios`]) re-export them, so older import paths keep
-//! working.
 
 use alert_audit::scenario::registry;
 

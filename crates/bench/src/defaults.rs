@@ -38,11 +38,10 @@ pub const RANDOM_ORDER_SAMPLES: usize = 2000;
 /// each repetition is a full CGGS solve — and report the count used).
 pub const RANDOM_THRESHOLD_REPEATS: usize = 120;
 
-pub use crate::cli::{default_threads, parse_count, parse_list, render_cache_stats, take_flag};
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::parse_count;
 
     #[test]
     fn grids_match_paper() {

@@ -2,10 +2,10 @@
 //!
 //! Every experiment driver accepts a `--scenario <key>` flag (anywhere on
 //! the command line) selecting a registry scenario as the base game; the
-//! remaining positional arguments keep their historical meaning. This
-//! module extracts the flag, resolves the key against the full
-//! cross-crate registry, and offers the quick registry-wide sweep that
-//! `exp_all` runs.
+//! remaining positional arguments keep their historical meaning.
+//! [`crate::cli::take_scenario_flag`] extracts the flag; this module
+//! resolves the key against the full cross-crate registry and offers the
+//! quick registry-wide sweep that `exp_all` runs.
 
 use crate::report::{f4, Table};
 use alert_audit::scenario::{registry, Scenario};
@@ -13,8 +13,6 @@ use audit_game::error::GameError;
 use audit_game::model::GameSpec;
 use audit_game::solver::{OapSolver, SolverConfig};
 use std::sync::Arc;
-
-pub use crate::cli::take_scenario_flag;
 
 /// Resolve a scenario key (defaulting when the flag was absent) and build
 /// its full-scale game at `seed`. Exits with the known-key list on an
@@ -94,6 +92,7 @@ pub fn render_sweep(rows: &[SweepRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::take_scenario_flag;
 
     #[test]
     fn flag_extraction_handles_both_spellings() {

@@ -16,7 +16,6 @@
 use crate::cggs::Cggs;
 use crate::detection::DetectionEstimator;
 use crate::error::GameError;
-use crate::master::MasterSolver;
 use crate::model::GameSpec;
 use crate::ordering::AuditOrder;
 use crate::payoff::PayoffMatrix;
@@ -147,18 +146,6 @@ pub fn greedy_by_benefit_loss(
     let thresholds = spec.threshold_upper_bounds();
     let matrix = PayoffMatrix::build(spec, est, vec![order], &thresholds);
     Ok(matrix.loss_under_mixture(spec, &[1.0]))
-}
-
-/// Convenience: loss of the game-theoretic policy for given thresholds
-/// (optimal order mixture via the exact master over `orders`).
-pub fn exact_loss_for_thresholds(
-    spec: &GameSpec,
-    est: &DetectionEstimator<'_>,
-    orders: &[AuditOrder],
-    thresholds: &[f64],
-) -> Result<f64, GameError> {
-    let matrix = PayoffMatrix::build(spec, est, orders.to_vec(), thresholds);
-    Ok(MasterSolver::solve(spec, &matrix)?.value)
 }
 
 #[cfg(test)]

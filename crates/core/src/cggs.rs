@@ -25,19 +25,6 @@ use crate::master::{MasterMemo, MasterSolution};
 use crate::model::GameSpec;
 use crate::ordering::{AuditOrder, PrecedenceConstraints};
 use crate::payoff::{action_utility, PayoffMatrix};
-use serde::{Deserialize, Serialize};
-
-/// Which pricing oracle generates candidate columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum OracleKind {
-    /// The paper's greedy construction (Algorithm 1, lines 4–7).
-    #[default]
-    Greedy,
-    /// Exhaustive enumeration of all feasible orderings — exponential, for
-    /// small `|T|` only; used by the `ablation_oracle` benchmark to measure
-    /// how much the greedy heuristic gives up.
-    Exhaustive,
-}
 
 /// Reduced-cost tolerance for convergence: a priced column enters the
 /// master only if it improves the value by more than this.
@@ -49,8 +36,6 @@ pub struct CggsConfig {
     /// Upper bound on generated columns (safety valve; the algorithm
     /// normally converges in far fewer).
     pub max_columns: usize,
-    /// Pricing oracle.
-    pub oracle: OracleKind,
     /// Organizational constraints restricting the feasible order set `O`.
     pub precedence: PrecedenceConstraints,
     /// Worker threads for batched `Pal` evaluation (results are identical
@@ -70,7 +55,6 @@ impl Default for CggsConfig {
     fn default() -> Self {
         Self {
             max_columns: 256,
-            oracle: OracleKind::Greedy,
             precedence: PrecedenceConstraints::none(),
             threads: 1,
             seed_columns: Vec::new(),
@@ -175,14 +159,7 @@ impl Cggs {
             let master = masters.solve(spec, &matrix)?;
             iterations += 1;
 
-            let candidate = match self.config.oracle {
-                OracleKind::Greedy => {
-                    self.greedy_column(spec, engine, thresholds, &master.y_actions)
-                }
-                OracleKind::Exhaustive => {
-                    self.exhaustive_column(spec, engine, thresholds, &master.y_actions)
-                }
-            };
+            let candidate = self.greedy_column(spec, engine, thresholds, &master.y_actions);
 
             // Reduced cost: f(o') − μ. Negative ⇒ the new column lets the
             // auditor push the value below the current μ.
@@ -284,33 +261,6 @@ impl Cggs {
         }
         AuditOrder::new(prefix).expect("greedy construction yields a permutation")
     }
-
-    /// Exhaustive pricing oracle: globally minimize `f(o)`, with every
-    /// feasible order's `Pal` evaluated in one batch.
-    fn exhaustive_column(
-        &self,
-        spec: &GameSpec,
-        engine: &PalEngine<'_>,
-        thresholds: &[f64],
-        y: &[f64],
-    ) -> AuditOrder {
-        let all = if self.config.precedence.is_empty() {
-            AuditOrder::enumerate_all(spec.n_types())
-        } else {
-            AuditOrder::enumerate_feasible(spec.n_types(), &self.config.precedence)
-        };
-        let queries: Vec<PalQuery> = all.iter().map(|o| PalQuery::full(o, thresholds)).collect();
-        let pals = engine.pal_batch(&queries);
-        all.into_iter()
-            .zip(pals)
-            .map(|(o, pal)| {
-                let f = score_from_pal(spec, &pal, y);
-                (o, f)
-            })
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("scores are finite"))
-            .map(|(o, _)| o)
-            .expect("at least one feasible order")
-    }
 }
 
 /// Per-type detection weights `w_t = Σ_ev y_ev·(M+R)_ev·P^t_ev` — the
@@ -404,23 +354,6 @@ mod tests {
         );
         // And it should need far fewer columns than 3! = 6.
         assert!(cggs.orders.len() <= 6);
-    }
-
-    #[test]
-    fn exhaustive_oracle_never_worse_than_greedy() {
-        let spec = three_type_spec();
-        let bank = spec.sample_bank(8, 3);
-        let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
-        let thresholds = vec![1.0, 1.0, 1.0];
-
-        let greedy = Cggs::default().solve(&spec, &est, &thresholds).unwrap();
-        let exhaustive = Cggs::new(CggsConfig {
-            oracle: OracleKind::Exhaustive,
-            ..Default::default()
-        })
-        .solve(&spec, &est, &thresholds)
-        .unwrap();
-        assert!(exhaustive.master.value <= greedy.master.value + 1e-7);
     }
 
     #[test]

@@ -394,72 +394,6 @@ impl<'a> PalEngine<'a> {
             .expect("one query yields one result")
     }
 
-    /// Single-coordinate threshold sweep: evaluate `Pal` for sequence
-    /// `seq` under `thresholds` with coordinate `coord` replaced by each
-    /// of `candidates`, in one batch. Results are aligned with
-    /// `candidates` and bit-identical to evaluating each candidate alone.
-    ///
-    /// The sweep is processed in **sorted threshold order**: candidates
-    /// are sorted, detection-equivalent runs (exact duplicates plus the
-    /// entire saturated tail: every candidate at or above the period
-    /// budget, or whose audit cap covers the varying type's largest bank
-    /// count) collapse to one evaluation each, and the surviving class
-    /// representatives share the trie — the prefix before `coord`'s
-    /// position is paid once, `coord`'s siblings share one budget-cap
-    /// pass, and only the suffix is re-evaluated per class. ISHM's shrink
-    /// search and the sensitivity module's threshold curves ride this
-    /// kernel.
-    pub fn pal_sweep(
-        &self,
-        seq: &[usize],
-        thresholds: &[f64],
-        coord: usize,
-        candidates: &[f64],
-    ) -> Vec<Vec<f64>> {
-        let n_types = self.est.spec.n_types();
-        assert!(coord < n_types, "sweep coordinate out of range");
-        assert_eq!(thresholds.len(), n_types);
-        if candidates.is_empty() {
-            return Vec::new();
-        }
-        // A coordinate the sequence never audits cannot influence the
-        // result: one evaluation serves every candidate.
-        if !seq.contains(&coord) {
-            let r = self.pal_prefix(seq, thresholds);
-            return vec![r; candidates.len()];
-        }
-        // Sorted sweep: ascending candidate order makes equivalence
-        // classes contiguous (equal bit patterns repeat back-to-back and
-        // the saturated tail is one run), so one pass extracts the class
-        // representatives.
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
-        order.sort_by(|&a, &b| candidates[a].total_cmp(&candidates[b]));
-        let mut class_of = vec![usize::MAX; candidates.len()];
-        let mut reps: Vec<f64> = Vec::new();
-        let mut last_bits: Option<u64> = None;
-        for &i in &order {
-            let bits = self.canonical_bits(coord, candidates[i]);
-            if last_bits != Some(bits) {
-                reps.push(candidates[i]);
-                last_bits = Some(bits);
-            }
-            class_of[i] = reps.len() - 1;
-        }
-        let queries: Vec<PalQuery> = reps
-            .iter()
-            .map(|&v| {
-                let mut th = thresholds.to_vec();
-                th[coord] = v;
-                PalQuery::prefix(seq, &th)
-            })
-            .collect();
-        let rep_results = self.pal_batch(&queries);
-        class_of
-            .into_iter()
-            .map(|c| rep_results[c].clone())
-            .collect()
-    }
-
     /// Evaluate a whole candidate frontier in one pass: results are aligned
     /// with `queries`. Cached queries cost a lookup; the rest are grouped
     /// into a prefix trie and split across workers by subtree.
@@ -1148,6 +1082,19 @@ mod tests {
         assert_eq!(engine.cache_stats().entries, 2);
     }
 
+    /// One query per candidate: `seq` under `base` with coordinate
+    /// `coord` replaced by the candidate, a single-coordinate sweep.
+    fn sweep(seq: &[usize], base: &[f64], coord: usize, candidates: &[f64]) -> Vec<PalQuery> {
+        candidates
+            .iter()
+            .map(|&v| {
+                let mut th = base.to_vec();
+                th[coord] = v;
+                PalQuery::prefix(seq, &th)
+            })
+            .collect()
+    }
+
     #[test]
     fn sweep_matches_per_candidate_loop() {
         let s = spec(2.5);
@@ -1158,14 +1105,13 @@ mod tests {
             let candidates = [0.0, 1.0, 1.5, 2.0, 1.0, 9.0, 17.0];
             for seq in [vec![0usize, 1], vec![1, 0], vec![1], vec![0]] {
                 for coord in [0usize, 1] {
-                    let swept = engine.pal_sweep(&seq, &[1.5, 2.0], coord, &candidates);
+                    let queries = sweep(&seq, &[1.5, 2.0], coord, &candidates);
+                    let swept = engine.pal_batch(&queries);
                     assert_eq!(swept.len(), candidates.len());
-                    for (&v, got) in candidates.iter().zip(&swept) {
-                        let mut th = vec![1.5, 2.0];
-                        th[coord] = v;
+                    for ((q, got), &v) in queries.iter().zip(&swept).zip(&candidates) {
                         assert_eq!(
                             got,
-                            &est.pal_prefix(&seq, &th),
+                            &est.pal_prefix(&seq, &q.thresholds),
                             "model {model:?}, seq {seq:?}, coord {coord}, v {v}"
                         );
                     }
@@ -1181,17 +1127,23 @@ mod tests {
         let est = DetectionEstimator::new(&s, &bank, DetectionModel::PaperApprox);
         let engine = PalEngine::new(est, 1);
         // Max count of type 0 is 2: candidates 2.0, 5.0, 9.0 saturate; the
-        // two 1.0 duplicates share; distinct classes: {1.0, 1.5, sat}.
-        let swept = engine.pal_sweep(&[0, 1], &[1.0, 1.0], 0, &[1.0, 5.0, 1.5, 1.0, 2.0, 9.0]);
+        // two 1.0 duplicates share. Three type-0 siblings {1.0, 1.5, sat},
+        // each with one type-1 child: six column passes for six queries.
+        let swept = engine.pal_batch(&sweep(
+            &[0, 1],
+            &[1.0, 1.0],
+            0,
+            &[1.0, 5.0, 1.5, 1.0, 2.0, 9.0],
+        ));
         assert_eq!(swept.len(), 6);
-        assert_eq!(engine.cache_stats().misses, 3);
+        assert_eq!(engine.cache_stats().columns_evaluated, 6);
         assert_eq!(swept[1], swept[4]);
         assert_eq!(swept[1], swept[5]);
         assert_eq!(swept[0], swept[3]);
-        // Coordinate outside the sequence: one evaluation serves all.
+        // Coordinate outside the sequence: one node serves all.
         let engine = PalEngine::new(est, 1);
-        let swept = engine.pal_sweep(&[1], &[1.0, 1.0], 0, &[0.5, 1.0, 2.0]);
-        assert_eq!(engine.cache_stats().misses, 1);
+        let swept = engine.pal_batch(&sweep(&[1], &[1.0, 1.0], 0, &[0.5, 1.0, 2.0]));
+        assert_eq!(engine.cache_stats().columns_evaluated, 1);
         assert_eq!(swept[0], swept[2]);
         assert_eq!(swept[0], est.pal_prefix(&[1], &[0.5, 1.0]));
     }

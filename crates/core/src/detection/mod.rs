@@ -28,7 +28,7 @@
 //!
 //! Both paths accumulate each type's detection mass over samples in
 //! ascending sample order and per-sample budget consumption in audit-order
-//! type order, through the shared [`detection_step`] kernel — so the engine
+//! type order, through the shared `detection_step` kernel — so the engine
 //! is **bit-identical** to the scalar reference at every thread count (see
 //! `tests/detection_equivalence.rs`). The engine internals live in the
 //! `engine`, `trie` and `cache` submodules; everything public is
@@ -160,9 +160,9 @@ pub(crate) fn budget_cap(budget: f64, c_t: f64, consumed: f64) -> f64 {
 }
 
 /// The capped tail of [`detection_step`]: everything downstream of `B_t`.
-/// Shared by the fused per-sample kernel and the sweep kernel, so both
-/// perform exactly the same floating-point operations on exactly the same
-/// operands.
+/// Shared by the fused per-sample kernel and the engine's sibling-group
+/// kernels, so both perform exactly the same floating-point operations on
+/// exactly the same operands.
 #[inline(always)]
 pub(crate) fn detection_step_capped(
     model: DetectionModel,

@@ -116,10 +116,26 @@ impl<'a> ExactEvaluator<'a> {
 
     /// Build with the full order set and `threads` batch workers.
     pub fn with_threads(spec: &'a GameSpec, est: DetectionEstimator<'a>, threads: usize) -> Self {
+        Self::over_pool(
+            spec,
+            est,
+            threads,
+            AuditOrder::enumerate_all(spec.n_types()),
+        )
+    }
+
+    /// Build over a fixed column pool `orders` (the planner's
+    /// decomposed evaluator passes its block pool).
+    pub(crate) fn over_pool(
+        spec: &'a GameSpec,
+        est: DetectionEstimator<'a>,
+        threads: usize,
+        orders: Vec<AuditOrder>,
+    ) -> Self {
         Self {
             spec,
             engine: PalEngine::new(est, threads),
-            orders: AuditOrder::enumerate_all(spec.n_types()),
+            orders,
             values: HashMap::new(),
         }
     }
@@ -127,6 +143,16 @@ impl<'a> ExactEvaluator<'a> {
     /// The engine backing this evaluator.
     pub fn engine(&self) -> &PalEngine<'a> {
         &self.engine
+    }
+
+    /// The column pool every master runs over.
+    pub(crate) fn orders(&self) -> &[AuditOrder] {
+        &self.orders
+    }
+
+    /// The payoff matrix of the whole pool under `thresholds`.
+    pub(crate) fn matrix(&self, thresholds: &[f64]) -> PayoffMatrix {
+        PayoffMatrix::build_with_engine(self.spec, &self.engine, self.orders.clone(), thresholds)
     }
 }
 
@@ -136,13 +162,7 @@ impl ThresholdEvaluator for ExactEvaluator<'_> {
         if let Some(&v) = self.values.get(&key) {
             return Ok(v);
         }
-        let m = PayoffMatrix::build_with_engine(
-            self.spec,
-            &self.engine,
-            self.orders.clone(),
-            thresholds,
-        );
-        let v = MasterSolver::solve(self.spec, &m)?.value;
+        let v = MasterSolver::solve(self.spec, &self.matrix(thresholds))?.value;
         self.values.insert(key, v);
         Ok(v)
     }
@@ -151,12 +171,7 @@ impl ThresholdEvaluator for ExactEvaluator<'_> {
         &mut self,
         thresholds: &[f64],
     ) -> Result<(MasterSolution, Vec<AuditOrder>), GameError> {
-        let m = PayoffMatrix::build_with_engine(
-            self.spec,
-            &self.engine,
-            self.orders.clone(),
-            thresholds,
-        );
+        let m = self.matrix(thresholds);
         let sol = MasterSolver::solve(self.spec, &m)?;
         Ok((sol, m.orders))
     }

@@ -61,8 +61,8 @@ impl MasterSolver {
                 "master problem needs at least one candidate order".into(),
             ));
         }
-        // Nothing reads a master's variable or row names (MPS export writes
-        // positional ones), so none are built: `""` allocates nothing.
+        // Nothing reads a master's variable or row names, so none are
+        // built: `""` allocates nothing.
         let mut lp = Problem::new(Sense::Maximize);
         let mu = lp.add_free_var("", 1.0);
         let n_actions = matrix.index.n_actions();
@@ -120,8 +120,8 @@ impl MasterSolver {
     }
 
     /// Solve in the paper's primal orientation (eq. 5). Exponentially
-    /// taller tableau; kept as an independently-coded cross-check used by
-    /// tests and the `cggs_vs_exact` benchmark.
+    /// taller tableau; kept as the independently coded cross-check the
+    /// master tests compare [`MasterSolver::solve`] against.
     pub fn solve_primal(
         spec: &GameSpec,
         matrix: &PayoffMatrix,

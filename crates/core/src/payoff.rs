@@ -133,8 +133,8 @@ impl PayoffMatrix {
         }
     }
 
-    /// As [`PayoffMatrix::push_order`], but routed through the engine so
-    /// column generation reuses cached `Pal` estimates.
+    /// Append one more order column (used by column generation), its
+    /// `Pal` routed through the engine so cached estimates are reused.
     pub fn push_order_with_engine(
         &mut self,
         spec: &GameSpec,
@@ -143,20 +143,6 @@ impl PayoffMatrix {
         thresholds: &[f64],
     ) {
         let pal = engine.pal(&order, thresholds);
-        self.orders.push(order);
-        self.values.push(utility_column(spec, &pal));
-        self.pals.push(pal);
-    }
-
-    /// Append one more order column (used by column generation).
-    pub fn push_order(
-        &mut self,
-        spec: &GameSpec,
-        est: &DetectionEstimator<'_>,
-        order: AuditOrder,
-        thresholds: &[f64],
-    ) {
-        let pal = est.pal(&order, thresholds);
         self.orders.push(order);
         self.values.push(utility_column(spec, &pal));
         self.pals.push(pal);
@@ -360,8 +346,14 @@ mod tests {
         let s = spec();
         let bank = s.sample_bank(2, 0);
         let est = DetectionEstimator::new(&s, &bank, DetectionModel::PaperApprox);
+        let engine = PalEngine::new(est, 1);
         let mut m = PayoffMatrix::build(&s, &est, vec![AuditOrder::identity(2)], &[1.0, 1.0]);
-        m.push_order(&s, &est, AuditOrder::new(vec![1, 0]).unwrap(), &[1.0, 1.0]);
+        m.push_order_with_engine(
+            &s,
+            &engine,
+            AuditOrder::new(vec![1, 0]).unwrap(),
+            &[1.0, 1.0],
+        );
         assert_eq!(m.n_orders(), 2);
         assert_eq!(m.values[1].len(), 3);
     }

@@ -12,11 +12,11 @@
 //!   canonical cross-cluster spine ([`decomposed_pool`]). For 50 types
 //!   that is ~100 columns instead of `50!`, and the master LP over them
 //!   is exact for the decomposition.
-//! * **Memoized pool evaluation** — `evaluate` solves the master over
-//!   the block pool only, memoized by the engine's canonical threshold
-//!   class, exactly like [`crate::ishm::ExactEvaluator`] (same code
-//!   shape, different pool). `prime` batches whole ISHM sweep frontiers
-//!   through one prefix-trie pass.
+//! * **Memoized pool evaluation** — the evaluator holds an
+//!   [`ExactEvaluator`] over the block pool: `evaluate` and `prime`
+//!   delegate to it, so the master runs over the block pool only,
+//!   memoized by the engine's canonical threshold class, and `prime`
+//!   batches whole ISHM sweep frontiers through one prefix-trie pass.
 //! * **Binding-cluster refinement** — `solve_full` (ISHM calls it once,
 //!   at the accepted optimum) re-prices: rank clusters by their
 //!   `y`-weighted detection mass, run a multi-start greedy
@@ -28,21 +28,20 @@
 //!   order, so results are bit-identical at every thread count.
 //!
 //! At ≤ [`EXACT_MAX_TYPES`](super::EXACT_MAX_TYPES) types the pool *is*
-//! the full enumeration and refinement is skipped, making the evaluator
-//! field-for-field equivalent to `ExactEvaluator` — the agreement tests
-//! assert bit-identity there.
+//! the full enumeration and refinement is skipped, so the evaluator is
+//! `ExactEvaluator` itself — the agreement tests assert bit-identity
+//! there.
 
 use super::{TypeClusters, DEFAULT_CLUSTER_SIZE, EXACT_MAX_TYPES};
 use crate::cggs::{detection_weights, score_from_pal};
 use crate::detection::{DetectionEstimator, PalEngine, PalQuery};
 use crate::error::GameError;
-use crate::ishm::ThresholdEvaluator;
+use crate::ishm::{ExactEvaluator, ThresholdEvaluator};
 use crate::master::{MasterSolution, MasterSolver};
 use crate::model::GameSpec;
 use crate::ordering::AuditOrder;
 use crate::parallel::parallel_map_indexed;
-use crate::payoff::PayoffMatrix;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Master re-solve rounds the refinement may spend admitting new columns.
 pub const REFINE_ROUNDS: usize = 3;
@@ -130,17 +129,14 @@ pub fn decomposed_pool(spec: &GameSpec, clusters: &TypeClusters) -> Vec<AuditOrd
 /// block pool, memoized per canonical threshold class, with
 /// binding-cluster best-response refinement at `solve_full`. See the
 /// module docs for the full contract; the headline properties are
-/// (1) bit-identity with [`crate::ishm::ExactEvaluator`] at
-/// ≤ [`EXACT_MAX_TYPES`] types and (2) thread-count invariance
-/// everywhere.
+/// (1) bit-identity with [`ExactEvaluator`] at ≤ [`EXACT_MAX_TYPES`]
+/// types and (2) thread-count invariance everywhere.
 pub struct DecomposedEvaluator<'a> {
     spec: &'a GameSpec,
-    engine: PalEngine<'a>,
+    /// The fixed-pool evaluator over the block pool (plus admitted seeds).
+    pool: ExactEvaluator<'a>,
     clusters: TypeClusters,
-    pool: Vec<AuditOrder>,
-    values: HashMap<Vec<u64>, f64>,
     exhaustive: bool,
-    threads: usize,
 }
 
 impl<'a> DecomposedEvaluator<'a> {
@@ -174,23 +170,20 @@ impl<'a> DecomposedEvaluator<'a> {
         }
         Self {
             spec,
-            engine: PalEngine::new(est, threads),
+            pool: ExactEvaluator::over_pool(spec, est, threads, pool),
             clusters,
-            pool,
-            values: HashMap::new(),
             exhaustive,
-            threads: threads.max(1),
         }
     }
 
     /// The engine backing this evaluator.
     pub fn engine(&self) -> &PalEngine<'a> {
-        &self.engine
+        self.pool.engine()
     }
 
     /// The current column pool (block columns plus admitted seeds).
     pub fn pool(&self) -> &[AuditOrder] {
-        &self.pool
+        self.pool.orders()
     }
 
     /// Multi-start greedy best-response columns for the refinement: one
@@ -251,10 +244,12 @@ impl<'a> DecomposedEvaluator<'a> {
                     }
                 })
                 .collect();
-            let pals = self.engine.pal_batch(&queries);
+            let pals = self.engine().pal_batch(&queries);
             // Pure arithmetic over the already-computed Pal vectors:
             // parallel by candidate index, merged positionally.
-            let gains = parallel_map_indexed(self.threads, &candidates, |i, &t| w[t] * pals[i][t]);
+            let gains = parallel_map_indexed(self.engine().threads(), &candidates, |i, &t| {
+                w[t] * pals[i][t]
+            });
             let mut best: Option<(usize, f64)> = None;
             for (&t, &gain) in candidates.iter().zip(&gains) {
                 if best.map(|(_, g)| gain > g + 1e-15).unwrap_or(true) {
@@ -274,23 +269,14 @@ impl<'a> DecomposedEvaluator<'a> {
 
 impl ThresholdEvaluator for DecomposedEvaluator<'_> {
     fn evaluate(&mut self, thresholds: &[f64]) -> Result<f64, GameError> {
-        let key = self.engine.threshold_class_key(thresholds);
-        if let Some(&v) = self.values.get(&key) {
-            return Ok(v);
-        }
-        let m =
-            PayoffMatrix::build_with_engine(self.spec, &self.engine, self.pool.clone(), thresholds);
-        let v = MasterSolver::solve(self.spec, &m)?.value;
-        self.values.insert(key, v);
-        Ok(v)
+        self.pool.evaluate(thresholds)
     }
 
     fn solve_full(
         &mut self,
         thresholds: &[f64],
     ) -> Result<(MasterSolution, Vec<AuditOrder>), GameError> {
-        let mut matrix =
-            PayoffMatrix::build_with_engine(self.spec, &self.engine, self.pool.clone(), thresholds);
+        let mut matrix = self.pool.matrix(thresholds);
         let mut sol = MasterSolver::solve(self.spec, &matrix)?;
         if self.exhaustive {
             return Ok((sol, matrix.orders));
@@ -300,6 +286,7 @@ impl ThresholdEvaluator for DecomposedEvaluator<'_> {
         // columns only grow the pool the master optimizes over, so the
         // value is monotone non-increasing round over round.
         let spec = self.spec;
+        let engine = self.engine();
         for _ in 0..REFINE_ROUNDS {
             let w = detection_weights(spec, &sol.y_actions);
             let candidates = self.refine_candidates(&w, thresholds);
@@ -307,14 +294,15 @@ impl ThresholdEvaluator for DecomposedEvaluator<'_> {
                 .iter()
                 .map(|o| PalQuery::full(o, thresholds))
                 .collect();
-            let pals = self.engine.pal_batch(&queries);
+            let pals = engine.pal_batch(&queries);
             let y = &sol.y_actions;
-            let scores =
-                parallel_map_indexed(self.threads, &pals, |_, pal| score_from_pal(spec, pal, y));
+            let scores = parallel_map_indexed(engine.threads(), &pals, |_, pal| {
+                score_from_pal(spec, pal, y)
+            });
             let mut admitted = false;
             for (o, f) in candidates.into_iter().zip(scores) {
                 if f < sol.value - REFINE_TOL && !matrix.orders.contains(&o) {
-                    matrix.push_order_with_engine(spec, &self.engine, o, thresholds);
+                    matrix.push_order_with_engine(spec, engine, o, thresholds);
                     admitted = true;
                 }
             }
@@ -327,26 +315,7 @@ impl ThresholdEvaluator for DecomposedEvaluator<'_> {
     }
 
     fn prime(&mut self, candidates: &[Vec<f64>]) -> Result<(), GameError> {
-        let mut seen: HashSet<Vec<u64>> = HashSet::new();
-        let fresh: Vec<Vec<f64>> = candidates
-            .iter()
-            .filter(|c| {
-                let key = self.engine.threshold_class_key(c);
-                !self.values.contains_key(&key) && seen.insert(key)
-            })
-            .cloned()
-            .collect();
-        if fresh.len() > 1 {
-            let queries: Vec<PalQuery> = fresh
-                .iter()
-                .flat_map(|c| self.pool.iter().map(move |o| PalQuery::full(o, c)))
-                .collect();
-            self.engine.pal_batch(&queries);
-        }
-        for c in &fresh {
-            self.evaluate(c)?;
-        }
-        Ok(())
+        self.pool.prime(candidates)
     }
 }
 

@@ -10,8 +10,8 @@
 //! layer in front of the solver:
 //!
 //! * [`InstanceFeatures`] — cheap, deterministic hardness features of one
-//!   instance (type count, budget coverage via the Theorem 1 knapsack
-//!   machinery of [`crate::hardness`], action dedup ratio, bank size);
+//!   instance (type count, and budget coverage via the Theorem 1 knapsack
+//!   machinery of [`crate::hardness`]);
 //! * [`SolveStrategy`] / [`plan`] — the policy mapping features to an
 //!   inner evaluator (exact / CGGS / decomposed) plus an outer search
 //!   level cap, replacing the hard-coded `n_types() <= 5` gate that
@@ -59,16 +59,6 @@ pub const ISHM_FULL_MAX_TYPES: usize = 12;
 pub struct InstanceFeatures {
     /// Alert types of the working (deduped) game.
     pub n_types: usize,
-    /// Attack actions of the working game.
-    pub n_actions: usize,
-    /// Audit budget `B`.
-    pub budget: f64,
-    /// Monte-Carlo bank rows the solve will draw.
-    pub bank_samples: usize,
-    /// `working actions / raw actions` — below 1.0 when action dedup
-    /// merged strategically identical attacks (redundant instances are
-    /// easier than their raw size suggests).
-    pub dedup_ratio: f64,
     /// Fraction of the total attack value that a budget-feasible type
     /// subset can cover, computed by the Theorem 1 knapsack reduction
     /// machinery ([`crate::hardness::solve_knapsack`]): weight = a type's
@@ -79,16 +69,10 @@ pub struct InstanceFeatures {
 }
 
 impl InstanceFeatures {
-    /// Measure `working` (the deduped spec the solve runs on), given the
-    /// raw spec it came from and the sample count of the bank.
-    pub fn of(raw: &GameSpec, working: &GameSpec, bank_samples: usize) -> Self {
-        let raw_actions = raw.n_actions().max(1);
+    /// Measure `working`, the (deduped) spec the solve runs on.
+    pub fn of(working: &GameSpec) -> Self {
         Self {
             n_types: working.n_types(),
-            n_actions: working.n_actions(),
-            budget: working.budget,
-            bank_samples,
-            dedup_ratio: working.n_actions() as f64 / raw_actions as f64,
             knapsack_coverage: knapsack_coverage(working),
         }
     }
@@ -239,18 +223,17 @@ mod tests {
     fn features_are_deterministic_and_sane() {
         let spec = syn_a();
         let working = spec.dedup_actions();
-        let a = InstanceFeatures::of(&spec, &working, 100);
-        let b = InstanceFeatures::of(&spec, &working, 100);
+        let a = InstanceFeatures::of(&working);
+        let b = InstanceFeatures::of(&working);
         assert_eq!(a, b);
         assert_eq!(a.n_types, spec.n_types());
-        assert!(a.dedup_ratio > 0.0 && a.dedup_ratio <= 1.0);
         assert!((0.0..=1.0).contains(&a.knapsack_coverage));
     }
 
     #[test]
     fn small_games_plan_exact() {
         let spec = syn_a();
-        let f = InstanceFeatures::of(&spec, &spec, 50);
+        let f = InstanceFeatures::of(&spec);
         assert_eq!(plan(&f), SolveStrategy::Exact);
         assert_eq!(plan(&f).key(), "exact");
         assert_eq!(plan(&f).level_cap(), None);
@@ -265,7 +248,7 @@ mod tests {
             },
             7,
         );
-        let f = InstanceFeatures::of(&spec, &spec, 50);
+        let f = InstanceFeatures::of(&spec);
         assert_eq!(plan(&f), SolveStrategy::Cggs);
     }
 
@@ -273,7 +256,7 @@ mod tests {
     fn wide_games_plan_capped_decomposition() {
         let spec = fuzz_game(&FuzzConfig::wide(), 3);
         assert!(spec.n_types() > 2, "wide profile generated a tiny game");
-        let mut f = InstanceFeatures::of(&spec, &spec, 50);
+        let mut f = InstanceFeatures::of(&spec);
         f.n_types = 30; // force the wide tier regardless of the draw
         match plan(&f) {
             SolveStrategy::Decomposed {
@@ -299,7 +282,7 @@ mod tests {
     #[test]
     fn forced_decomposition_keeps_small_games_uncapped() {
         let spec = syn_a();
-        let f = InstanceFeatures::of(&spec, &spec, 50);
+        let f = InstanceFeatures::of(&spec);
         match decomposed_strategy(&f) {
             SolveStrategy::Decomposed { max_level, .. } => assert_eq!(max_level, None),
             other => panic!("expected decomposed, got {other:?}"),

@@ -2,7 +2,7 @@
 //!
 //! The paper's discussion section flags full rationality as a limitation:
 //! "adversaries may be bounded in their rationality, and an important
-//! extension would be to generalize the model [to] such behavior." This
+//! extension would be to generalize the model \[to\] such behavior." This
 //! module provides that extension. Instead of the hard `max_v`, attacker
 //! `e` picks action `v` with probability
 //!

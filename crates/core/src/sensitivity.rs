@@ -8,13 +8,10 @@
 //! `robust_audit` example use it to show how the policy's value and the
 //! deterrence frontier move with the (admittedly ad hoc) payoff settings.
 
-use crate::detection::{DetectionEstimator, DetectionModel, PalEngine};
+use crate::detection::{DetectionEstimator, DetectionModel};
 use crate::error::GameError;
-use crate::ishm::{ExactEvaluator, Ishm, IshmConfig};
-use crate::master::MasterSolver;
+use crate::ishm::{ExactEvaluator, Ishm, IshmConfig, ThresholdEvaluator};
 use crate::model::GameSpec;
-use crate::ordering::AuditOrder;
-use crate::payoff::PayoffMatrix;
 use serde::{Deserialize, Serialize};
 
 /// Which parameter family a sweep scales.
@@ -146,12 +143,11 @@ pub struct ThresholdCurvePoint {
 /// master LP over all orders with `thresholds[coord] = value`.
 ///
 /// This is the paper's missing local-sensitivity instrument ("how flat is
-/// the optimum in each coordinate?") and the direct consumer of
-/// [`PalEngine::pal_sweep`]: each order's whole candidate set is answered
-/// by one sorted single-coordinate sweep — the prefix before the swept
-/// coordinate is paid once per order, the sweep siblings share one
-/// budget-cap pass, and the saturated tail of `values` collapses into a
-/// single evaluation — so the matrix builds below are pure cache hits.
+/// the optimum in each coordinate?"). It runs the batch path ISHM uses:
+/// one [`ExactEvaluator`] primes every value as a single sweep batch, so
+/// all `(order, value)` pairs share one prefix trie (the prefix before the
+/// swept coordinate is paid once per order, and detection-equivalent
+/// values, such as the saturated tail, share one node and one master LP).
 /// Intended for small `|T|` games (all `|T|!` orders are materialized).
 pub fn threshold_curve(
     spec: &GameSpec,
@@ -164,29 +160,34 @@ pub fn threshold_curve(
     spec.validate()?;
     assert!(coord < spec.n_types(), "swept coordinate out of range");
     assert_eq!(base_thresholds.len(), spec.n_types());
-    let engine = PalEngine::new(*est, threads);
-    let orders = AuditOrder::enumerate_all(spec.n_types());
-    for order in &orders {
-        engine.pal_sweep(order.types(), base_thresholds, coord, values);
-    }
-    let mut out = Vec::with_capacity(values.len());
-    for &value in values {
-        let mut thresholds = base_thresholds.to_vec();
-        thresholds[coord] = value;
-        let m = PayoffMatrix::build_with_engine(spec, &engine, orders.clone(), &thresholds);
-        let sol = MasterSolver::solve(spec, &m)?;
-        out.push(ThresholdCurvePoint {
-            threshold: value,
-            loss: sol.value,
-        });
-    }
-    Ok(out)
+    let candidates: Vec<Vec<f64>> = values
+        .iter()
+        .map(|&value| {
+            let mut thresholds = base_thresholds.to_vec();
+            thresholds[coord] = value;
+            thresholds
+        })
+        .collect();
+    let mut eval = ExactEvaluator::with_threads(spec, *est, threads);
+    eval.prime(&candidates)?;
+    values
+        .iter()
+        .zip(&candidates)
+        .map(|(&threshold, thresholds)| {
+            Ok(ThresholdCurvePoint {
+                threshold,
+                loss: eval.evaluate(thresholds)?,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::datasets::syn_a_with_budget;
+    use crate::master::MasterSolver;
+    use crate::ordering::AuditOrder;
 
     #[test]
     fn scaling_transforms_the_right_fields() {

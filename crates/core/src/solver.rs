@@ -274,25 +274,26 @@ impl OapSolver {
                 self.config.detection,
             )
         });
-        self.solve_ladder(spec, &working, &bank, warm, share_key)
+        self.solve_ladder(&working, &bank, warm, share_key)
     }
 
     /// The inner strategy this solve will run: the configured
     /// [`InnerKind`] taken literally, with `Auto` delegated to the
     /// hardness-aware planner policy and `Decomposed` to its forced
-    /// variant (both read the instance features of the raw/working pair).
-    pub fn strategy_for(&self, raw: &GameSpec, working: &GameSpec) -> SolveStrategy {
+    /// variant (both read the instance features of `working`, the
+    /// dedup-applied spec; the raw spec it came from does not matter).
+    pub fn strategy_for(&self, _raw: &GameSpec, working: &GameSpec) -> SolveStrategy {
+        self.strategy_with(|| InstanceFeatures::of(working))
+    }
+
+    /// [`OapSolver::strategy_for`], measuring the features only when the
+    /// configured [`InnerKind`] reads them.
+    fn strategy_with(&self, features: impl FnOnce() -> InstanceFeatures) -> SolveStrategy {
         match self.config.inner {
             InnerKind::Exact => SolveStrategy::Exact,
             InnerKind::Cggs => SolveStrategy::Cggs,
-            InnerKind::Auto => {
-                planner::plan(&InstanceFeatures::of(raw, working, self.config.n_samples))
-            }
-            InnerKind::Decomposed => planner::decomposed_strategy(&InstanceFeatures::of(
-                raw,
-                working,
-                self.config.n_samples,
-            )),
+            InnerKind::Auto => planner::plan(&features()),
+            InnerKind::Decomposed => planner::decomposed_strategy(&features()),
         }
     }
 
@@ -318,14 +319,13 @@ impl OapSolver {
     /// this instance walks: the planned strategy first, then every
     /// strictly cheaper tier. A solve planned `Decomposed` is already on
     /// the cheapest rung.
-    fn ladder_for(&self, raw: &GameSpec, working: &GameSpec) -> Vec<SolveStrategy> {
-        let planned = self.strategy_for(raw, working);
-        let decomposed = || {
-            planner::decomposed_strategy(&InstanceFeatures::of(raw, working, self.config.n_samples))
-        };
+    fn ladder_for(&self, working: &GameSpec) -> Vec<SolveStrategy> {
+        let features = InstanceFeatures::of(working);
+        let planned = self.strategy_with(|| features);
+        let decomposed = planner::decomposed_strategy(&features);
         match planned {
-            SolveStrategy::Exact => vec![planned, SolveStrategy::Cggs, decomposed()],
-            SolveStrategy::Cggs => vec![planned, decomposed()],
+            SolveStrategy::Exact => vec![planned, SolveStrategy::Cggs, decomposed],
+            SolveStrategy::Cggs => vec![planned, decomposed],
             SolveStrategy::Decomposed { .. } => vec![planned],
         }
     }
@@ -339,17 +339,16 @@ impl OapSolver {
     /// best-in-budget policy ships as [`DegradeReason::Truncated`].
     fn solve_ladder(
         &self,
-        raw: &GameSpec,
         working: &GameSpec,
         bank: &stochastics::SampleBank,
         warm: Option<&WarmStart>,
         share_key: Option<u64>,
     ) -> Result<AuditSolution, GameError> {
         let Some(budget) = self.config.work_budget else {
-            let strategy = self.strategy_for(raw, working);
+            let strategy = self.strategy_with(|| InstanceFeatures::of(working));
             return self.solve_on(working, bank, warm, share_key, strategy, None);
         };
-        let ladder = self.ladder_for(raw, working);
+        let ladder = self.ladder_for(working);
         let last = ladder.len() - 1;
         for (tier, strategy) in ladder.into_iter().enumerate() {
             let sol = self.solve_on(working, bank, warm, share_key, strategy, Some(budget))?;

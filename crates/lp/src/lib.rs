@@ -44,8 +44,6 @@
 #![warn(clippy::all)]
 
 mod error;
-pub mod linalg;
-pub mod mps;
 mod problem;
 mod simplex;
 mod solution;

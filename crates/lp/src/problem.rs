@@ -95,11 +95,6 @@ impl Problem {
         Self::new(Sense::Maximize)
     }
 
-    /// The optimization direction of the model.
-    pub fn sense(&self) -> Sense {
-        self.sense
-    }
-
     /// Add a decision variable.
     ///
     /// * `obj` — objective coefficient;
@@ -146,51 +141,6 @@ impl Problem {
             rhs,
         });
         id
-    }
-
-    /// Number of variables.
-    pub fn n_vars(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Number of constraints.
-    pub fn n_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
-    /// Name of a variable.
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.vars[v.0].name
-    }
-
-    /// Name of a constraint.
-    pub fn constraint_name(&self, c: ConstrId) -> &str {
-        &self.constraints[c.0].name
-    }
-
-    /// Relation of constraint `i` (insertion order).
-    pub fn constraint_relation(&self, i: usize) -> Relation {
-        self.constraints[i].rel
-    }
-
-    /// Right-hand side of constraint `i`.
-    pub fn constraint_rhs(&self, i: usize) -> f64 {
-        self.constraints[i].rhs
-    }
-
-    /// Terms `(variable index, coefficient)` of constraint `i`.
-    pub fn constraint_terms(&self, i: usize) -> &[(usize, f64)] {
-        &self.constraints[i].terms
-    }
-
-    /// Objective coefficient of variable `j` (insertion order).
-    pub fn var_objective(&self, j: usize) -> f64 {
-        self.vars[j].obj
-    }
-
-    /// Bounds `(lo, hi)` of variable `j`.
-    pub fn var_bounds(&self, j: usize) -> (f64, f64) {
-        (self.vars[j].lo, self.vars[j].hi)
     }
 
     /// Validate structural soundness (finite coefficients, consistent
@@ -309,11 +259,11 @@ mod tests {
         let x = p.add_var("x", 1.0, 0.0, 10.0);
         let y = p.add_free_var("y", -1.0);
         let c = p.add_constraint("cap", vec![(x, 1.0), (y, 2.0)], Relation::Le, 5.0);
-        assert_eq!(p.n_vars(), 2);
-        assert_eq!(p.n_constraints(), 1);
-        assert_eq!(p.var_name(x), "x");
-        assert_eq!(p.var_name(y), "y");
-        assert_eq!(p.constraint_name(c), "cap");
+        assert_eq!(p.vars.len(), 2);
+        assert_eq!(p.constraints.len(), 1);
+        assert_eq!(p.vars[x.index()].name, "x");
+        assert_eq!(p.vars[y.index()].name, "y");
+        assert_eq!(p.constraints[c.index()].name, "cap");
         assert_eq!(x.index(), 0);
         assert_eq!(c.index(), 0);
     }

@@ -195,15 +195,6 @@ impl FaultPlan {
         self.faults.contains(&(tenant.to_string(), round, site))
     }
 
-    /// All faults planned for one tenant, in `(round, site)` order.
-    pub fn faults_for(&self, tenant: &str) -> Vec<(usize, FaultSite)> {
-        self.faults
-            .iter()
-            .filter(|(t, _, _)| t == tenant)
-            .map(|(_, r, s)| (*r, *s))
-            .collect()
-    }
-
     /// The distinct tenants the plan touches, sorted.
     pub fn planned_tenants(&self) -> Vec<String> {
         let mut names: Vec<String> = self.faults.iter().map(|(t, _, _)| t.clone()).collect();
@@ -273,11 +264,6 @@ impl FaultInjector {
         &self.tenant
     }
 
-    /// The underlying plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Consume-and-fire: true exactly once per planned `(round, site)`.
     ///
     /// A panic between marking and acting leaves the fault consumed —
@@ -294,18 +280,6 @@ impl FaultInjector {
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         fired.insert((round, site))
-    }
-
-    /// Check without consuming: planned and not yet fired.
-    pub fn armed(&self, round: usize, site: FaultSite) -> bool {
-        if !self.plan.contains(&self.tenant, round, site) {
-            return false;
-        }
-        let fired = self
-            .fired
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        !fired.contains(&(round, site))
     }
 
     /// Apply a pending [`FaultSite::CheckpointRead`] fault for the given
@@ -528,10 +502,8 @@ mod tests {
         );
         let inj = FaultInjector::new(Arc::clone(&plan), "t0");
         assert!(!inj.fires(1, FaultSite::SolverPanic), "unplanned round");
-        assert!(inj.armed(2, FaultSite::SolverPanic));
         assert!(inj.fires(2, FaultSite::SolverPanic), "first consult fires");
         assert!(!inj.fires(2, FaultSite::SolverPanic), "one-shot");
-        assert!(!inj.armed(2, FaultSite::SolverPanic));
 
         // Clones share the fired set: a retried service must not re-trip.
         let clone = inj.clone();

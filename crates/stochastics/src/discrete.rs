@@ -219,11 +219,6 @@ impl Empirical {
         assert!(total > 0, "histogram must contain mass");
         Self { weights, total }
     }
-
-    /// Number of underlying observations.
-    pub fn n_observations(&self) -> u64 {
-        self.total
-    }
 }
 
 impl CountDistribution for Empirical {

@@ -2,7 +2,8 @@
 //!
 //! The paper obtains `F_t` "from historical alert logs" (Section II-A). The
 //! TDMT substrate produces daily alert counts; these helpers turn them into
-//! [`CountDistribution`] models usable by the game solvers.
+//! [`CountDistribution`](crate::CountDistribution) models usable by the game
+//! solvers.
 
 use crate::discrete::{DiscretizedGaussian, Empirical};
 

@@ -1,98 +1,12 @@
 //! Goodness-of-fit diagnostics for count models.
 //!
-//! The real-data substitutes (`emrsim`, `creditsim`) fit `F_t` from
-//! simulated logs; these statistics quantify how well a fitted
-//! [`CountDistribution`] explains observed counts. Two classic measures:
-//!
-//! * [`chi_square`] — Pearson's χ² over pooled bins (bins with expected
-//!   mass below a floor are merged, per standard practice);
-//! * [`ks_statistic`] — the discrete Kolmogorov–Smirnov sup-distance
-//!   between empirical and model CDFs.
+//! [`ks_statistic`] is the discrete Kolmogorov–Smirnov sup-distance
+//! between the empirical CDF of observed counts and a fitted
+//! [`CountDistribution`]'s CDF. The online runtime's drift gate reads it
+//! per alert type to decide whether the committed model still explains
+//! the live workload.
 
 use crate::discrete::CountDistribution;
-
-/// Pearson χ² statistic and its degrees of freedom.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChiSquare {
-    /// The χ² statistic.
-    pub statistic: f64,
-    /// Degrees of freedom (pooled bins − 1).
-    pub dof: usize,
-}
-
-impl ChiSquare {
-    /// Crude large-dof acceptance check: a χ² variable with `k` degrees of
-    /// freedom has mean `k` and variance `2k`; values beyond
-    /// `k + z·√(2k)` are rejected. Good enough for simulator self-checks
-    /// without shipping an incomplete-gamma implementation.
-    pub fn plausible(&self, z: f64) -> bool {
-        let k = self.dof.max(1) as f64;
-        self.statistic <= k + z * (2.0 * k).sqrt()
-    }
-}
-
-/// Pearson χ² of observations against a fitted model.
-///
-/// Bins are the model's support values; adjacent bins are pooled until each
-/// has expected count ≥ `min_expected` (5 is the classical rule of thumb).
-pub fn chi_square(obs: &[u64], model: &dyn CountDistribution, min_expected: f64) -> ChiSquare {
-    assert!(!obs.is_empty(), "need observations");
-    let n = obs.len() as f64;
-    let lo = model.support_min();
-    let hi = model.support_max();
-
-    // Observed histogram over the model support (out-of-support mass goes
-    // to the nearest edge bin).
-    let width = (hi - lo + 1) as usize;
-    let mut observed = vec![0.0f64; width];
-    for &o in obs {
-        let idx = o.clamp(lo, hi) - lo;
-        observed[idx as usize] += 1.0;
-    }
-    let expected: Vec<f64> = (lo..=hi).map(|k| model.pmf(k) * n).collect();
-
-    // Pool adjacent bins until each pooled bin reaches the floor. A tail
-    // that runs out of support before reaching the floor is pooled
-    // *backward* into the last full bin: emitting it on its own would
-    // divide by a near-zero expectation (a single tail observation could
-    // inflate χ² by orders of magnitude) and contradict the
-    // ≥ `min_expected` contract above.
-    let mut pooled: Vec<(f64, f64)> = Vec::new();
-    let mut acc_o = 0.0;
-    let mut acc_e = 0.0;
-    for i in 0..width {
-        acc_o += observed[i];
-        acc_e += expected[i];
-        if acc_e >= min_expected {
-            pooled.push((acc_o, acc_e));
-            acc_o = 0.0;
-            acc_e = 0.0;
-        }
-    }
-    if acc_o > 0.0 || acc_e > 0.0 {
-        match pooled.last_mut() {
-            Some(last) => {
-                last.0 += acc_o;
-                last.1 += acc_e;
-            }
-            // Degenerate model: the whole support stays below the floor —
-            // one single bin is all there is.
-            None => pooled.push((acc_o, acc_e)),
-        }
-    }
-    let mut stat = 0.0;
-    let mut bins = 0usize;
-    for &(o, e) in &pooled {
-        if e > 0.0 {
-            stat += (o - e).powi(2) / e;
-            bins += 1;
-        }
-    }
-    ChiSquare {
-        statistic: stat,
-        dof: bins.saturating_sub(1).max(1),
-    }
-}
 
 /// Discrete Kolmogorov–Smirnov statistic `sup_n |F̂(n) − F(n)|`.
 pub fn ks_statistic(obs: &[u64], model: &dyn CountDistribution) -> f64 {
@@ -126,58 +40,6 @@ mod tests {
     fn draws(d: &dyn CountDistribution, n: usize, seed: u64) -> Vec<u64> {
         let mut rng = seeded_rng(seed);
         (0..n).map(|_| d.sample(&mut rng)).collect()
-    }
-
-    #[test]
-    fn chi_square_accepts_own_samples() {
-        let d = DiscretizedGaussian::with_halfwidth(10.0, 2.5, 7);
-        let obs = draws(&d, 4000, 3);
-        let c = chi_square(&obs, &d, 5.0);
-        assert!(c.plausible(4.0), "χ² {} with dof {}", c.statistic, c.dof);
-    }
-
-    #[test]
-    fn chi_square_rejects_wrong_model() {
-        let truth = DiscretizedGaussian::with_halfwidth(10.0, 2.5, 7);
-        let wrong = UniformCount::new(3, 17);
-        let obs = draws(&truth, 4000, 3);
-        let c = chi_square(&obs, &wrong, 5.0);
-        assert!(
-            !c.plausible(6.0),
-            "uniform should be rejected: χ² {}",
-            c.statistic
-        );
-    }
-
-    #[test]
-    fn sparse_tail_pools_backward_instead_of_inflating() {
-        // A single far-tail observation lands where the expected mass is
-        // ~1e-3. Before the fix the `last` branch emitted that tail as its
-        // own bin, contributing (1 − e)²/e ≈ 1000 on its own; pooled
-        // backward into the last full bin, the statistic stays ordinary.
-        let d = DiscretizedGaussian::with_halfwidth(5.0, 1.0, 5);
-        let mut obs = draws(&d, 400, 11);
-        obs.push(d.support_max());
-        let c = chi_square(&obs, &d, 5.0);
-        assert!(
-            c.statistic < 100.0,
-            "sparse tail was not pooled backward: χ² {} (dof {})",
-            c.statistic,
-            c.dof
-        );
-        assert!(c.plausible(6.0), "χ² {} with dof {}", c.statistic, c.dof);
-    }
-
-    #[test]
-    fn every_pooled_bin_contract_holds_with_all_mass_below_floor() {
-        // Degenerate case: every expected bin is below the floor — the
-        // whole support collapses into one bin (dof floors at 1) instead
-        // of emitting an under-floor tail bin.
-        let d = UniformCount::new(0, 9);
-        let obs: Vec<u64> = (0..10u64).collect();
-        let c = chi_square(&obs, &d, 100.0);
-        assert_eq!(c.dof, 1);
-        assert!(c.statistic.abs() < 1e-12, "χ² {}", c.statistic);
     }
 
     #[test]

@@ -33,11 +33,6 @@ pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 
-/// Standard normal probability density function φ(x).
-pub fn std_normal_pdf(x: f64) -> f64 {
-    (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
 /// CDF of a N(mean, std²) Gaussian.
 pub fn normal_cdf(x: f64, mean: f64, std: f64) -> f64 {
     assert!(std > 0.0, "normal_cdf requires std > 0, got {std}");

@@ -106,7 +106,7 @@ pub fn max(xs: &[f64]) -> f64 {
         .expect("max of empty slice")
 }
 
-/// Linear-interpolation quantile (`q` in [0,1]) of an unsorted slice.
+/// Linear-interpolation quantile (`q` in `[0, 1]`) of an unsorted slice.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
     assert!(!xs.is_empty(), "quantile of empty slice");
     assert!((0.0..=1.0).contains(&q), "quantile level out of range");

@@ -213,13 +213,21 @@ fn sweep_matches_per_candidate_loop_on_random_games() {
                 for base in threshold_grids(n_types, seed) {
                     for order in AuditOrder::enumerate_all(n_types).iter().take(3) {
                         for coord in 0..n_types {
-                            let swept = engine.pal_sweep(order.types(), &base, coord, &candidates);
-                            for (&v, got) in candidates.iter().zip(&swept) {
-                                let mut th = base.clone();
-                                th[coord] = v;
+                            // One batch per coordinate: the candidates are
+                            // siblings of one trie level.
+                            let queries: Vec<PalQuery> = candidates
+                                .iter()
+                                .map(|&v| {
+                                    let mut th = base.clone();
+                                    th[coord] = v;
+                                    PalQuery::full(order, &th)
+                                })
+                                .collect();
+                            let swept = engine.pal_batch(&queries);
+                            for ((q, got), &v) in queries.iter().zip(&swept).zip(&candidates) {
                                 assert_eq!(
                                     got,
-                                    &est.pal(order, &th),
+                                    &est.pal(order, &q.thresholds),
                                     "seed {seed}, model {model:?}, threads {threads}, \
                                      coord {coord}, v {v}"
                                 );
