@@ -4,8 +4,8 @@
 //! each λ, the ISHM-solved QR policy's loss next to the rational
 //! best-response loss at the same thresholds (the "price of assuming
 //! rationality"). Then solves the general-sum damage objective and
-//! compares the damage-optimal policy with the zero-sum equilibrium's
-//! damage under the scenario's damage model.
+//! compares, under the scenario's damage model, the damage of the
+//! damage-optimal policy with the damage of the zero-sum ISHM optimum.
 //!
 //! ```text
 //! cargo run -p audit-bench --release --bin exp_attacker \
@@ -19,9 +19,7 @@ use audit_bench::cli::{parse_count, take_scenario_flag, take_value_flag};
 use audit_bench::report::{f4, Table};
 use audit_game::attacker::AttackerModel;
 use audit_game::detection::{DetectionEstimator, DetectionModel};
-use audit_game::general_sum::{damage_under_mixture, DamageModel, GeneralSumEvaluator};
-use audit_game::ishm::{Ishm, IshmConfig};
-use audit_game::master::MasterSolver;
+use audit_game::ishm::{ExactEvaluator, Ishm, IshmConfig, ThresholdEvaluator};
 use audit_game::ordering::AuditOrder;
 use audit_game::payoff::PayoffMatrix;
 use audit_game::quantal::{solve_qr_thresholds, QuantalResponse};
@@ -71,25 +69,26 @@ fn main() {
     }
     println!("{}", table.render());
 
-    let model = match scenario.attacker_model() {
-        AttackerModel::GeneralSum(m) => m,
-        _ => DamageModel::default(),
-    };
-    let mut eval = GeneralSumEvaluator::new(&spec, est, orders.clone(), model);
-    let outcome = Ishm::new(IshmConfig {
+    // Both searches run at the same ε and are scored by one damage
+    // evaluator, whose memo already holds the damage-optimal point.
+    let model = scenario.attacker_model().damage_model();
+    let ishm = Ishm::new(IshmConfig {
         epsilon: 0.3,
         ..Default::default()
-    })
-    .solve(&spec, &mut eval)
-    .expect("general-sum search solves");
-    let matrix = PayoffMatrix::build(&spec, &est, orders, &outcome.thresholds);
-    let zero_sum = MasterSolver::solve(&spec, &matrix).expect("master solves");
-    let damage_at_eq = damage_under_mixture(&spec, &matrix, &zero_sum.p_orders, &model);
+    });
+    let mut damage = ExactEvaluator::against(&spec, est, AttackerModel::GeneralSum(model));
+    let damage_opt = ishm
+        .solve(&spec, &mut damage)
+        .expect("general-sum search solves");
+    let zero_sum_opt = ishm
+        .solve(&spec, &mut ExactEvaluator::new(&spec, est))
+        .expect("zero-sum search solves");
+    let mut damage_at = |thresholds: &[f64]| damage.evaluate(thresholds).expect("master solves");
     println!(
         "general-sum damage (R x {}, M x {}): damage-optimal {} vs zero-sum policy {}",
         f4(model.damage_per_reward),
         f4(model.recovery_per_penalty),
-        f4(outcome.value),
-        f4(damage_at_eq)
+        f4(damage_at(&damage_opt.thresholds)),
+        f4(damage_at(&zero_sum_opt.thresholds))
     );
 }

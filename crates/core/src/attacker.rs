@@ -27,7 +27,10 @@
 //! detection probabilities. With learning rate 1 the belief is simply the
 //! previous epoch's published `Pal` vector.
 
-use crate::general_sum::DamageModel;
+use crate::general_sum::{damage_under_mixture, DamageModel};
+use crate::master::MasterSolution;
+use crate::model::GameSpec;
+use crate::payoff::PayoffMatrix;
 use crate::quantal::QuantalResponse;
 use rand::Rng;
 
@@ -109,6 +112,21 @@ impl AttackerModel {
         match self {
             AttackerModel::GeneralSum(dm) => *dm,
             _ => DamageModel::default(),
+        }
+    }
+
+    /// The auditor's objective when it plays `master`'s mixture over
+    /// `matrix`'s columns and the attacker follows this model: the zero-sum
+    /// master value for the rational and adaptive models, the logit loss
+    /// for the quantal model, and the expected damage for the general-sum
+    /// model. `master` must be the master solved from `matrix`.
+    pub fn loss(&self, spec: &GameSpec, matrix: &PayoffMatrix, master: &MasterSolution) -> f64 {
+        match self {
+            AttackerModel::Rational | AttackerModel::Adaptive(_) => master.value,
+            AttackerModel::Quantal(qr) => qr.loss_under_mixture(spec, matrix, &master.p_orders),
+            AttackerModel::GeneralSum(dm) => {
+                damage_under_mixture(spec, matrix, &master.p_orders, dm)
+            }
         }
     }
 

@@ -18,6 +18,10 @@
 //! `w_t = Σ_ev y_ev·(M+R)_ev·P^t_ev ≥ 0`, so the greedy step only needs the
 //! *marginal* detection mass of the appended type — and a type's `Pal`
 //! depends only on its predecessors, making the extension incremental.
+//!
+//! The loop (`generate_columns`) and the oracle (`greedy_order`) are
+//! crate-level functions: the planner's decomposed refinement runs the
+//! same loop, pricing with the same oracle from several starts.
 
 use crate::detection::{DetectionEstimator, PalEngine, PalQuery};
 use crate::error::GameError;
@@ -152,36 +156,22 @@ impl Cggs {
             }
         }
         let mut matrix = PayoffMatrix::build_with_engine(spec, engine, pool, thresholds);
-        let mut iterations = 0usize;
-        let mut converged = false;
-
-        while matrix.n_orders() < self.config.max_columns {
-            let master = masters.solve(spec, &matrix)?;
-            iterations += 1;
-
-            let candidate = self.greedy_column(spec, engine, thresholds, &master.y_actions);
-
-            // Reduced cost: f(o') − μ. Negative ⇒ the new column lets the
-            // auditor push the value below the current μ.
-            let pal = engine.pal(&candidate, thresholds);
-            let f = score_from_pal(spec, &pal, &master.y_actions);
-            let improving = f < master.value - REDUCED_COST_TOL;
-            let fresh = !matrix.orders.contains(&candidate);
-            if improving && fresh {
-                matrix.push_order_with_engine(spec, engine, candidate, thresholds);
-            } else {
-                converged = true;
-                return Ok(CggsOutcome {
-                    master,
-                    orders: matrix.orders.clone(),
-                    iterations,
-                    converged,
-                });
-            }
-        }
-
-        // Column budget exhausted: return the best master found.
-        let master = masters.solve(spec, &matrix)?;
+        let precedence = &self.config.precedence;
+        let (master, iterations, converged) = generate_columns(
+            spec,
+            engine,
+            thresholds,
+            &mut matrix,
+            masters,
+            None,
+            self.config.max_columns,
+            |y| {
+                let w = detection_weights(spec, y);
+                vec![greedy_order(engine, thresholds, &w, |t, placed| {
+                    precedence.can_place_next(t, placed)
+                })]
+            },
+        )?;
         Ok(CggsOutcome {
             master,
             orders: matrix.orders,
@@ -209,64 +199,122 @@ impl Cggs {
         }
         AuditOrder::new(order)
     }
+}
 
-    /// Greedy pricing oracle (Algorithm 1, lines 4–7): repeatedly append the
-    /// feasible type maximizing the marginal weighted detection mass. Each
-    /// greedy step evaluates *all* candidate extensions in one batch — one
-    /// engine call per appended position instead of one per trial — and the
-    /// batch is exactly a prefix-trie fan-out: every trial extends the same
-    /// shared prefix by one type, so the engine pays one column pass per
-    /// trial plus (at most) one for the prefix extension, which the
-    /// prefix-state cache usually answers from the previous step. Whole
-    /// best-response constructions are thereby linear in trials instead of
-    /// quadratic in sequence length.
-    fn greedy_column(
-        &self,
-        spec: &GameSpec,
-        engine: &PalEngine<'_>,
-        thresholds: &[f64],
-        y: &[f64],
-    ) -> AuditOrder {
-        let n = spec.n_types();
-        let w = detection_weights(spec, y);
-        let mut prefix: Vec<usize> = Vec::with_capacity(n);
-        let mut placed = vec![false; n];
-        for _ in 0..n {
-            let candidates: Vec<usize> = (0..n)
-                .filter(|&t| !placed[t] && self.config.precedence.can_place_next(t, &placed))
-                .collect();
-            let queries: Vec<PalQuery> = candidates
-                .iter()
-                .map(|&t| {
-                    let mut trial = Vec::with_capacity(prefix.len() + 1);
-                    trial.extend_from_slice(&prefix);
-                    trial.push(t);
-                    PalQuery {
-                        seq: trial,
-                        thresholds: thresholds.to_vec(),
-                    }
-                })
-                .collect();
-            let pals = engine.pal_batch(&queries);
-            let mut best: Option<(usize, f64)> = None;
-            for (&t, pal) in candidates.iter().zip(&pals) {
-                let gain = w[t] * pal[t];
-                if best.map(|(_, g)| gain > g + 1e-15).unwrap_or(true) {
-                    best = Some((t, gain));
-                }
-            }
-            let (t, _) = best.expect("some type must be placeable (DAG precedence)");
-            placed[t] = true;
-            prefix.push(t);
+/// The column-generation loop of Algorithm 1 over the restricted master
+/// `matrix`, shared by CGGS and the planner's decomposed refinement. Each
+/// round:
+///
+/// 1. once `matrix` holds `max_columns` columns, returns the master over
+///    them;
+/// 2. solves the master through `masters`;
+/// 3. stops once `max_rounds` rounds have priced;
+/// 4. asks `price` for candidate columns against the attacker mixture `y`
+///    (Algorithm 1, line 3);
+/// 5. evaluates the candidates' `Pal` in one engine batch and appends
+///    every fresh candidate whose reduced cost `f(o) − μ` is below
+///    `−REDUCED_COST_TOL`, so it lets the auditor push the value below `μ`.
+///
+/// The loop converges when a round appends nothing. Returns the last
+/// master, the rounds priced, and whether the loop converged (`false`
+/// when a cap stopped it).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn generate_columns(
+    spec: &GameSpec,
+    engine: &PalEngine<'_>,
+    thresholds: &[f64],
+    matrix: &mut PayoffMatrix,
+    masters: &mut MasterMemo,
+    max_rounds: Option<usize>,
+    max_columns: usize,
+    mut price: impl FnMut(&[f64]) -> Vec<AuditOrder>,
+) -> Result<(MasterSolution, usize, bool), GameError> {
+    let mut rounds = 0usize;
+    loop {
+        if matrix.n_orders() >= max_columns {
+            return Ok((masters.solve(spec, matrix)?, rounds, false));
         }
-        AuditOrder::new(prefix).expect("greedy construction yields a permutation")
+        let master = masters.solve(spec, matrix)?;
+        if max_rounds.is_some_and(|cap| rounds >= cap) {
+            return Ok((master, rounds, false));
+        }
+        rounds += 1;
+        let y = &master.y_actions;
+        let candidates = price(y);
+        let queries: Vec<PalQuery> = candidates
+            .iter()
+            .map(|o| PalQuery::full(o, thresholds))
+            .collect();
+        let pals = engine.pal_batch(&queries);
+        let mut admitted = false;
+        for (order, pal) in candidates.into_iter().zip(&pals) {
+            let improving = score_from_pal(spec, pal, y) < master.value - REDUCED_COST_TOL;
+            if improving && !matrix.orders.contains(&order) {
+                matrix.push_order_with_engine(spec, engine, order, thresholds);
+                admitted = true;
+            }
+        }
+        if !admitted {
+            return Ok((master, rounds, true));
+        }
     }
+}
+
+/// Greedy pricing oracle (Algorithm 1, lines 4–7): build an order one
+/// position at a time, appending the type among the unplaced ones that
+/// `placeable` admits (given the placed set) with the largest marginal
+/// weighted detection mass `w_t·Pal(o,b,t)`, first-wins on ties beyond
+/// `1e-15`. Each step evaluates *all* candidate extensions in one engine
+/// batch, which is exactly a prefix-trie fan-out: every trial extends the
+/// same prefix by one type, so the engine pays one column pass per trial
+/// plus (at most) one for the prefix extension, which the prefix-state
+/// cache usually answers from the previous step. Whole constructions are
+/// thereby linear in trials instead of quadratic in sequence length.
+pub(crate) fn greedy_order(
+    engine: &PalEngine<'_>,
+    thresholds: &[f64],
+    w: &[f64],
+    placeable: impl Fn(usize, &[bool]) -> bool,
+) -> AuditOrder {
+    let n = w.len();
+    let mut prefix: Vec<usize> = Vec::with_capacity(n);
+    let mut placed = vec![false; n];
+    for _ in 0..n {
+        let candidates: Vec<usize> = (0..n)
+            .filter(|&t| !placed[t] && placeable(t, &placed))
+            .collect();
+        let queries: Vec<PalQuery> = candidates
+            .iter()
+            .map(|&t| {
+                let mut trial = Vec::with_capacity(prefix.len() + 1);
+                trial.extend_from_slice(&prefix);
+                trial.push(t);
+                PalQuery {
+                    seq: trial,
+                    thresholds: thresholds.to_vec(),
+                }
+            })
+            .collect();
+        let pals = engine.pal_batch(&queries);
+        let mut best: Option<(usize, f64)> = None;
+        for (&t, pal) in candidates.iter().zip(&pals) {
+            let gain = w[t] * pal[t];
+            if best.map(|(_, g)| gain > g + 1e-15).unwrap_or(true) {
+                best = Some((t, gain));
+            }
+        }
+        let (t, _) = best.expect("some type must be placeable (DAG precedence)");
+        placed[t] = true;
+        prefix.push(t);
+    }
+    AuditOrder::new(prefix).expect("greedy construction yields a permutation")
 }
 
 /// Per-type detection weights `w_t = Σ_ev y_ev·(M+R)_ev·P^t_ev` — the
 /// marginal value of detecting one more type-`t` attack under the
-/// attacker mixture `y`. Shared by the CGGS greedy oracle and the
-/// planner's decomposed refinement pricing.
+/// attacker mixture `y`: the weights [`greedy_order`] ranks trials by.
+/// With `y = 1` on every action they are the planner's per-type attack
+/// mass.
 pub(crate) fn detection_weights(spec: &GameSpec, y: &[f64]) -> Vec<f64> {
     let mut w = vec![0.0; spec.n_types()];
     let mut i = 0usize;
@@ -356,6 +404,78 @@ mod tests {
         assert!(cggs.orders.len() <= 6);
     }
 
+    /// One attacker choosing which of three types to trigger: against any
+    /// single column it attacks an unaudited type, so column generation
+    /// has columns to admit.
+    fn one_attacker_spec() -> GameSpec {
+        let mut b = GameSpecBuilder::new();
+        let ts: Vec<usize> = (0..3)
+            .map(|i| b.alert_type(format!("t{i}"), 1.0, Arc::new(Constant(1))))
+            .collect();
+        b.attacker(Attacker::new(
+            "e0",
+            1.0,
+            ts.iter()
+                .zip([9.0, 7.0, 5.0])
+                .map(|(&t, r)| AttackAction::deterministic(format!("v{t}"), t, r, 0.5, 6.0))
+                .collect(),
+        ));
+        b.budget(1.0);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn generate_columns_reports_rounds_and_stops_at_either_cap() {
+        let spec = one_attacker_spec();
+        let bank = spec.sample_bank(8, 3);
+        let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
+        let engine = PalEngine::new(est, 1);
+        let thresholds = [1.0, 1.0, 1.0];
+        let greedy = |y: &[f64]| {
+            let w = detection_weights(&spec, y);
+            vec![greedy_order(&engine, &thresholds, &w, |_, _| true)]
+        };
+        let run = |max_rounds, max_columns| {
+            let mut matrix = PayoffMatrix::build_with_engine(
+                &spec,
+                &engine,
+                vec![AuditOrder::identity(3)],
+                &thresholds,
+            );
+            let (master, rounds, converged) = generate_columns(
+                &spec,
+                &engine,
+                &thresholds,
+                &mut matrix,
+                &mut MasterMemo::default(),
+                max_rounds,
+                max_columns,
+                greedy,
+            )
+            .unwrap();
+            (master, rounds, converged, matrix.n_orders())
+        };
+
+        // Uncapped: every round but the last admits the one priced column.
+        let (_, rounds, converged, columns) = run(None, usize::MAX);
+        assert!(converged);
+        assert!(columns >= 3, "only {columns} columns generated");
+        assert_eq!(rounds, columns);
+
+        // One round: the priced column is admitted and the master re-solved
+        // over both columns, but no second round prices.
+        let (by_round, rounds, converged, columns) = run(Some(1), usize::MAX);
+        assert_eq!((rounds, converged, columns), (1, false, 2));
+        // Two columns: the same stop, reached through the column cap.
+        let (by_column, rounds, converged, columns) = run(None, 2);
+        assert_eq!((rounds, converged, columns), (1, false, 2));
+        assert_eq!(by_round.value.to_bits(), by_column.value.to_bits());
+        assert_eq!(by_round.p_orders, by_column.p_orders);
+        // No rounds: the master over the seed column alone.
+        let (_, rounds, converged, columns) = run(Some(0), usize::MAX);
+        assert_eq!((rounds, converged, columns), (0, false, 1));
+    }
+
     #[test]
     fn detection_weights_aggregate_reward_and_penalty() {
         let spec = three_type_spec();
@@ -372,11 +492,10 @@ mod tests {
         let spec = three_type_spec();
         let bank = spec.sample_bank(8, 3);
         let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
-        let cggs = Cggs::default();
         // All mass on attacker 2 (type 2): greedy must front-load type 2.
-        let y = vec![0.0, 0.0, 1.0];
+        let w = detection_weights(&spec, &[0.0, 0.0, 1.0]);
         let engine = PalEngine::new(est, 1);
-        let o = cggs.greedy_column(&spec, &engine, &[1.0, 1.0, 1.0], &y);
+        let o = greedy_order(&engine, &[1.0, 1.0, 1.0], &w, |_, _| true);
         assert_eq!(o.types()[0], 2);
     }
 

@@ -15,14 +15,14 @@
 //! mixture; the auditor evaluates policies by expected damage. Because
 //! attacker behaviour only depends on `U_a`, any mixture can be *scored*
 //! under general-sum payoffs, and the threshold search can optimize damage
-//! directly via [`GeneralSumEvaluator`].
+//! directly: an [`ExactEvaluator::against`] the
+//! [`AttackerModel::GeneralSum`] model scores each candidate by
+//! [`damage_under_mixture`] at its zero-sum equilibrium mixture.
+//!
+//! [`ExactEvaluator::against`]: crate::ishm::ExactEvaluator::against
+//! [`AttackerModel::GeneralSum`]: crate::attacker::AttackerModel::GeneralSum
 
-use crate::detection::DetectionEstimator;
-use crate::error::GameError;
-use crate::ishm::ThresholdEvaluator;
-use crate::master::{MasterSolution, MasterSolver};
 use crate::model::GameSpec;
-use crate::ordering::AuditOrder;
 use crate::payoff::{detection_prob, PayoffMatrix};
 use serde::{Deserialize, Serialize};
 
@@ -81,62 +81,15 @@ pub fn damage_under_mixture(
     damage
 }
 
-/// Evaluator optimizing auditor damage: for each candidate threshold
-/// vector, the order mixture is the zero-sum equilibrium (the policy an
-/// attacker-pessimistic auditor would deploy) and the candidate is scored
-/// by general-sum damage. Plugs into [`crate::ishm::Ishm`].
-pub struct GeneralSumEvaluator<'a> {
-    spec: &'a GameSpec,
-    est: DetectionEstimator<'a>,
-    orders: Vec<AuditOrder>,
-    model: DamageModel,
-}
-
-impl<'a> GeneralSumEvaluator<'a> {
-    /// Build over an explicit order set.
-    pub fn new(
-        spec: &'a GameSpec,
-        est: DetectionEstimator<'a>,
-        orders: Vec<AuditOrder>,
-        model: DamageModel,
-    ) -> Self {
-        assert!(!orders.is_empty());
-        Self {
-            spec,
-            est,
-            orders,
-            model,
-        }
-    }
-
-    fn score(&self, thresholds: &[f64]) -> Result<(f64, MasterSolution), GameError> {
-        let matrix = PayoffMatrix::build(self.spec, &self.est, self.orders.clone(), thresholds);
-        let master = MasterSolver::solve(self.spec, &matrix)?;
-        let damage = damage_under_mixture(self.spec, &matrix, &master.p_orders, &self.model);
-        Ok((damage, master))
-    }
-}
-
-impl ThresholdEvaluator for GeneralSumEvaluator<'_> {
-    fn evaluate(&mut self, thresholds: &[f64]) -> Result<f64, GameError> {
-        self.score(thresholds).map(|(d, _)| d)
-    }
-
-    fn solve_full(
-        &mut self,
-        thresholds: &[f64],
-    ) -> Result<(MasterSolution, Vec<AuditOrder>), GameError> {
-        let (_, master) = self.score(thresholds)?;
-        Ok((master, self.orders.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detection::DetectionModel;
-    use crate::ishm::{Ishm, IshmConfig};
+    use crate::attacker::AttackerModel;
+    use crate::detection::{DetectionEstimator, DetectionModel};
+    use crate::ishm::{ExactEvaluator, Ishm, IshmConfig};
+    use crate::master::MasterSolver;
     use crate::model::{AttackAction, Attacker, GameSpecBuilder};
+    use crate::ordering::AuditOrder;
     use std::sync::Arc;
     use stochastics::Constant;
 
@@ -223,14 +176,13 @@ mod tests {
         let s = spec();
         let bank = s.sample_bank(64, 1);
         let est = DetectionEstimator::new(&s, &bank, DetectionModel::PaperApprox);
-        let mut eval = GeneralSumEvaluator::new(
+        let mut eval = ExactEvaluator::against(
             &s,
             est,
-            AuditOrder::enumerate_all(2),
-            DamageModel {
+            AttackerModel::GeneralSum(DamageModel {
                 damage_per_reward: 2.0,
                 recovery_per_penalty: 0.5,
-            },
+            }),
         );
         let out = Ishm::new(IshmConfig {
             epsilon: 0.25,

@@ -17,6 +17,7 @@
 //! column generation for large `|T|` — the two variants compared in paper
 //! Tables IV and V.
 
+use crate::attacker::AttackerModel;
 use crate::cggs::{Cggs, CggsConfig};
 use crate::detection::{DetectionEstimator, PalEngine, PalQuery};
 use crate::error::GameError;
@@ -87,6 +88,13 @@ pub trait ThresholdEvaluator {
 /// Inner evaluator that materializes **all** feasible orderings — exact but
 /// exponential in `|T|` (paper Table IV path).
 ///
+/// It scores each candidate by its [`AttackerModel::loss`]: the master
+/// value for the paper's rational attacker (every constructor but
+/// [`ExactEvaluator::against`]), or the quantal or general-sum objective
+/// at the master's mixture. The objective is a pure function of the
+/// matrix columns and the master solved from them, so the class memo and
+/// the prime batches below serve every model exactly.
+///
 /// Holds a [`PalEngine`] for the whole ISHM run, so `Pal` estimates are
 /// shared across every candidate threshold vector the search revisits, and
 /// an objective memo keyed by the engine's **canonical threshold class**
@@ -105,6 +113,7 @@ pub struct ExactEvaluator<'a> {
     spec: &'a GameSpec,
     engine: PalEngine<'a>,
     orders: Vec<AuditOrder>,
+    attacker: AttackerModel,
     values: HashMap<Vec<u64>, f64>,
 }
 
@@ -124,6 +133,21 @@ impl<'a> ExactEvaluator<'a> {
         )
     }
 
+    /// Build with the full order set and a single-threaded engine, scoring
+    /// candidates by `attacker`'s objective at the rational master's
+    /// mixture (the robust-evaluation setup of the quantal and
+    /// general-sum extensions).
+    pub fn against(
+        spec: &'a GameSpec,
+        est: DetectionEstimator<'a>,
+        attacker: AttackerModel,
+    ) -> Self {
+        Self {
+            attacker,
+            ..Self::new(spec, est)
+        }
+    }
+
     /// Build over a fixed column pool `orders` (the planner's
     /// decomposed evaluator passes its block pool).
     pub(crate) fn over_pool(
@@ -136,6 +160,7 @@ impl<'a> ExactEvaluator<'a> {
             spec,
             engine: PalEngine::new(est, threads),
             orders,
+            attacker: AttackerModel::Rational,
             values: HashMap::new(),
         }
     }
@@ -162,7 +187,9 @@ impl ThresholdEvaluator for ExactEvaluator<'_> {
         if let Some(&v) = self.values.get(&key) {
             return Ok(v);
         }
-        let v = MasterSolver::solve(self.spec, &self.matrix(thresholds))?.value;
+        let matrix = self.matrix(thresholds);
+        let master = MasterSolver::solve(self.spec, &matrix)?;
+        let v = self.attacker.loss(self.spec, &matrix, &master);
         self.values.insert(key, v);
         Ok(v)
     }
@@ -342,7 +369,10 @@ pub struct SearchStats {
 pub struct IshmOutcome {
     /// Best threshold vector found.
     pub thresholds: Vec<f64>,
-    /// Objective value at `thresholds`.
+    /// The master's value at `thresholds` (`master.value`). For an
+    /// [`ExactEvaluator::against`] a non-rational attacker this is not the
+    /// objective the search minimized; `evaluate(&thresholds)` returns
+    /// that.
     pub value: f64,
     /// Master solution (mixed strategy) at the best thresholds.
     pub master: MasterSolution,
@@ -849,6 +879,89 @@ mod tests {
             ..Default::default()
         });
         assert!(bad.solve(&spec, &mut eval).is_err());
+    }
+
+    #[test]
+    fn primed_sweep_matches_per_value_master_solves() {
+        // A five-value sweep of one coordinate, the saturated 50 included,
+        // primed as one batch: every value must equal a scalar matrix build
+        // and master solve, bit for bit.
+        let s = crate::datasets::syn_a_with_budget(6.0);
+        let bank = s.sample_bank(120, 3);
+        let est = DetectionEstimator::new(&s, &bank, DetectionModel::PaperApprox);
+        let base = vec![3.0, 3.0, 3.0, 3.0];
+        let candidates: Vec<Vec<f64>> = [0.0, 1.0, 2.0, 4.0, 50.0]
+            .iter()
+            .map(|&v| {
+                let mut th = base.clone();
+                th[1] = v;
+                th
+            })
+            .collect();
+        let mut eval = ExactEvaluator::with_threads(&s, est, 2);
+        eval.prime(&candidates).unwrap();
+        let orders = AuditOrder::enumerate_all(4);
+        for th in &candidates {
+            let m = PayoffMatrix::build(&s, &est, orders.clone(), th);
+            let want = MasterSolver::solve(&s, &m).unwrap().value;
+            assert_eq!(
+                eval.evaluate(th).unwrap().to_bits(),
+                want.to_bits(),
+                "{th:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn against_rational_is_bit_identical_to_the_plain_evaluator() {
+        let spec = small_spec(3.0);
+        let bank = spec.sample_bank(300, 1);
+        let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
+        let mut plain = ExactEvaluator::with_threads(&spec, est, 1);
+        let mut rational = ExactEvaluator::against(&spec, est, AttackerModel::Rational);
+        let ishm = Ishm::default_config();
+        let a = ishm.solve(&spec, &mut plain).unwrap();
+        let b = ishm.solve(&spec, &mut rational).unwrap();
+        assert_eq!(a.value.to_bits(), b.value.to_bits());
+        assert_eq!(a.thresholds, b.thresholds);
+        assert_eq!(a.master.p_orders, b.master.p_orders);
+        assert_eq!(a.orders, b.orders);
+        assert_eq!(a.stats.thresholds_explored, b.stats.thresholds_explored);
+        assert_eq!(a.stats.improvements, b.stats.improvements);
+    }
+
+    #[test]
+    fn against_scores_the_attacker_objective_at_the_master_mixture() {
+        use crate::general_sum::{damage_under_mixture, DamageModel};
+        use crate::quantal::QuantalResponse;
+        let spec = small_spec(3.0);
+        let bank = spec.sample_bank(200, 4);
+        let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
+        let qr = QuantalResponse::new(1.5);
+        let dm = DamageModel {
+            damage_per_reward: 2.0,
+            recovery_per_penalty: 0.5,
+        };
+        let points = [
+            vec![5.0, 2.0],
+            vec![2.0, 2.0],
+            vec![1.0, 0.0],
+            vec![3.0, 1.0],
+        ];
+        let mut quantal = ExactEvaluator::against(&spec, est, AttackerModel::Quantal(qr));
+        let mut general = ExactEvaluator::against(&spec, est, AttackerModel::GeneralSum(dm));
+        // The prime batch and the memo must serve every model exactly.
+        quantal.prime(&points[..2]).unwrap();
+        general.prime(&points[..2]).unwrap();
+        for b in &points {
+            let m = PayoffMatrix::build(&spec, &est, AuditOrder::enumerate_all(2), b);
+            let master = MasterSolver::solve(&spec, &m).unwrap();
+            let want_qr = qr.loss_under_mixture(&spec, &m, &master.p_orders);
+            let want_dm = damage_under_mixture(&spec, &m, &master.p_orders, &dm);
+            assert_eq!(quantal.evaluate(b).unwrap().to_bits(), want_qr.to_bits());
+            assert_eq!(general.evaluate(b).unwrap().to_bits(), want_dm.to_bits());
+            assert_ne!(want_qr.to_bits(), master.value.to_bits(), "{b:?}");
+        }
     }
 
     impl Ishm {

@@ -1,9 +1,9 @@
 //! The workspace's one deterministic parallel map.
 //!
 //! Every short-lived fan-out in the workspace goes through
-//! [`parallel_map_indexed`]: the detection engine's trie-subtree split,
-//! the planner's candidate pricing, and the experiment drivers' per-budget
-//! sweeps. (The fleet keeps its own long-lived worker pool.)
+//! [`parallel_map_indexed`]: the detection engine's trie-subtree split and
+//! the experiment drivers' per-budget sweeps. (The fleet keeps its own
+//! long-lived worker pool.)
 
 /// Deterministic parallel map: apply `f` to every item of `items`,
 /// splitting the index range into contiguous chunks across at most

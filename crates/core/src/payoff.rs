@@ -153,21 +153,31 @@ impl PayoffMatrix {
         self.orders.len()
     }
 
+    /// Every flat action's expected utility `Σ_o p_o·U_a(o,b,⟨e,v⟩)` when
+    /// the auditor plays mixture `p` over the columns, summed in column
+    /// order.
+    pub(crate) fn mixed_utilities(&self, p: &[f64]) -> Vec<f64> {
+        assert_eq!(p.len(), self.n_orders());
+        (0..self.index.n_actions())
+            .map(|i| {
+                self.values
+                    .iter()
+                    .zip(p)
+                    .map(|(col, &po)| po * col[i])
+                    .sum()
+            })
+            .collect()
+    }
+
     /// Auditor's loss if the auditor plays mixture `p` over the columns and
     /// every attacker best-responds (including opting out when allowed):
     /// `Σ_e p_e · max_v Σ_o p_o · U_a(o,b,⟨e,v⟩)` (paper eq. 4).
     pub fn loss_under_mixture(&self, spec: &GameSpec, p: &[f64]) -> f64 {
-        assert_eq!(p.len(), self.n_orders());
+        let mixed = self.mixed_utilities(p);
         let mut loss = 0.0;
         for (e, att) in spec.attackers.iter().enumerate() {
             let mut best = f64::NEG_INFINITY;
-            for i in self.index.range(e) {
-                let expected: f64 = self
-                    .values
-                    .iter()
-                    .zip(p)
-                    .map(|(col, &po)| po * col[i])
-                    .sum();
+            for &expected in &mixed[self.index.range(e)] {
                 best = best.max(expected);
             }
             if spec.allow_opt_out || att.actions.is_empty() {
@@ -183,17 +193,12 @@ impl PayoffMatrix {
     /// Each attacker's best response under mixture `p`: `Some(flat index)`
     /// of the chosen action, or `None` when opting out is optimal.
     pub fn best_responses(&self, spec: &GameSpec, p: &[f64]) -> Vec<Option<usize>> {
-        assert_eq!(p.len(), self.n_orders());
+        let mixed = self.mixed_utilities(p);
         let mut out = Vec::with_capacity(spec.n_attackers());
-        for (e, _att) in spec.attackers.iter().enumerate() {
+        for e in 0..spec.n_attackers() {
             let mut best: Option<(usize, f64)> = None;
             for i in self.index.range(e) {
-                let expected: f64 = self
-                    .values
-                    .iter()
-                    .zip(p)
-                    .map(|(col, &po)| po * col[i])
-                    .sum();
+                let expected = mixed[i];
                 if best.map(|(_, v)| expected > v).unwrap_or(true) {
                     best = Some((i, expected));
                 }

@@ -27,9 +27,9 @@ pub struct TypeClusters {
 impl TypeClusters {
     /// Partition `spec`'s types: rank by attack-mass-per-cost density
     /// (descending, ties by type index) and chunk adjacent runs of
-    /// `cluster_size`. Deterministic — the same spec always clusters
-    /// identically.
-    pub fn build(spec: &GameSpec, cluster_size: usize) -> Self {
+    /// [`DEFAULT_CLUSTER_SIZE`]. Deterministic — the same spec always
+    /// clusters identically.
+    pub fn build(spec: &GameSpec) -> Self {
         let mass = attack_mass(spec);
         let costs = spec.audit_costs();
         let mut ranked: Vec<usize> = (0..spec.n_types()).collect();
@@ -41,16 +41,16 @@ impl TypeClusters {
                 .then(a.cmp(&b))
         });
         let clusters = ranked
-            .chunks(cluster_size.max(1))
+            .chunks(DEFAULT_CLUSTER_SIZE)
             .map(|c| c.to_vec())
             .collect();
         Self { clusters }
     }
 
-    /// How many clusters `n_types` types split into at `cluster_size` —
-    /// the planner reports this without building a spec.
-    pub fn cluster_count(n_types: usize, cluster_size: usize) -> usize {
-        n_types.div_ceil(cluster_size.max(1))
+    /// How many clusters `n_types` types split into — the planner reports
+    /// this without building a spec.
+    pub fn cluster_count(n_types: usize) -> usize {
+        n_types.div_ceil(DEFAULT_CLUSTER_SIZE)
     }
 
     /// Number of clusters.
@@ -109,7 +109,7 @@ mod tests {
     #[test]
     fn clusters_partition_all_types_once() {
         let spec = spec_with_rewards(&[1.0, 5.0, 3.0, 2.0, 4.0, 6.0, 0.5]);
-        let tc = TypeClusters::build(&spec, 3);
+        let tc = TypeClusters::build(&spec);
         assert_eq!(tc.len(), 3);
         let mut all = tc.canonical_order();
         all.sort_unstable();
@@ -120,36 +120,33 @@ mod tests {
     fn densest_types_land_in_the_first_cluster() {
         // Rewards pick the density order directly (unit costs, M fixed).
         let spec = spec_with_rewards(&[1.0, 9.0, 3.0, 8.0]);
-        let tc = TypeClusters::build(&spec, 2);
-        assert_eq!(tc.clusters()[0], vec![1, 3]);
-        assert_eq!(tc.clusters()[1], vec![2, 0]);
+        let tc = TypeClusters::build(&spec);
+        assert_eq!(tc.clusters()[0], vec![1, 3, 2]);
+        assert_eq!(tc.clusters()[1], vec![0]);
     }
 
     #[test]
     fn ties_break_by_type_index() {
         let spec = spec_with_rewards(&[2.0, 2.0, 2.0, 2.0]);
-        let tc = TypeClusters::build(&spec, 3);
+        let tc = TypeClusters::build(&spec);
         assert_eq!(tc.canonical_order(), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn cluster_count_matches_build() {
-        for (n, size, want) in [(25, 3, 9), (50, 3, 17), (5, 3, 2), (3, 3, 1), (6, 0, 6)] {
-            assert_eq!(TypeClusters::cluster_count(n, size), want);
+        for (n, want) in [(25, 9), (50, 17), (5, 2), (3, 1), (0, 0)] {
+            assert_eq!(TypeClusters::cluster_count(n), want);
         }
         let spec = syn_a();
-        let tc = TypeClusters::build(&spec, DEFAULT_CLUSTER_SIZE);
-        assert_eq!(
-            tc.len(),
-            TypeClusters::cluster_count(spec.n_types(), DEFAULT_CLUSTER_SIZE)
-        );
+        let tc = TypeClusters::build(&spec);
+        assert_eq!(tc.len(), TypeClusters::cluster_count(spec.n_types()));
     }
 
     #[test]
     fn clustering_is_deterministic() {
         let spec = spec_with_rewards(&[3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]);
-        let a = TypeClusters::build(&spec, 3);
-        let b = TypeClusters::build(&spec, 3);
+        let a = TypeClusters::build(&spec);
+        let b = TypeClusters::build(&spec);
         assert_eq!(a, b);
     }
 }

@@ -1,5 +1,5 @@
-//! The type-cluster decomposed inner evaluator and its parallel
-//! best-response pricing.
+//! The type-cluster decomposed inner evaluator and its binding-cluster
+//! refinement.
 //!
 //! The exact inner evaluator materializes all `|T|!` order columns; CGGS
 //! prices them one greedy column per master iteration. At 20–50 types
@@ -8,103 +8,54 @@
 //! evaluator splits the difference:
 //!
 //! * **Block pool** — enumerate orders *within* each workload cluster
-//!   (≤ `k!` permutations each, `k` = cluster size) against the fixed
-//!   canonical cross-cluster spine ([`decomposed_pool`]). For 50 types
-//!   that is ~100 columns instead of `50!`, and the master LP over them
-//!   is exact for the decomposition.
+//!   (`k!` permutations each, `k` =
+//!   [`DEFAULT_CLUSTER_SIZE`](super::DEFAULT_CLUSTER_SIZE)) against the
+//!   fixed canonical cross-cluster spine ([`decomposed_pool`]). For 50
+//!   types that is ~100 columns instead of `50!`, and the master LP over
+//!   them is exact for the decomposition.
 //! * **Memoized pool evaluation** — the evaluator holds an
 //!   [`ExactEvaluator`] over the block pool: `evaluate` and `prime`
 //!   delegate to it, so the master runs over the block pool only,
 //!   memoized by the engine's canonical threshold class, and `prime`
 //!   batches whole ISHM sweep frontiers through one prefix-trie pass.
 //! * **Binding-cluster refinement** — `solve_full` (ISHM calls it once,
-//!   at the accepted optimum) re-prices: rank clusters by their
-//!   `y`-weighted detection mass, run a multi-start greedy
-//!   best-response from each of the top (binding) clusters, and admit
-//!   improving columns for up to [`REFINE_ROUNDS`] master re-solves.
-//!   Candidate scoring fans out through
-//!   [`parallel_map_indexed`] — pure arithmetic on already-computed
-//!   `Pal` vectors, chunked by candidate index and merged back in index
-//!   order, so results are bit-identical at every thread count.
+//!   at the accepted optimum) runs CGGS's column-generation loop
+//!   ([`generate_columns`]) over the pool's matrix for up to
+//!   [`REFINE_ROUNDS`] rounds. Its pricing step ranks clusters by their
+//!   `y`-weighted detection mass and runs CGGS's greedy oracle
+//!   ([`greedy_order`]) once from each of the top (binding) clusters, all
+//!   on the calling thread.
 //!
 //! At ≤ [`EXACT_MAX_TYPES`](super::EXACT_MAX_TYPES) types the pool *is*
 //! the full enumeration and refinement is skipped, so the evaluator is
 //! `ExactEvaluator` itself — the agreement tests assert bit-identity
 //! there.
 
-use super::{TypeClusters, DEFAULT_CLUSTER_SIZE, EXACT_MAX_TYPES};
-use crate::cggs::{detection_weights, score_from_pal};
-use crate::detection::{DetectionEstimator, PalEngine, PalQuery};
+use super::{TypeClusters, EXACT_MAX_TYPES};
+use crate::cggs::{detection_weights, generate_columns, greedy_order};
+use crate::detection::{DetectionEstimator, PalEngine};
 use crate::error::GameError;
 use crate::ishm::{ExactEvaluator, ThresholdEvaluator};
-use crate::master::{MasterSolution, MasterSolver};
+use crate::master::{MasterMemo, MasterSolution};
 use crate::model::GameSpec;
 use crate::ordering::AuditOrder;
-use crate::parallel::parallel_map_indexed;
-use std::collections::HashSet;
 
-/// Master re-solve rounds the refinement may spend admitting new columns.
+/// Pricing rounds the refinement's column generation may run.
 pub const REFINE_ROUNDS: usize = 3;
 
 /// Binding clusters (ranked by `y`-weighted detection mass) seeding
 /// greedy restarts per refinement round.
 const MAX_STARTS: usize = 4;
 
-/// A refinement column must beat the incumbent master value by this much
-/// to be admitted (mirrors the CGGS reduced-cost tolerance).
-const REFINE_TOL: f64 = 1e-7;
-
-/// All permutations of `items` in lexicographic position order (Heap's
-/// algorithm would scramble determinism guarantees for no gain at these
-/// sizes). Falls back to the `len` rotations when the slice is too long
-/// to enumerate — clusters built with [`DEFAULT_CLUSTER_SIZE`] never hit
-/// the fallback.
-fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
-    const MAX_ENUMERATED: usize = 6; // 6! = 720 columns, already generous
-    if items.len() > MAX_ENUMERATED {
-        return (0..items.len())
-            .map(|r| {
-                let mut rot = items[r..].to_vec();
-                rot.extend_from_slice(&items[..r]);
-                rot
-            })
-            .collect();
-    }
-    let mut out = Vec::new();
-    let mut current = Vec::with_capacity(items.len());
-    let mut used = vec![false; items.len()];
-    fn recurse(
-        items: &[usize],
-        used: &mut [bool],
-        current: &mut Vec<usize>,
-        out: &mut Vec<Vec<usize>>,
-    ) {
-        if current.len() == items.len() {
-            out.push(current.clone());
-            return;
-        }
-        for i in 0..items.len() {
-            if !used[i] {
-                used[i] = true;
-                current.push(items[i]);
-                recurse(items, used, current, out);
-                current.pop();
-                used[i] = false;
-            }
-        }
-    }
-    recurse(items, &mut used, &mut current, &mut out);
-    out
-}
-
 /// The block column pool of a clustered decomposition: for every cluster,
 /// every within-cluster permutation spliced in front of the remaining
 /// clusters' canonical spine. The canonical order itself is the identity
 /// permutation of the first cluster, so it is always present. Columns are
 /// deduplicated; the pool size is `Σ_c |c|!` (minus overlaps) — ~50
-/// columns at 25 types, ~100 at 50.
-pub fn decomposed_pool(spec: &GameSpec, clusters: &TypeClusters) -> Vec<AuditOrder> {
-    let _ = spec.n_types(); // the clusters came from this spec
+/// columns at 25 types, ~100 at 50. Each cluster's permutations come in
+/// the lexicographic order of [`AuditOrder::enumerate_all`] over its
+/// positions.
+pub fn decomposed_pool(clusters: &TypeClusters) -> Vec<AuditOrder> {
     let mut pool: Vec<AuditOrder> = Vec::new();
     for (ci, cluster) in clusters.iter().enumerate() {
         let rest: Vec<usize> = clusters
@@ -113,8 +64,8 @@ pub fn decomposed_pool(spec: &GameSpec, clusters: &TypeClusters) -> Vec<AuditOrd
             .filter(|(cj, _)| *cj != ci)
             .flat_map(|(_, c)| c.iter().copied())
             .collect();
-        for perm in permutations(cluster) {
-            let mut col = perm;
+        for perm in AuditOrder::enumerate_all(cluster.len()) {
+            let mut col: Vec<usize> = perm.types().iter().map(|&i| cluster[i]).collect();
             col.extend_from_slice(&rest);
             let order = AuditOrder::new(col).expect("block column is a permutation");
             if !pool.contains(&order) {
@@ -140,11 +91,10 @@ pub struct DecomposedEvaluator<'a> {
 }
 
 impl<'a> DecomposedEvaluator<'a> {
-    /// Build for `spec` with `threads` workers (engine batches and
-    /// refinement scoring both use them). `seed_columns` — typically a
-    /// warm start's incumbent basis — are appended to the block pool when
-    /// feasible and fresh; an empty seed list is bit-identical to a cold
-    /// build. At ≤ [`EXACT_MAX_TYPES`] types the pool is the full order
+    /// Build for `spec` with `threads` engine workers. `seed_columns` —
+    /// typically a warm start's incumbent basis — are appended to the
+    /// block pool when feasible and fresh; an empty seed list is
+    /// bit-identical to a cold build. At ≤ [`EXACT_MAX_TYPES`] types the pool is the full order
     /// enumeration (seeds are then redundant by construction and skipped)
     /// and refinement never runs.
     pub fn new(
@@ -155,11 +105,11 @@ impl<'a> DecomposedEvaluator<'a> {
     ) -> Self {
         let n = spec.n_types();
         let exhaustive = n <= EXACT_MAX_TYPES;
-        let clusters = TypeClusters::build(spec, DEFAULT_CLUSTER_SIZE);
+        let clusters = TypeClusters::build(spec);
         let mut pool = if exhaustive {
             AuditOrder::enumerate_all(n)
         } else {
-            decomposed_pool(spec, &clusters)
+            decomposed_pool(&clusters)
         };
         if !exhaustive {
             for seed in seed_columns {
@@ -187,12 +137,10 @@ impl<'a> DecomposedEvaluator<'a> {
     }
 
     /// Multi-start greedy best-response columns for the refinement: one
-    /// greedy construction per binding cluster (top [`MAX_STARTS`] by
-    /// `y`-weighted detection mass, ties by cluster index), each forced
+    /// [`greedy_order`] per binding cluster (top [`MAX_STARTS`] by
+    /// `y`-weighted detection mass `w`, ties by cluster index), each forced
     /// to open with its start cluster's types before greedily completing
-    /// over the rest. Per greedy step the candidate extensions are
-    /// `Pal`-batched through the trie on the calling thread, then their
-    /// gains are scored concurrently and arg-maxed in index order.
+    /// over the rest. Duplicates are dropped.
     fn refine_candidates(&self, w: &[f64], thresholds: &[f64]) -> Vec<AuditOrder> {
         let mut ranked: Vec<usize> = (0..self.clusters.len()).collect();
         let cluster_w: Vec<f64> = self
@@ -209,61 +157,15 @@ impl<'a> DecomposedEvaluator<'a> {
         ranked.truncate(MAX_STARTS);
         let mut out: Vec<AuditOrder> = Vec::new();
         for &ci in &ranked {
-            let col = self.greedy_from_cluster(ci, w, thresholds);
+            let start = &self.clusters.clusters()[ci];
+            let col = greedy_order(self.engine(), thresholds, w, |t, placed| {
+                start.contains(&t) || start.iter().all(|&m| placed[m])
+            });
             if !out.contains(&col) {
                 out.push(col);
             }
         }
         out
-    }
-
-    /// One greedy best-response construction whose first picks are
-    /// restricted to cluster `start` (until it is exhausted), mirroring
-    /// the CGGS pricing oracle otherwise: each appended position
-    /// maximizes the marginal weighted detection mass `w_t·Pal(o,t)`,
-    /// first-wins on ties beyond `1e-15`.
-    fn greedy_from_cluster(&self, start: usize, w: &[f64], thresholds: &[f64]) -> AuditOrder {
-        let n = self.spec.n_types();
-        let members: HashSet<usize> = self.clusters.clusters()[start].iter().copied().collect();
-        let mut prefix: Vec<usize> = Vec::with_capacity(n);
-        let mut placed = vec![false; n];
-        let mut cluster_left = members.len();
-        for _ in 0..n {
-            let candidates: Vec<usize> = (0..n)
-                .filter(|&t| !placed[t] && (cluster_left == 0 || members.contains(&t)))
-                .collect();
-            let queries: Vec<PalQuery> = candidates
-                .iter()
-                .map(|&t| {
-                    let mut trial = Vec::with_capacity(prefix.len() + 1);
-                    trial.extend_from_slice(&prefix);
-                    trial.push(t);
-                    PalQuery {
-                        seq: trial,
-                        thresholds: thresholds.to_vec(),
-                    }
-                })
-                .collect();
-            let pals = self.engine().pal_batch(&queries);
-            // Pure arithmetic over the already-computed Pal vectors:
-            // parallel by candidate index, merged positionally.
-            let gains = parallel_map_indexed(self.engine().threads(), &candidates, |i, &t| {
-                w[t] * pals[i][t]
-            });
-            let mut best: Option<(usize, f64)> = None;
-            for (&t, &gain) in candidates.iter().zip(&gains) {
-                if best.map(|(_, g)| gain > g + 1e-15).unwrap_or(true) {
-                    best = Some((t, gain));
-                }
-            }
-            let (t, _) = best.expect("some type is always placeable");
-            placed[t] = true;
-            if members.contains(&t) {
-                cluster_left -= 1;
-            }
-            prefix.push(t);
-        }
-        AuditOrder::new(prefix).expect("greedy construction yields a permutation")
     }
 }
 
@@ -276,42 +178,22 @@ impl ThresholdEvaluator for DecomposedEvaluator<'_> {
         &mut self,
         thresholds: &[f64],
     ) -> Result<(MasterSolution, Vec<AuditOrder>), GameError> {
+        // Binding-cluster refinement: admitted columns only grow the pool
+        // the master optimizes over, so the value is monotone
+        // non-increasing round over round.
         let mut matrix = self.pool.matrix(thresholds);
-        let mut sol = MasterSolver::solve(self.spec, &matrix)?;
-        if self.exhaustive {
-            return Ok((sol, matrix.orders));
-        }
-        // Binding-cluster refinement: admit improving best-response
-        // columns, re-solve, repeat while progress lasts. The admitted
-        // columns only grow the pool the master optimizes over, so the
-        // value is monotone non-increasing round over round.
-        let spec = self.spec;
-        let engine = self.engine();
-        for _ in 0..REFINE_ROUNDS {
-            let w = detection_weights(spec, &sol.y_actions);
-            let candidates = self.refine_candidates(&w, thresholds);
-            let queries: Vec<PalQuery> = candidates
-                .iter()
-                .map(|o| PalQuery::full(o, thresholds))
-                .collect();
-            let pals = engine.pal_batch(&queries);
-            let y = &sol.y_actions;
-            let scores = parallel_map_indexed(engine.threads(), &pals, |_, pal| {
-                score_from_pal(spec, pal, y)
-            });
-            let mut admitted = false;
-            for (o, f) in candidates.into_iter().zip(scores) {
-                if f < sol.value - REFINE_TOL && !matrix.orders.contains(&o) {
-                    matrix.push_order_with_engine(spec, engine, o, thresholds);
-                    admitted = true;
-                }
-            }
-            if !admitted {
-                break;
-            }
-            sol = MasterSolver::solve(spec, &matrix)?;
-        }
-        Ok((sol, matrix.orders))
+        let rounds = if self.exhaustive { 0 } else { REFINE_ROUNDS };
+        let (master, _, _) = generate_columns(
+            self.spec,
+            self.engine(),
+            thresholds,
+            &mut matrix,
+            &mut MasterMemo::default(),
+            Some(rounds),
+            usize::MAX,
+            |y| self.refine_candidates(&detection_weights(self.spec, y), thresholds),
+        )?;
+        Ok((master, matrix.orders))
     }
 
     fn prime(&mut self, candidates: &[Vec<f64>]) -> Result<(), GameError> {
@@ -361,22 +243,10 @@ mod tests {
     }
 
     #[test]
-    fn permutations_enumerate_exactly() {
-        assert_eq!(permutations(&[7]).len(), 1);
-        assert_eq!(permutations(&[1, 2]).len(), 2);
-        let p3 = permutations(&[4, 5, 6]);
-        assert_eq!(p3.len(), 6);
-        assert!(p3.contains(&vec![6, 4, 5]));
-        // Past the enumeration cap: rotations only.
-        let wide: Vec<usize> = (0..8).collect();
-        assert_eq!(permutations(&wide).len(), 8);
-    }
-
-    #[test]
     fn block_pool_covers_each_cluster_permutation() {
         let spec = spec_of(7, 3.0);
-        let clusters = TypeClusters::build(&spec, 3);
-        let pool = decomposed_pool(&spec, &clusters);
+        let clusters = TypeClusters::build(&spec);
+        let pool = decomposed_pool(&clusters);
         // 3 clusters of sizes 3/3/1 → 6 + 6 + 1 perms, canonical overlaps
         // each cluster's identity column twice.
         assert!(pool.len() >= 11 && pool.len() <= 13, "got {}", pool.len());

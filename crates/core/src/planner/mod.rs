@@ -1,6 +1,6 @@
-//! Scale-out solver planning: hardness-aware strategy selection,
-//! type-cluster decomposition, and parallel best-response pricing for
-//! games far past the paper's exact-solve ceiling.
+//! Scale-out solver planning: hardness-aware strategy selection and
+//! type-cluster decomposition for games far past the paper's exact-solve
+//! ceiling.
 //!
 //! The paper caps ISHM's exact inner LP at ≤ 5 alert types (`|T|!` order
 //! enumeration) and its outer shrink search is itself exponential in
@@ -21,10 +21,8 @@
 //! * [`DecomposedEvaluator`] — an inner evaluator solving the master LP
 //!   over a cluster-blocked order pool (per-cluster subproblems solved
 //!   exactly by within-cluster enumeration), then refining only the
-//!   *binding* clusters with multi-start greedy best-response pricing
-//!   whose candidate scoring fans out through
-//!   [`crate::parallel::parallel_map_indexed`] with a deterministic merge
-//!   by candidate index.
+//!   *binding* clusters through CGGS's column-generation loop, priced by
+//!   one multi-start run of CGGS's greedy oracle per binding cluster.
 //!
 //! Everything here is bit-deterministic: the same instance plans the
 //! same strategy, the decomposed evaluator returns identical results at
@@ -38,6 +36,7 @@ mod decomposed;
 pub use cluster::{TypeClusters, DEFAULT_CLUSTER_SIZE};
 pub use decomposed::{decomposed_pool, DecomposedEvaluator};
 
+use crate::cggs::detection_weights;
 use crate::hardness::{solve_knapsack, KnapsackInstance};
 use crate::model::GameSpec;
 use serde::{Deserialize, Serialize};
@@ -79,18 +78,11 @@ impl InstanceFeatures {
 }
 
 /// The per-type aggregate attack mass `Σ_⟨e,v⟩ (M+R)·P^t` — how much
-/// detection utility auditing type `t` can move. The clustering and the
-/// pricing refinement both rank types by it.
+/// detection utility auditing type `t` can move: the detection weights of
+/// an attacker mixture with weight 1 on every action. The clustering and
+/// the knapsack coverage both rank types by it.
 pub(crate) fn attack_mass(spec: &GameSpec) -> Vec<f64> {
-    let mut mass = vec![0.0; spec.n_types()];
-    for att in &spec.attackers {
-        for act in &att.actions {
-            for &(t, p) in &act.alert_probs {
-                mass[t] += (act.penalty + act.reward) * p;
-            }
-        }
-    }
-    mass
+    detection_weights(spec, &vec![1.0; spec.n_actions()])
 }
 
 /// Budget coverage of the instance via the knapsack DP: pack types
@@ -187,7 +179,7 @@ pub fn plan(features: &InstanceFeatures) -> SolveStrategy {
     }
     let deep = features.n_types <= 2 * ISHM_FULL_MAX_TYPES && features.knapsack_coverage >= 0.5;
     SolveStrategy::Decomposed {
-        clusters: TypeClusters::cluster_count(features.n_types, DEFAULT_CLUSTER_SIZE),
+        clusters: TypeClusters::cluster_count(features.n_types),
         max_level: Some(if deep { 2 } else { 1 }),
     }
 }
@@ -203,7 +195,7 @@ pub fn decomposed_strategy(features: &InstanceFeatures) -> SolveStrategy {
         _ => None,
     };
     SolveStrategy::Decomposed {
-        clusters: TypeClusters::cluster_count(features.n_types, DEFAULT_CLUSTER_SIZE),
+        clusters: TypeClusters::cluster_count(features.n_types),
         max_level: cap,
     }
 }
@@ -263,10 +255,7 @@ mod tests {
                 clusters,
                 max_level,
             } => {
-                assert_eq!(
-                    clusters,
-                    TypeClusters::cluster_count(30, DEFAULT_CLUSTER_SIZE)
-                );
+                assert_eq!(clusters, TypeClusters::cluster_count(30));
                 assert_eq!(max_level, Some(1), "30 types is past the deep-search tier");
             }
             other => panic!("expected decomposed, got {other:?}"),

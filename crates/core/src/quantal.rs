@@ -13,14 +13,15 @@
 //! (opting out enters as a 0-utility pseudo-action when allowed). `λ → ∞`
 //! recovers the best-responding attacker; `λ = 0` attacks uniformly at
 //! random. The auditor's loss under QR attackers is smooth in the policy,
-//! and [`solve_qr_thresholds`] reuses the ISHM search over it.
+//! and [`solve_qr_thresholds`] runs the ISHM search over it through
+//! [`ExactEvaluator::against`] the [`AttackerModel::Quantal`] model.
 
+use crate::attacker::AttackerModel;
 use crate::detection::DetectionEstimator;
 use crate::error::GameError;
-use crate::ishm::{Ishm, IshmConfig, ThresholdEvaluator};
+use crate::ishm::{ExactEvaluator, Ishm, IshmConfig, ThresholdEvaluator};
 use crate::master::MasterSolution;
 use crate::model::GameSpec;
-use crate::ordering::AuditOrder;
 use crate::payoff::PayoffMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -55,24 +56,13 @@ impl QuantalResponse {
     /// For each attacker, expected utilities per action are computed under
     /// the mixture, turned into logit choice probabilities, and averaged.
     pub fn loss_under_mixture(&self, spec: &GameSpec, matrix: &PayoffMatrix, p: &[f64]) -> f64 {
-        assert_eq!(p.len(), matrix.n_orders());
+        let mixed = matrix.mixed_utilities(p);
         let mut loss = 0.0;
         for (e, att) in spec.attackers.iter().enumerate() {
             if att.actions.is_empty() {
                 continue;
             }
-            let mut utilities: Vec<f64> = matrix
-                .index
-                .range(e)
-                .map(|i| {
-                    matrix
-                        .values
-                        .iter()
-                        .zip(p)
-                        .map(|(col, &po)| po * col[i])
-                        .sum()
-                })
-                .collect();
+            let mut utilities = mixed[matrix.index.range(e)].to_vec();
             if spec.allow_opt_out {
                 utilities.push(0.0); // refrain
             }
@@ -96,77 +86,25 @@ pub struct QrOutcome {
     pub rational: MasterSolution,
 }
 
-/// Evaluator plugging the QR objective into ISHM. The order mixture for
-/// each candidate threshold vector is the *rational* equilibrium mixture
-/// (solved exactly over `orders`), against which the QR population responds
-/// — the standard robust-evaluation setup.
-pub struct QrEvaluator<'a> {
-    spec: &'a GameSpec,
-    est: DetectionEstimator<'a>,
-    orders: Vec<AuditOrder>,
-    qr: QuantalResponse,
-}
-
-impl<'a> QrEvaluator<'a> {
-    /// Build over an explicit order set (all permutations for small `|T|`).
-    pub fn new(
-        spec: &'a GameSpec,
-        est: DetectionEstimator<'a>,
-        orders: Vec<AuditOrder>,
-        qr: QuantalResponse,
-    ) -> Self {
-        assert!(!orders.is_empty());
-        Self {
-            spec,
-            est,
-            orders,
-            qr,
-        }
-    }
-
-    fn qr_value(&self, thresholds: &[f64]) -> Result<(f64, MasterSolution), GameError> {
-        let matrix = PayoffMatrix::build(self.spec, &self.est, self.orders.clone(), thresholds);
-        let master = crate::master::MasterSolver::solve(self.spec, &matrix)?;
-        let loss = self
-            .qr
-            .loss_under_mixture(self.spec, &matrix, &master.p_orders);
-        Ok((loss, master))
-    }
-}
-
-impl ThresholdEvaluator for QrEvaluator<'_> {
-    fn evaluate(&mut self, thresholds: &[f64]) -> Result<f64, GameError> {
-        self.qr_value(thresholds).map(|(v, _)| v)
-    }
-
-    fn solve_full(
-        &mut self,
-        thresholds: &[f64],
-    ) -> Result<(MasterSolution, Vec<AuditOrder>), GameError> {
-        let (_, master) = self.qr_value(thresholds)?;
-        Ok((master, self.orders.clone()))
-    }
-}
-
-/// ISHM threshold search against a QR attacker population.
+/// ISHM threshold search against a QR attacker population: an
+/// [`ExactEvaluator::against`] the quantal model scores each candidate
+/// by the QR loss at the rational equilibrium mixture over every order.
 pub fn solve_qr_thresholds(
     spec: &GameSpec,
     est: &DetectionEstimator<'_>,
     qr: QuantalResponse,
     epsilon: f64,
 ) -> Result<QrOutcome, GameError> {
-    let orders = AuditOrder::enumerate_all(spec.n_types());
-    let mut eval = QrEvaluator::new(spec, *est, orders, qr);
+    let mut eval = ExactEvaluator::against(spec, *est, AttackerModel::Quantal(qr));
     let outcome = Ishm::new(IshmConfig {
         epsilon,
         ..Default::default()
     })
     .solve(spec, &mut eval)?;
-    let (value, rational) = eval.qr_value(&outcome.thresholds)?;
     Ok(QrOutcome {
+        value: eval.evaluate(&outcome.thresholds)?,
         thresholds: outcome.thresholds,
-        value,
-        rational,
+        rational: outcome.master,
     })
 }
 
@@ -175,6 +113,7 @@ mod tests {
     use super::*;
     use crate::detection::DetectionModel;
     use crate::model::{AttackAction, Attacker, GameSpecBuilder};
+    use crate::ordering::AuditOrder;
     use std::sync::Arc;
     use stochastics::Constant;
 

@@ -10,7 +10,7 @@
 
 use crate::detection::{DetectionEstimator, DetectionModel};
 use crate::error::GameError;
-use crate::ishm::{ExactEvaluator, Ishm, IshmConfig, ThresholdEvaluator};
+use crate::ishm::{ExactEvaluator, Ishm, IshmConfig};
 use crate::model::GameSpec;
 use serde::{Deserialize, Serialize};
 
@@ -129,65 +129,10 @@ pub fn sweep(
     Ok(out)
 }
 
-/// One point of a single-threshold loss curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ThresholdCurvePoint {
-    /// Threshold value substituted at the swept coordinate.
-    pub threshold: f64,
-    /// Auditor's loss (exact master LP over all orders) at that value.
-    pub loss: f64,
-}
-
-/// Loss curve along **one threshold coordinate**, all other thresholds
-/// held at `base_thresholds`: for every value in `values`, solve the exact
-/// master LP over all orders with `thresholds[coord] = value`.
-///
-/// This is the paper's missing local-sensitivity instrument ("how flat is
-/// the optimum in each coordinate?"). It runs the batch path ISHM uses:
-/// one [`ExactEvaluator`] primes every value as a single sweep batch, so
-/// all `(order, value)` pairs share one prefix trie (the prefix before the
-/// swept coordinate is paid once per order, and detection-equivalent
-/// values, such as the saturated tail, share one node and one master LP).
-/// Intended for small `|T|` games (all `|T|!` orders are materialized).
-pub fn threshold_curve(
-    spec: &GameSpec,
-    est: &DetectionEstimator<'_>,
-    base_thresholds: &[f64],
-    coord: usize,
-    values: &[f64],
-    threads: usize,
-) -> Result<Vec<ThresholdCurvePoint>, GameError> {
-    spec.validate()?;
-    assert!(coord < spec.n_types(), "swept coordinate out of range");
-    assert_eq!(base_thresholds.len(), spec.n_types());
-    let candidates: Vec<Vec<f64>> = values
-        .iter()
-        .map(|&value| {
-            let mut thresholds = base_thresholds.to_vec();
-            thresholds[coord] = value;
-            thresholds
-        })
-        .collect();
-    let mut eval = ExactEvaluator::with_threads(spec, *est, threads);
-    eval.prime(&candidates)?;
-    values
-        .iter()
-        .zip(&candidates)
-        .map(|(&threshold, thresholds)| {
-            Ok(ThresholdCurvePoint {
-                threshold,
-                loss: eval.evaluate(thresholds)?,
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::datasets::syn_a_with_budget;
-    use crate::master::MasterSolver;
-    use crate::ordering::AuditOrder;
 
     #[test]
     fn scaling_transforms_the_right_fields() {
@@ -247,25 +192,5 @@ mod tests {
     #[should_panic]
     fn negative_scale_rejected() {
         scale_spec(&syn_a_with_budget(2.0), Parameter::Reward, -1.0);
-    }
-
-    #[test]
-    fn threshold_curve_matches_per_value_solves() {
-        let s = syn_a_with_budget(6.0);
-        let bank = s.sample_bank(120, 3);
-        let est = DetectionEstimator::new(&s, &bank, DetectionModel::PaperApprox);
-        let base = vec![3.0, 3.0, 3.0, 3.0];
-        let values = [0.0, 1.0, 2.0, 4.0, 50.0];
-        let curve = threshold_curve(&s, &est, &base, 1, &values, 2).unwrap();
-        assert_eq!(curve.len(), values.len());
-        // Reference: one exact solve per value, no sweep kernel.
-        let orders = AuditOrder::enumerate_all(4);
-        for (point, &v) in curve.iter().zip(&values) {
-            let mut th = base.clone();
-            th[1] = v;
-            let m = crate::payoff::PayoffMatrix::build(&s, &est, orders.clone(), &th);
-            let want = MasterSolver::solve(&s, &m).unwrap().value;
-            assert_eq!(point.loss.to_bits(), want.to_bits(), "value {v}");
-        }
     }
 }

@@ -18,10 +18,9 @@ use audit_game::attacker::AttackerModel;
 use audit_game::cggs::Cggs;
 use audit_game::detection::{DetectionEstimator, DetectionModel};
 use audit_game::error::GameError;
-use audit_game::general_sum::{DamageModel, GeneralSumEvaluator};
-use audit_game::ishm::{Ishm, IshmConfig};
+use audit_game::general_sum::DamageModel;
+use audit_game::ishm::{ExactEvaluator, Ishm, IshmConfig};
 use audit_game::model::GameSpec;
-use audit_game::ordering::AuditOrder;
 use audit_game::quantal::{solve_qr_thresholds, QuantalResponse};
 use audit_game::scenario::Scenario;
 use audit_game::solver::{InnerKind, OapSolver, SolverConfig};
@@ -251,7 +250,11 @@ fn run_qr_cell(
 }
 
 /// Solve one general-sum cell: ISHM minimizing auditor damage over the
-/// exact order enumeration.
+/// exact order enumeration. The cell pins the damage-optimal thresholds
+/// and, as its objective, [`IshmOutcome::value`]: the zero-sum master
+/// value at those thresholds, not the damage there.
+///
+/// [`IshmOutcome::value`]: audit_game::ishm::IshmOutcome::value
 fn run_gsum_cell(
     spec: &GameSpec,
     damage: DamageModel,
@@ -260,8 +263,7 @@ fn run_gsum_cell(
 ) -> Result<Cell, GameError> {
     let bank = spec.sample_bank(CONFORMANCE_SAMPLES, seed);
     let est = DetectionEstimator::new(spec, &bank, model);
-    let orders = AuditOrder::enumerate_all(spec.n_types());
-    let mut eval = GeneralSumEvaluator::new(spec, est, orders, damage);
+    let mut eval = ExactEvaluator::against(spec, est, AttackerModel::GeneralSum(damage));
     let out = Ishm::new(IshmConfig {
         epsilon: CONFORMANCE_EPSILON,
         ..Default::default()

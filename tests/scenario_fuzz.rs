@@ -21,7 +21,7 @@ use alert_audit::game::general_sum::{damage_under_mixture, DamageModel};
 use alert_audit::game::master::MasterSolver;
 use alert_audit::game::ordering::AuditOrder;
 use alert_audit::game::payoff::PayoffMatrix;
-use alert_audit::game::planner::{decomposed_pool, TypeClusters, DEFAULT_CLUSTER_SIZE};
+use alert_audit::game::planner::{decomposed_pool, TypeClusters};
 use alert_audit::game::quantal::QuantalResponse;
 use alert_audit::game::solver::{InnerKind, OapSolver, SolverConfig};
 
@@ -241,8 +241,7 @@ fn decomposed_and_cggs_pools_bracket_their_union_on_wide_games() {
             .map(|b| b.min(spec.budget))
             .collect();
 
-        let clusters = TypeClusters::build(&spec, DEFAULT_CLUSTER_SIZE);
-        let dec_pool = decomposed_pool(&spec, &clusters);
+        let dec_pool = decomposed_pool(&TypeClusters::build(&spec));
         let value_of = |orders: Vec<AuditOrder>| {
             let matrix = PayoffMatrix::build(&spec, &est, orders, &thresholds);
             MasterSolver::solve(&spec, &matrix).unwrap().value
@@ -279,8 +278,7 @@ fn value_is_monotone_in_budget_over_the_decomposed_pool_on_wide_games() {
     for seed in 0..cases().min(8) {
         let mut spec = fuzz_game(&cfg, seed);
         let bank = spec.sample_bank(24, 99);
-        let clusters = TypeClusters::build(&spec, DEFAULT_CLUSTER_SIZE);
-        let pool = decomposed_pool(&spec, &clusters);
+        let pool = decomposed_pool(&TypeClusters::build(&spec));
         let thresholds = spec.threshold_upper_bounds();
         let mut prev = f64::INFINITY;
         for budget in [2.0, 4.0, 8.0, 16.0] {
