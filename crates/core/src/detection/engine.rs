@@ -19,11 +19,12 @@
 //!    module docs.
 //! 3. **Prefix-state cache** (across batches): the consumed-budget vector
 //!    and detection sum after every evaluated prefix are retained in a
-//!    bounded second-chance cache keyed by the canonical path. CGGS greedy
-//!    expansion (which re-extends the same prefix one type at a time) and
-//!    ISHM's single-coordinate shrink candidates (which share every prefix
-//!    avoiding the shrunk coordinate) hit this cache constantly, making
-//!    consecutive solver queries incremental instead of from-scratch.
+//!    bounded second-chance cache keyed by the canonical path's id. CGGS
+//!    greedy expansion (which re-extends the same prefix one type at a
+//!    time) and ISHM's single-coordinate shrink candidates (which share
+//!    every prefix avoiding the shrunk coordinate) hit this cache
+//!    constantly, making consecutive solver queries incremental instead of
+//!    from-scratch.
 //! 4. **Saturation classing**: a threshold that can never bind is
 //!    detection-equivalent to every other such threshold, so cache keys
 //!    canonicalize them to one class, and thresholds of types *outside* a
@@ -57,8 +58,8 @@
 //! ([`stochastics::SampleBank::column`]).
 
 use super::cache::SecondChance;
-use super::trie::{Node, PalKey, QueryTrie};
-use super::{budget_cap, detection_step_capped, DetectionEstimator, DetectionModel, PalQuery};
+use super::trie::{BatchBits, Node, PalKey, PathId, PathTable, QueryTrie};
+use super::{detection_step, DetectionEstimator, DetectionModel, PalQuery};
 use crate::ordering::AuditOrder;
 use crate::parallel::parallel_map_indexed;
 use serde::{Deserialize, Serialize};
@@ -193,6 +194,15 @@ const SATURATED_BITS: u64 = 0x7FF0_0000_0000_0000;
 /// holds every threshold whose audit cap covers the bank's largest count
 /// and every threshold at or above the period budget `B`.
 ///
+/// Both caches key by **path id**: the engine interns every canonical
+/// path — sequence plus canonical bits — once, as a dense `u32`. Two ids
+/// are equal exactly when their paths are, so ids hit, miss and evict
+/// exactly as the paths would; only [`PalEngine::export_states`] and
+/// [`PalEngine::adopt_states`] translate them to and from portable keys.
+/// The table grows with the distinct paths one engine sees; an engine
+/// with both caches disabled ([`PalEngine::uncached`]) clears it after
+/// every batch.
+///
 /// Thresholds must not be negative (NaN is tolerated): the `b ≥ B` class
 /// relies on the consumed budget never falling, and every query asserts it.
 pub struct PalEngine<'a> {
@@ -203,8 +213,12 @@ pub struct PalEngine<'a> {
     /// Per-type saturation point in audit units: caps at or above this
     /// value can never bind on this bank (model-adjusted).
     sat_units: Vec<f64>,
-    results: RefCell<SecondChance<PalKey, Vec<f64>>>,
-    states: RefCell<SecondChance<PalKey, PrefixState>>,
+    /// Every canonical path the engine has seen, as dense ids.
+    paths: RefCell<PathTable>,
+    /// Estimates, keyed by the query's unfolded path id.
+    results: RefCell<SecondChance<PathId, Vec<f64>>>,
+    /// Prefix states, keyed by the trie node's folded path id.
+    states: RefCell<SecondChance<PathId, PrefixState>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
     state_hits: Cell<u64>,
@@ -271,6 +285,7 @@ impl<'a> PalEngine<'a> {
             capacity,
             state_capacity,
             sat_units,
+            paths: RefCell::new(PathTable::new()),
             results: RefCell::new(SecondChance::new(capacity)),
             states: RefCell::new(SecondChance::new(state_capacity)),
             hits: Cell::new(0),
@@ -314,10 +329,14 @@ impl<'a> PalEngine<'a> {
     /// caller.
     pub fn export_states(&self) -> PalStateSeed {
         let states = self.states.borrow();
+        let paths = self.paths.borrow();
         PalStateSeed {
             n_types: self.est.bank.n_types(),
             n_samples: self.est.bank.n_samples(),
-            entries: states.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
+            entries: states
+                .iter()
+                .map(|(&id, v)| (paths.expand(id), v.clone()))
+                .collect(),
         }
     }
 
@@ -336,8 +355,15 @@ impl<'a> PalEngine<'a> {
             "prefix-state seed shape does not match this engine's bank"
         );
         let mut states = self.states.borrow_mut();
-        for (k, v) in &seed.entries {
-            states.insert(k.clone(), v.clone());
+        let mut paths = self.paths.borrow_mut();
+        for ((types, bits), v) in &seed.entries {
+            let id = paths.path(
+                types
+                    .iter()
+                    .map(|&t| usize::from(t))
+                    .zip(bits.iter().copied()),
+            );
+            states.insert(id, v.clone());
         }
     }
 
@@ -368,16 +394,6 @@ impl<'a> PalEngine<'a> {
             .enumerate()
             .map(|(t, &b)| self.canonical_bits(t, b))
             .collect()
-    }
-
-    fn query_key(&self, q: &PalQuery) -> PalKey {
-        (
-            q.seq.iter().map(|&t| t as u16).collect(),
-            q.seq
-                .iter()
-                .map(|&t| self.canonical_bits(t, q.thresholds[t]))
-                .collect(),
-        )
     }
 
     /// `Pal` for one full order (cached).
@@ -414,15 +430,15 @@ impl<'a> PalEngine<'a> {
                 seen[t] = true;
             }
         }
+        let bits = BatchBits::new(queries, |t, b| self.canonical_bits(t, b));
+        let mut paths = self.paths.borrow_mut();
         let mut results: Vec<Option<Vec<f64>>> = vec![None; queries.len()];
         let mut miss_idx: Vec<usize> = Vec::new();
-        // Keys are built once per batch and moved into the cache on insert
-        // — key construction allocates, and this path is the hot loop.
-        let mut miss_keys: Vec<PalKey> = Vec::new();
+        let mut miss_keys: Vec<PathId> = Vec::new();
         if self.capacity > 0 {
             let mut cache = self.results.borrow_mut();
             for (i, q) in queries.iter().enumerate() {
-                let key = self.query_key(q);
+                let key = paths.path(q.seq.iter().copied().zip(bits.of(i).iter().copied()));
                 match cache.get(&key) {
                     Some(v) => results[i] = Some(v.clone()),
                     None => {
@@ -438,13 +454,17 @@ impl<'a> PalEngine<'a> {
             miss_idx.extend(0..queries.len());
         }
 
-        let computed = self.eval_misses(queries, &miss_idx);
+        let computed = self.eval_misses(&mut paths, queries, &bits, &miss_idx);
 
         if self.capacity > 0 && !miss_idx.is_empty() {
             let mut cache = self.results.borrow_mut();
             for (key, v) in miss_keys.into_iter().zip(&computed) {
                 cache.insert(key, v.clone());
             }
+        }
+        // With both caches disabled no id outlives the batch.
+        if self.capacity == 0 && self.state_capacity == 0 {
+            paths.clear();
         }
         for (i, v) in miss_idx.into_iter().zip(computed) {
             results[i] = Some(v);
@@ -457,7 +477,13 @@ impl<'a> PalEngine<'a> {
 
     /// Evaluate the missed queries through the trie, preserving `miss_idx`
     /// order.
-    fn eval_misses(&self, queries: &[PalQuery], miss_idx: &[usize]) -> Vec<Vec<f64>> {
+    fn eval_misses(
+        &self,
+        paths: &mut PathTable,
+        queries: &[PalQuery],
+        bits: &BatchBits,
+        miss_idx: &[usize],
+    ) -> Vec<Vec<f64>> {
         if miss_idx.is_empty() {
             return Vec::new();
         }
@@ -467,7 +493,7 @@ impl<'a> PalEngine<'a> {
         // Commutative folding is unsound for the operational model, whose
         // per-type consumption depends on the state it is evaluated in.
         let fold = !matches!(self.est.model, DetectionModel::Operational);
-        let trie = QueryTrie::build(queries, miss_idx, fold, &|t, b| self.canonical_bits(t, b));
+        let trie = QueryTrie::build(paths, queries, bits, miss_idx, fold);
         let nodes = &trie.nodes;
         let n_nodes = nodes.len();
 
@@ -526,8 +552,7 @@ impl<'a> PalEngine<'a> {
         let parts: Vec<&[usize]> = roots.chunks(per).collect();
         let outputs: Vec<Vec<WalkOut>> = parallel_map_indexed(workers, &parts, |_, part| {
             let mut out = Vec::new();
-            let mut caps = Vec::new();
-            walk_set(&ctx, part, Some(&zeros), &mut out, &mut caps);
+            walk_set(&ctx, part, Some(&zeros), &mut out);
             out
         });
         drop(adopted_consumed);
@@ -566,7 +591,7 @@ impl<'a> PalEngine<'a> {
             for id in 1..n_nodes {
                 if let Some(consumed) = fresh_states[id].take() {
                     sc.insert(
-                        nodes[id].key.clone(),
+                        nodes[id].key,
                         PrefixState {
                             consumed,
                             sum: sums[id],
@@ -627,179 +652,72 @@ struct WalkOut {
 /// Evaluate the fresh members of a sibling set and recurse. `children` is
 /// a set of sibling node ids (or a partition of the root's children);
 /// `parent_consumed` is the evaluation state after their common prefix.
-///
-/// Fresh siblings are processed grouped by type in **ascending threshold
-/// order**: a group of two or more (a threshold sweep fanning out of one
-/// prefix) shares a single budget-cap pass over the parent state, since
-/// `B_t` does not depend on the type's own threshold.
+/// Each fresh sibling costs one column pass over it.
 fn walk_set(
     ctx: &WalkCtx<'_, '_>,
     children: &[usize],
     parent_consumed: Option<&[f64]>,
     out: &mut Vec<WalkOut>,
-    caps: &mut Vec<f64>,
 ) {
     let spec = ctx.est.spec;
-    let bank = ctx.est.bank;
-    let model = ctx.est.model;
-    let budget = spec.budget;
-
-    let mut fresh: Vec<usize> = children.iter().copied().filter(|&c| !ctx.hit[c]).collect();
-    fresh.sort_by(|&a, &b| {
-        ctx.nodes[a]
-            .t
-            .cmp(&ctx.nodes[b].t)
-            .then(ctx.nodes[a].b.total_cmp(&ctx.nodes[b].b))
-            .then(a.cmp(&b))
-    });
-
-    // Compute every fresh sibling's pass before recursing: the caps
-    // scratch buffer belongs to this sibling set and deeper recursion
-    // would clobber it.
-    let mut computed: Vec<WalkOut> = Vec::with_capacity(fresh.len());
-    let mut i = 0;
-    while i < fresh.len() {
-        let t = ctx.nodes[fresh[i]].t;
-        let mut j = i + 1;
-        while j < fresh.len() && ctx.nodes[fresh[j]].t == t {
-            j += 1;
+    for &id in children {
+        let node = &ctx.nodes[id];
+        if ctx.hit[id] {
+            // A cached sibling whose subtree still contains fresh passes.
+            if ctx.needs_walk[id] {
+                walk_set(ctx, &node.children, ctx.adopted_consumed[id], out);
+            }
+            continue;
         }
-        let group = &fresh[i..j];
         let parent = parent_consumed.expect("fresh node requires parent prefix state");
-        let c_t = spec.alert_types[t].audit_cost;
-        let col = bank.column(t);
-        let swept = group.len() >= 2;
-        if swept {
-            caps.clear();
-            caps.extend(parent.iter().map(|&cons| budget_cap(budget, c_t, cons)));
-        }
-        for &id in group {
-            let node = &ctx.nodes[id];
-            let b_t = node.b;
-            let thresh_cap = (b_t / c_t).floor().max(0.0);
-            let retain = node.depth < ctx.retain_below;
-            let needs_consumed = retain || node.children.iter().any(|&g| !ctx.hit[g]);
-            let (sum, consumed) = if needs_consumed {
-                let mut next = Vec::new();
-                let sum = if swept {
-                    pass_capped_extend(model, caps, c_t, b_t, thresh_cap, parent, col, &mut next)
-                } else {
-                    pass_extend(model, budget, c_t, b_t, thresh_cap, parent, col, &mut next)
-                };
-                (sum, Some(next))
-            } else {
-                let sum = if swept {
-                    pass_capped_sum(model, caps, c_t, b_t, thresh_cap, col)
-                } else {
-                    pass_sum(model, budget, c_t, b_t, thresh_cap, parent, col)
-                };
-                (sum, None)
-            };
-            computed.push(WalkOut { id, sum, consumed });
-        }
-        i = j;
-    }
-
-    for mut done in computed {
-        let node = &ctx.nodes[done.id];
+        let c_t = spec.alert_types[node.t].audit_cost;
+        let b_t = node.b;
+        let thresh_cap = (b_t / c_t).floor().max(0.0);
+        let col = ctx.est.bank.column(node.t);
+        let retain = node.depth < ctx.retain_below;
+        let step = |cons: f64, z: u64| {
+            detection_step(ctx.est.model, spec.budget, c_t, b_t, thresh_cap, cons, z)
+        };
+        let (sum, consumed) = if retain || node.children.iter().any(|&g| !ctx.hit[g]) {
+            let (sum, next) = pass_extend(parent, col, step);
+            (sum, Some(next))
+        } else {
+            (pass_sum(parent, col, step), None)
+        };
         if node.children.iter().any(|&g| ctx.needs_walk[g]) {
-            walk_set(ctx, &node.children, done.consumed.as_deref(), out, caps);
+            walk_set(ctx, &node.children, consumed.as_deref(), out);
         }
-        if node.depth >= ctx.retain_below {
-            done.consumed = None;
-        }
-        out.push(done);
-    }
-
-    // Cached siblings whose subtrees still contain fresh passes.
-    for &c in children {
-        if ctx.hit[c] && ctx.needs_walk[c] {
-            walk_set(
-                ctx,
-                &ctx.nodes[c].children,
-                ctx.adopted_consumed[c],
-                out,
-                caps,
-            );
-        }
+        out.push(WalkOut {
+            id,
+            sum,
+            consumed: consumed.filter(|_| retain),
+        });
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One column pass that also extends the parent state: the detection-mass
+/// sum and the consumed-budget vector after the node.
 fn pass_extend(
-    model: DetectionModel,
-    budget: f64,
-    c_t: f64,
-    b_t: f64,
-    thresh_cap: f64,
     parent: &[f64],
     col: &[u64],
-    next: &mut Vec<f64>,
-) -> f64 {
-    next.clear();
-    next.reserve(parent.len());
+    step: impl Fn(f64, u64) -> (f64, f64),
+) -> (f64, Vec<f64>) {
+    let mut next = Vec::with_capacity(parent.len());
     let mut sum = 0.0f64;
     for (&cons, &z) in parent.iter().zip(col) {
-        let cap = budget_cap(budget, c_t, cons);
-        let (contrib, spent) = detection_step_capped(model, cap, c_t, b_t, thresh_cap, z);
+        let (contrib, spent) = step(cons, z);
         sum += contrib;
         next.push(cons + spent);
     }
-    sum
+    (sum, next)
 }
 
-fn pass_sum(
-    model: DetectionModel,
-    budget: f64,
-    c_t: f64,
-    b_t: f64,
-    thresh_cap: f64,
-    parent: &[f64],
-    col: &[u64],
-) -> f64 {
+/// One column pass that only sums: the node's state is neither retained
+/// nor extended.
+fn pass_sum(parent: &[f64], col: &[u64], step: impl Fn(f64, u64) -> (f64, f64)) -> f64 {
     let mut sum = 0.0f64;
     for (&cons, &z) in parent.iter().zip(col) {
-        let cap = budget_cap(budget, c_t, cons);
-        let (contrib, _) = detection_step_capped(model, cap, c_t, b_t, thresh_cap, z);
-        sum += contrib;
-    }
-    sum
-}
-
-#[allow(clippy::too_many_arguments)]
-fn pass_capped_extend(
-    model: DetectionModel,
-    caps: &[f64],
-    c_t: f64,
-    b_t: f64,
-    thresh_cap: f64,
-    parent: &[f64],
-    col: &[u64],
-    next: &mut Vec<f64>,
-) -> f64 {
-    next.clear();
-    next.reserve(parent.len());
-    let mut sum = 0.0f64;
-    for ((&cap, &cons), &z) in caps.iter().zip(parent).zip(col) {
-        let (contrib, spent) = detection_step_capped(model, cap, c_t, b_t, thresh_cap, z);
-        sum += contrib;
-        next.push(cons + spent);
-    }
-    sum
-}
-
-fn pass_capped_sum(
-    model: DetectionModel,
-    caps: &[f64],
-    c_t: f64,
-    b_t: f64,
-    thresh_cap: f64,
-    col: &[u64],
-) -> f64 {
-    let mut sum = 0.0f64;
-    for (&cap, &z) in caps.iter().zip(col) {
-        let (contrib, _) = detection_step_capped(model, cap, c_t, b_t, thresh_cap, z);
-        sum += contrib;
+        sum += step(cons, z).0;
     }
     sum
 }
@@ -1238,6 +1156,78 @@ mod tests {
         assert!(stats.evictions >= 1);
         // 24 hot lookups: 1 miss + 23 hits means it was never evicted.
         assert!(stats.hits >= 23, "hot entry was evicted: {stats:?}");
+    }
+
+    #[test]
+    fn eviction_order_is_pinned() {
+        // Both caches at tiny capacities, driven through evictions by a
+        // fixed stream whose queries recur every other round: the counters
+        // after every round and the surviving prefix states, in slot
+        // order, pin which entries the clock kept.
+        let s = spec3(4.0);
+        let bank = s.sample_bank(16, 2);
+        let est = DetectionEstimator::new(&s, &bank, DetectionModel::PaperApprox);
+        let engine = PalEngine::with_capacities(est, 1, 4, 5);
+        let grids = [[2.0, 3.0, 1.0], [1.0, 4.5, 0.5]];
+        let mut trace = Vec::new();
+        for round in 0..4 {
+            let th = &grids[round % 2];
+            for order in AuditOrder::enumerate_all(3) {
+                engine.pal_prefix(&order.types()[..2], th);
+                engine.pal(&order, th);
+                engine.pal_prefix(&order.types()[..2], th);
+            }
+            let st = engine.cache_stats();
+            trace.push([
+                st.hits,
+                st.misses,
+                st.entries as u64,
+                st.evictions,
+                st.state_entries as u64,
+                st.state_hits,
+                st.state_evictions,
+                st.columns_evaluated,
+                st.columns_saved,
+            ]);
+        }
+        assert_eq!(
+            trace,
+            [
+                [6, 12, 4, 8, 5, 15, 4, 15, 15],
+                [12, 24, 4, 20, 5, 30, 13, 30, 30],
+                [18, 36, 4, 32, 5, 45, 22, 45, 45],
+                [24, 48, 4, 44, 5, 60, 31, 60, 60],
+            ]
+        );
+        let kept: Vec<(Vec<u16>, Vec<f64>)> = engine
+            .export_states()
+            .entries
+            .into_iter()
+            .map(|((ts, bits), _)| (ts, bits.into_iter().map(f64::from_bits).collect()))
+            .collect();
+        let inf = f64::INFINITY;
+        assert_eq!(
+            kept,
+            [
+                (vec![2, 0], vec![0.5, 1.0]),
+                (vec![1, 2], vec![inf, 0.5]),
+                (vec![2], vec![0.5]),
+                (vec![2, 1], vec![0.5, inf]),
+                (vec![1, 0], vec![inf, 1.0]),
+            ]
+        );
+        // Which of the last round's full orders the estimate cache kept,
+        // probed newest first.
+        let survived: Vec<bool> = AuditOrder::enumerate_all(3)
+            .iter()
+            .rev()
+            .map(|order| {
+                let before = engine.cache_stats().hits;
+                engine.pal(order, &grids[1]);
+                engine.cache_stats().hits > before
+            })
+            .collect();
+        assert_eq!(survived, [true, true, false, false, false, false]);
     }
 
     #[test]

@@ -146,11 +146,8 @@ impl<'a> DetectionEstimator<'a> {
 
 /// `B_t` — the remaining per-type audit capacity in alert units, given the
 /// budget already consumed by the type's predecessors within one sample.
-/// Split out of [`detection_step`] so the engine's single-coordinate sweep
-/// kernel can compute it **once per trie node** and reuse it across every
-/// sibling threshold (the cap does not depend on the type's own `b_t`).
 #[inline(always)]
-pub(crate) fn budget_cap(budget: f64, c_t: f64, consumed: f64) -> f64 {
+fn budget_cap(budget: f64, c_t: f64, consumed: f64) -> f64 {
     let remaining = budget - consumed;
     if remaining > 0.0 {
         (remaining / c_t).floor().max(0.0)
@@ -160,11 +157,8 @@ pub(crate) fn budget_cap(budget: f64, c_t: f64, consumed: f64) -> f64 {
 }
 
 /// The capped tail of [`detection_step`]: everything downstream of `B_t`.
-/// Shared by the fused per-sample kernel and the engine's sibling-group
-/// kernels, so both perform exactly the same floating-point operations on
-/// exactly the same operands.
 #[inline(always)]
-pub(crate) fn detection_step_capped(
+fn detection_step_capped(
     model: DetectionModel,
     bt_cap: f64,
     c_t: f64,
@@ -213,7 +207,7 @@ pub(crate) fn detection_step_capped(
 /// *bitwise*: both perform exactly this arithmetic on exactly the same
 /// operands, and differ only in loop nesting order (sample-major vs
 /// trie-node-major), which touches no floating-point operation.
-#[inline]
+#[inline(always)]
 fn detection_step(
     model: DetectionModel,
     budget: f64,

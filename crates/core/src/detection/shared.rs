@@ -6,9 +6,12 @@
 //! tenants whose banks coincide evaluate `Pal` over identical columns, so
 //! the prefix states one solve pays for are exactly the states the next
 //! solve would recompute. [`SharedPalCache`] is the hand-off point: after
-//! a solve, the solver publishes its engine's prefix-state snapshot under
-//! a [`shared_bank_key`]; before the next solve over the same key, the
-//! snapshot is adopted into the fresh engine.
+//! a solve, a solver joined to the exchange publishes its engine's
+//! prefix-state snapshot under a [`shared_bank_key`]; before the next
+//! solve over the same key, the snapshot is adopted into the fresh engine.
+//! The runtime joins only cold starts: a re-solve's spec is refit from one
+//! tenant's own stream, so no other solve shares its key and its snapshot
+//! would only sit in the exchange.
 //!
 //! **Determinism.** Adopted states are exact computed values over an
 //! identical bank/spec/model, so adoption changes which column passes run

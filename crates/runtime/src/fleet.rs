@@ -18,12 +18,14 @@
 //! invariant across worker counts, reruns, and cache sharing.
 //!
 //! **Shared solver work.** With [`FleetConfig::share_caches`] on, every
-//! tenant's solver joins one [`SharedPalCache`]: tenants whose sample
+//! tenant's cold start joins one [`SharedPalCache`]: tenants whose sample
 //! banks coincide (same deduped spec, bank parameters, detection model —
 //! see [`audit_game::detection::shared_bank_key`]) adopt each other's
-//! prefix-state snapshots instead of recomputing the columns. Adoption
-//! is bit-identical by construction; only wall-clock time and cache
-//! counters (excluded from fingerprints) change.
+//! prefix-state snapshots instead of recomputing the columns. Re-solves
+//! stay out: each one's spec is refit from its own tenant's stream, so
+//! its bank is that tenant's alone. Adoption is bit-identical by
+//! construction; only wall-clock time and cache counters (excluded from
+//! fingerprints) change.
 
 use crate::service::{AuditService, RuntimeConfig, ServiceState};
 use crate::supervisor::{

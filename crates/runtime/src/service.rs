@@ -235,13 +235,14 @@ impl AuditService {
             .is_some_and(|inj| inj.fires(round, site))
     }
 
-    /// Attach a shared prefix-state exchange: every solve of this service
-    /// (the cold start and each committed re-solve) adopts and publishes
-    /// snapshots through its solver, so services whose sample banks
-    /// coincide amortize each other's column passes. Bit-identical to
-    /// running isolated — adopted states are exact values, and cache
-    /// counters are excluded from the telemetry fingerprint (see
-    /// [`audit_game::detection::SharedPalCache`]).
+    /// Attach a shared prefix-state exchange: this service's cold start
+    /// adopts and publishes snapshots through its solver, so services
+    /// whose sample banks coincide amortize each other's column passes.
+    /// Re-solves stay out of the exchange: a re-solve's spec is refit from
+    /// this tenant's own stream, so no other service shares its bank.
+    /// Bit-identical to running isolated — adopted states are exact
+    /// values, and cache counters are excluded from the telemetry
+    /// fingerprint (see [`audit_game::detection::SharedPalCache`]).
     pub fn with_shared_cache(mut self, shared: SharedPalCache) -> Self {
         self.shared = Some(shared);
         self
@@ -340,23 +341,6 @@ impl AuditService {
         Ok((AuditService::new(scenario, loaded.config), loaded.state))
     }
 
-    /// The solver every solve of this service uses, joined to the shared
-    /// exchange when one is attached.
-    fn solver(&self) -> OapSolver {
-        self.solver_for(self.config.solver.clone())
-    }
-
-    /// As [`AuditService::solver`], under an overridden solver config —
-    /// the injected budget-exhaustion fault re-solves with a one-
-    /// evaluation work budget through this seam.
-    fn solver_for(&self, cfg: SolverConfig) -> OapSolver {
-        let solver = OapSolver::new(cfg);
-        match &self.shared {
-            Some(shared) => solver.with_shared_cache(shared.clone()),
-            None => solver,
-        }
-    }
-
     /// The scenario's full alert stream for this service's horizon — the
     /// input [`AuditService::advance_with_stream`] consumes. Split out so
     /// a round-based scheduler derives it once instead of per epoch.
@@ -401,7 +385,11 @@ impl AuditService {
         let spec = self.scenario.build(cfg.seed)?;
         spec.validate()?;
         let n = spec.n_types();
-        let solver = self.solver();
+        let solver = OapSolver::new(cfg.solver.clone());
+        let solver = match &self.shared {
+            Some(shared) => solver.with_shared_cache(shared.clone()),
+            None => solver,
+        };
 
         let t0 = Instant::now();
         let solution = solver.solve(&spec)?;
@@ -465,13 +453,14 @@ impl AuditService {
         let empty_epoch = self.fault(round, FaultSite::EmptyEpoch);
         let budget_fault = self.fault(round, FaultSite::BudgetExhaust);
         let solve_fault = self.fault(round, FaultSite::SolveError);
-        let solver = if budget_fault {
-            let mut scfg = self.config.solver.clone();
+        // Re-solves never join the shared exchange (see
+        // `with_shared_cache`); the injected budget exhaustion re-solves
+        // under a one-evaluation work budget.
+        let mut scfg = self.config.solver.clone();
+        if budget_fault {
             scfg.work_budget = Some(1);
-            self.solver_for(scfg)
-        } else {
-            self.solver()
-        };
+        }
+        let solver = OapSolver::new(scfg);
 
         // --- execute the committed policy, one period at a time ---
         let mut seen = vec![0u64; n];

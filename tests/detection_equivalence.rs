@@ -12,8 +12,15 @@
 //! tests enforce exact `==` on the returned `f64` vectors — no tolerances
 //! anywhere.
 
+use alert_audit::game::cggs::CggsConfig;
 use alert_audit::game::datasets::{random_game, RandomGameConfig};
-use alert_audit::game::detection::{DetectionEstimator, DetectionModel, PalEngine, PalQuery};
+use alert_audit::game::detection::{
+    CacheStats, DetectionEstimator, DetectionModel, PalEngine, PalQuery,
+};
+use alert_audit::game::ishm::{
+    CggsEvaluator, ExactEvaluator, Ishm, IshmConfig, ThresholdEvaluator,
+};
+use alert_audit::game::model::GameSpec;
 use alert_audit::game::ordering::AuditOrder;
 use stochastics::SampleBank;
 
@@ -417,4 +424,79 @@ fn cache_hits_replay_the_exact_first_answer() {
     // Not every query is distinct (prefixes repeat across orders), so the
     // cache holds fewer entries than the batch had queries.
     assert!(stats.entries < queries.len());
+}
+
+/// Run ISHM over `eval` and return its engine's counters.
+fn ishm_counters<E: ThresholdEvaluator>(
+    spec: &GameSpec,
+    epsilon: f64,
+    mut eval: E,
+    stats: impl Fn(&E) -> CacheStats,
+) -> CacheStats {
+    let ishm = Ishm::new(IshmConfig {
+        epsilon,
+        ..Default::default()
+    });
+    ishm.solve(spec, &mut eval).expect("fixture solves");
+    stats(&eval)
+}
+
+#[test]
+fn engine_counters_are_pinned() {
+    // Every lookup, hit, eviction and column pass the engine performs is a
+    // deterministic function of its query stream, so whole-solve counters
+    // are pinned exactly: a change to the engine's keys or bookkeeping
+    // that alters its work shows up here, even when every result bit
+    // stays the same.
+    let reg = alert_audit::scenario::registry();
+    let paper = reg.build("syn-a-b6", 0).unwrap().dedup_actions();
+    let bank = paper.sample_bank(200, 3);
+    let est = DetectionEstimator::new(&paper, &bank, DetectionModel::PaperApprox);
+    for threads in [1usize, 2] {
+        let stats = ishm_counters(
+            &paper,
+            0.2,
+            ExactEvaluator::with_threads(&paper, est, threads),
+            |e| e.engine().cache_stats(),
+        );
+        assert_eq!(
+            stats,
+            CacheStats {
+                hits: 1392,
+                misses: 1560,
+                entries: 1560,
+                evictions: 0,
+                state_entries: 621,
+                state_hits: 986,
+                state_evictions: 0,
+                columns_evaluated: 1401,
+                columns_saved: 4839,
+            },
+            "syn-a-b6, threads {threads}"
+        );
+    }
+    let rea = reg.build("emr-reaa", 0).unwrap().dedup_actions();
+    let bank = rea.sample_bank(40, 5);
+    let est = DetectionEstimator::new(&rea, &bank, DetectionModel::PaperApprox);
+    let stats = ishm_counters(
+        &rea,
+        0.5,
+        CggsEvaluator::new(&rea, est, CggsConfig::default()),
+        |e| e.engine().cache_stats(),
+    );
+    assert_eq!(
+        stats,
+        CacheStats {
+            hits: 10548,
+            misses: 1992,
+            entries: 1992,
+            evictions: 0,
+            state_entries: 1205,
+            state_hits: 5874,
+            state_evictions: 0,
+            columns_evaluated: 1630,
+            columns_saved: 8419,
+        },
+        "emr-reaa"
+    );
 }

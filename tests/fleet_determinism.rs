@@ -82,10 +82,13 @@ fn shared_caches_are_bit_identical_to_isolated() {
     assert!(shared.shared && !isolated.shared);
     assert_eq!(shared.fingerprint(), isolated.fingerprint());
     // Sharing actually engaged: snapshots were published and adopted,
-    // exactly once per solve (cold starts plus committed re-solves).
+    // exactly once per cold start. Re-solves ran but stay out of the
+    // exchange: each one's spec is refit from its own tenant's stream, so
+    // no other tenant could adopt its snapshot.
+    assert!(shared.total_resolves() > 0, "no tenant re-solved");
     assert_eq!(
         shared.shared_cache.publishes,
-        (shared.tenants.len() + shared.total_resolves()) as u64,
+        shared.tenants.len() as u64,
         "{:?}",
         shared.shared_cache
     );
