@@ -1,22 +1,20 @@
 //! Experiment E11 — the multi-tenant fleet runtime: N independent audit
 //! streams (one service loop each) multiplexed over a bounded worker
-//! pool, with solver prefix-state snapshots shared across tenants whose
-//! sample banks coincide.
+//! pool.
 //!
 //! ```text
 //! cargo run -p audit-bench --release --bin exp_fleet [tenants] [epochs] [workers] \
-//!     [--scenario <key>] [--mix] [--seed <n>] [--isolated] [--json]
+//!     [--scenario <key>] [--mix] [--seed <n>] [--json]
 //! ```
 //!
 //! Every tenant runs the scenario with its own seed, derived from the
 //! master `--seed` by tenant index, so the whole fleet is one
 //! deterministic function of `(tenants, epochs, --scenario/--mix, seed)`
-//! — the printed `fleet fingerprint` is bit-identical across reruns,
-//! worker counts, and `--isolated` (cache sharing changes wall-clock
-//! only; the CI fleet smoke greps exactly that). `--mix` cycles tenants
-//! over a fixed scenario mix (rational, seasonal, heavy-tail, quantal)
-//! instead of one scenario; `--isolated` disables cross-tenant cache
-//! sharing; `--json` emits the full fleet report as one JSON document.
+//! — the printed `fleet fingerprint` is bit-identical across reruns and
+//! worker counts (the CI fleet smoke greps exactly that). `--mix` cycles
+//! tenants over a fixed scenario mix (rational, seasonal, heavy-tail,
+//! quantal) instead of one scenario; `--json` emits the full fleet
+//! report as one JSON document.
 
 use alert_audit::telemetry::fleet_report_to_json;
 use audit_bench::cli::{
@@ -37,7 +35,6 @@ fn main() {
     let master_seed = take_value_flag(&mut args, "--seed")
         .map(|s| s.parse().expect("--seed is a u64"))
         .unwrap_or(0u64);
-    let isolated = take_flag(&mut args, "--isolated");
     let json = take_flag(&mut args, "--json");
     let n_tenants = parse_count(args.first().cloned(), 64);
     let epochs = parse_count(args.get(1).cloned(), 8);
@@ -74,17 +71,14 @@ fn main() {
         .collect();
 
     eprintln!(
-        "fleet: {n_tenants} tenant(s) x {epochs} epoch(s) x {} period(s), {} worker(s), caches {}",
-        defaults.periods_per_epoch,
-        workers,
-        if isolated { "isolated" } else { "shared" },
+        "fleet: {n_tenants} tenant(s) x {epochs} epoch(s) x {} period(s), {} worker(s)",
+        defaults.periods_per_epoch, workers,
     );
 
     let fleet = FleetService::new(
         tenants,
         FleetConfig {
             workers,
-            share_caches: !isolated,
             ..FleetConfig::default()
         },
     );
@@ -138,12 +132,6 @@ fn main() {
         "period latency ms: p50 {:.3} p95 {:.3} p99 {:.3}",
         report.latency_p50_millis, report.latency_p95_millis, report.latency_p99_millis
     ));
-    if report.shared {
-        summary(format!(
-            "shared cache: banks={} publishes={} adoptions={}",
-            report.shared_cache.banks, report.shared_cache.publishes, report.shared_cache.adoptions
-        ));
-    }
     summary(format!("fleet fingerprint: {:016x}", report.fingerprint()));
     summary(format!("periods/sec: {:.1}", report.periods_per_sec));
     eprintln!("elapsed: {:.1} ms", report.wall_millis);

@@ -58,7 +58,7 @@
 //! ([`stochastics::SampleBank::column`]).
 
 use super::cache::SecondChance;
-use super::trie::{BatchBits, Node, PalKey, PathId, PathTable, QueryTrie};
+use super::trie::{BatchBits, Node, PathId, PathTable, QueryTrie};
 use super::{detection_step, DetectionEstimator, DetectionModel, PalQuery};
 use crate::ordering::AuditOrder;
 use crate::parallel::parallel_map_indexed;
@@ -114,53 +114,9 @@ impl CacheStats {
 /// vector (one entry per bank sample) plus the raw detection-mass sum of
 /// the prefix's last type. Extending a cached state by one type is exactly
 /// one column pass — the incremental step both solvers live on.
-#[derive(Clone)]
 struct PrefixState {
     consumed: Vec<f64>,
     sum: f64,
-}
-
-/// A portable snapshot of an engine's prefix-state cache, exported with
-/// [`PalEngine::export_states`] and adopted into another engine over the
-/// **same** spec, bank, and detection model with
-/// [`PalEngine::adopt_states`].
-///
-/// Cached prefix states are exact computed values, never approximations,
-/// so an engine seeded from another engine's snapshot produces bit-
-/// identical results to a cold one — it only skips the column passes the
-/// donor already paid for. The soundness precondition is that the donor
-/// and recipient evaluate the same game: same deduped spec (audit costs,
-/// budget), same sample bank, same [`DetectionModel`] — which also fixes
-/// the saturation classing the cache keys are canonicalized under. The
-/// shape assertion in `adopt_states` catches gross mismatches; callers
-/// are responsible for full identity (see
-/// [`super::shared::shared_bank_key`]).
-pub struct PalStateSeed {
-    n_types: usize,
-    n_samples: usize,
-    entries: Vec<(PalKey, PrefixState)>,
-}
-
-impl PalStateSeed {
-    /// Number of prefix states carried.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the seed carries no states at all.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-impl std::fmt::Debug for PalStateSeed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PalStateSeed")
-            .field("n_types", &self.n_types)
-            .field("n_samples", &self.n_samples)
-            .field("entries", &self.entries.len())
-            .finish()
-    }
 }
 
 /// Default number of cached estimates.
@@ -197,11 +153,9 @@ const SATURATED_BITS: u64 = 0x7FF0_0000_0000_0000;
 /// Both caches key by **path id**: the engine interns every canonical
 /// path — sequence plus canonical bits — once, as a dense `u32`. Two ids
 /// are equal exactly when their paths are, so ids hit, miss and evict
-/// exactly as the paths would; only [`PalEngine::export_states`] and
-/// [`PalEngine::adopt_states`] translate them to and from portable keys.
-/// The table grows with the distinct paths one engine sees; an engine
-/// with both caches disabled ([`PalEngine::uncached`]) clears it after
-/// every batch.
+/// exactly as the paths would. The table grows with the distinct paths
+/// one engine sees; an engine with both caches disabled
+/// ([`PalEngine::uncached`]) clears it after every batch.
 ///
 /// Thresholds must not be negative (NaN is tolerated): the `b ≥ B` class
 /// relies on the consumed budget never falling, and every query asserts it.
@@ -320,50 +274,6 @@ impl<'a> PalEngine<'a> {
             state_evictions: states.evictions(),
             columns_evaluated: self.columns_evaluated.get(),
             columns_saved: self.columns_saved.get(),
-        }
-    }
-
-    /// Snapshot the prefix-state cache as a portable seed. Entries come
-    /// out in slot order — a pure function of this engine's own query
-    /// history — so the export is deterministic for a deterministic
-    /// caller.
-    pub fn export_states(&self) -> PalStateSeed {
-        let states = self.states.borrow();
-        let paths = self.paths.borrow();
-        PalStateSeed {
-            n_types: self.est.bank.n_types(),
-            n_samples: self.est.bank.n_samples(),
-            entries: states
-                .iter()
-                .map(|(&id, v)| (paths.expand(id), v.clone()))
-                .collect(),
-        }
-    }
-
-    /// Seed the prefix-state cache from another engine's export. A no-op
-    /// when state caching is disabled. Panics if the seed's shape (type
-    /// count, bank size) does not match this engine's bank — a cheap
-    /// guard; full bank/spec/model identity is the caller's contract (see
-    /// [`PalStateSeed`]).
-    pub fn adopt_states(&self, seed: &PalStateSeed) {
-        if self.state_capacity == 0 || seed.entries.is_empty() {
-            return;
-        }
-        assert_eq!(
-            (seed.n_types, seed.n_samples),
-            (self.est.bank.n_types(), self.est.bank.n_samples()),
-            "prefix-state seed shape does not match this engine's bank"
-        );
-        let mut states = self.states.borrow_mut();
-        let mut paths = self.paths.borrow_mut();
-        for ((types, bits), v) in &seed.entries {
-            let id = paths.path(
-                types
-                    .iter()
-                    .map(|&t| usize::from(t))
-                    .zip(bits.iter().copied()),
-            );
-            states.insert(id, v.clone());
         }
     }
 
@@ -919,63 +829,6 @@ mod tests {
     }
 
     #[test]
-    fn adopted_state_seed_is_bit_identical_and_skips_columns() {
-        let s = spec3(4.0);
-        let bank = s.sample_bank(64, 9);
-        for model in MODELS {
-            let est = DetectionEstimator::new(&s, &bank, model);
-            let donor = PalEngine::new(est, 1);
-            let thresholds = [2.0, 3.0, 1.0];
-            let full: Vec<Vec<f64>> = AuditOrder::enumerate_all(3)
-                .iter()
-                .map(|o| donor.pal(o, &thresholds))
-                .collect();
-            let seed = donor.export_states();
-            assert!(!seed.is_empty());
-
-            // A seeded engine answers bit-identically while adopting
-            // cached prefixes instead of recomputing their columns.
-            let warm = PalEngine::new(est, 1);
-            warm.adopt_states(&seed);
-            let cold = PalEngine::new(est, 1);
-            for (order, expect) in AuditOrder::enumerate_all(3).iter().zip(&full) {
-                assert_eq!(&warm.pal(order, &thresholds), expect, "model {model:?}");
-                assert_eq!(&cold.pal(order, &thresholds), expect, "model {model:?}");
-            }
-            let warm_stats = warm.cache_stats();
-            let cold_stats = cold.cache_stats();
-            assert!(warm_stats.state_hits > 0, "seed was never adopted");
-            assert!(
-                warm_stats.columns_evaluated < cold_stats.columns_evaluated,
-                "adoption saved no column passes ({} vs {})",
-                warm_stats.columns_evaluated,
-                cold_stats.columns_evaluated
-            );
-
-            // Adoption into a state-cache-disabled engine is a no-op.
-            let uncached = PalEngine::uncached(est, 1);
-            uncached.adopt_states(&seed);
-            assert_eq!(uncached.cache_stats().state_entries, 0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "seed shape")]
-    fn adopting_a_mismatched_seed_panics() {
-        let s3 = spec3(4.0);
-        let bank3 = s3.sample_bank(64, 9);
-        let est3 = DetectionEstimator::new(&s3, &bank3, DetectionModel::PaperApprox);
-        let donor = PalEngine::new(est3, 1);
-        donor.pal_prefix(&[0, 1], &[2.0, 3.0, 1.0]);
-        let seed = donor.export_states();
-
-        let s2 = spec(2.0);
-        let bank2 = bank_for(&s2);
-        let est2 = DetectionEstimator::new(&s2, &bank2, DetectionModel::PaperApprox);
-        PalEngine::new(est2, 1).adopt_states(&seed);
-    }
-
-    #[test]
     fn saturated_thresholds_share_one_class() {
         // Bank max counts are (2, 3); any threshold with cap ≥ max count
         // is detection-equivalent (the paper model), so 5.0, 7.5 and ∞
@@ -1162,8 +1015,8 @@ mod tests {
     fn eviction_order_is_pinned() {
         // Both caches at tiny capacities, driven through evictions by a
         // fixed stream whose queries recur every other round: the counters
-        // after every round and the surviving prefix states, in slot
-        // order, pin which entries the clock kept.
+        // after every round and the path ids of the surviving prefix
+        // states, in slot order, pin which entries the clock kept.
         let s = spec3(4.0);
         let bank = s.sample_bank(16, 2);
         let est = DetectionEstimator::new(&s, &bank, DetectionModel::PaperApprox);
@@ -1199,21 +1052,20 @@ mod tests {
                 [24, 48, 4, 44, 5, 60, 31, 60, 60],
             ]
         );
-        let kept: Vec<(Vec<u16>, Vec<f64>)> = engine
-            .export_states()
-            .entries
-            .into_iter()
-            .map(|((ts, bits), _)| (ts, bits.into_iter().map(f64::from_bits).collect()))
-            .collect();
+        let kept: Vec<PathId> = engine.states.borrow().iter().map(|(&id, _)| id).collect();
+        let id = |steps: &[(usize, f64)]| {
+            let steps = steps.iter().map(|&(t, b)| (t, b.to_bits()));
+            engine.paths.borrow_mut().path(steps)
+        };
         let inf = f64::INFINITY;
         assert_eq!(
             kept,
             [
-                (vec![2, 0], vec![0.5, 1.0]),
-                (vec![1, 2], vec![inf, 0.5]),
-                (vec![2], vec![0.5]),
-                (vec![2, 1], vec![0.5, inf]),
-                (vec![1, 0], vec![inf, 1.0]),
+                id(&[(2, 0.5), (0, 1.0)]),
+                id(&[(1, inf), (2, 0.5)]),
+                id(&[(2, 0.5)]),
+                id(&[(2, 0.5), (1, inf)]),
+                id(&[(1, inf), (0, 1.0)]),
             ]
         );
         // Which of the last round's full orders the estimate cache kept,

@@ -36,11 +36,9 @@
 
 mod cache;
 mod engine;
-mod shared;
 mod trie;
 
-pub use engine::{CacheStats, PalEngine, PalStateSeed};
-pub use shared::{shared_bank_key, SharedCacheStats, SharedPalCache};
+pub use engine::{CacheStats, PalEngine};
 
 use crate::model::GameSpec;
 use crate::ordering::AuditOrder;

@@ -31,8 +31,10 @@
 //! trie node, an estimate-cache entry and a prefix-state entry each carry
 //! a 4-byte key instead of two heap vectors. Two ids are equal exactly
 //! when their paths are, so every lookup behaves as it would on the full
-//! path. Only the prefix-state exchange between engines
-//! ([`super::PalStateSeed`]) spells paths out, as [`PalKey`]s.
+//! path. A path holds the types in audit order and the canonical bits of
+//! each one's threshold; thresholds of types *outside* the sequence
+//! cannot influence the evaluation, so they are not on it, and queries
+//! differing only there share paths, nodes, and cached results.
 //!
 //! Nodes are created parent-before-child, so ascending node id is a valid
 //! topological order — the engine relies on this when it assembles results
@@ -42,28 +44,9 @@ use super::PalQuery;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// Portable form of an audit prefix: the types in audit order plus the
-/// canonical bit pattern of each one's threshold (first two elements
-/// sorted when folding applies). Thresholds of types *outside* the
-/// sequence cannot influence the evaluation, so they are excluded —
-/// queries differing only there share paths, nodes, and cached results.
-/// Engines exchange prefix states under this key; inside an engine a path
-/// is a [`PathId`].
-pub(super) type PalKey = (Vec<u16>, Vec<u64>);
-
 /// Dense id of a path interned in a [`PathTable`]; `0` is the empty
 /// prefix.
 pub(super) type PathId = u32;
-
-/// One interned path: `parent` extended by type `t` under canonical
-/// threshold bits `bits`.
-#[derive(Clone, Copy)]
-struct Edge {
-    parent: PathId,
-    t: u16,
-    depth: u16,
-    bits: u64,
-}
 
 /// Interning table of canonical audit prefixes: `(parent id, type,
 /// canonical bits) → id`, ids dense from 1 (0 is the empty prefix).
@@ -81,22 +64,13 @@ struct Edge {
 /// across batches and clears its table after each one.
 pub(super) struct PathTable {
     ids: HashMap<(PathId, u16, u64), PathId>,
-    edges: Vec<Edge>,
 }
 
 impl PathTable {
     /// A table holding only the empty prefix.
     pub fn new() -> Self {
-        // The empty prefix's placeholder edge, so `edges[id]` is `id`'s.
-        let root = Edge {
-            parent: 0,
-            t: u16::MAX,
-            depth: 0,
-            bits: 0,
-        };
         Self {
             ids: HashMap::new(),
-            edges: vec![root],
         }
     }
 
@@ -104,20 +78,13 @@ impl PathTable {
     /// `bits`, interning it on first sight. Panics once ids would
     /// overflow `u32`.
     pub fn intern(&mut self, parent: PathId, t: usize, bits: u64) -> PathId {
-        let edges = &mut self.edges;
+        let next = self.ids.len() + 1;
         match self.ids.entry((parent, t as u16, bits)) {
             Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let id = PathId::try_from(edges.len())
-                    .expect("path table exceeds u32 ids: too many distinct audit prefixes");
-                edges.push(Edge {
-                    parent,
-                    t: t as u16,
-                    depth: edges[parent as usize].depth + 1,
-                    bits,
-                });
-                *e.insert(id)
-            }
+            Entry::Vacant(e) => *e.insert(
+                PathId::try_from(next)
+                    .expect("path table exceeds u32 ids: too many distinct audit prefixes"),
+            ),
         }
     }
 
@@ -130,26 +97,9 @@ impl PathTable {
             .fold(0, |id, (t, bits)| self.intern(id, t, bits))
     }
 
-    /// The portable key of `id` (the inverse of [`PathTable::path`]),
-    /// built at its exact length.
-    pub fn expand(&self, id: PathId) -> PalKey {
-        let depth = usize::from(self.edges[id as usize].depth);
-        let mut types = vec![0u16; depth];
-        let mut bits = vec![0u64; depth];
-        let mut cur = id;
-        for i in (0..depth).rev() {
-            let e = self.edges[cur as usize];
-            types[i] = e.t;
-            bits[i] = e.bits;
-            cur = e.parent;
-        }
-        (types, bits)
-    }
-
     /// Forget every path but the empty prefix.
     pub fn clear(&mut self) {
         self.ids.clear();
-        self.edges.truncate(1);
     }
 }
 
@@ -348,20 +298,17 @@ mod tests {
     }
 
     #[test]
-    fn path_ids_are_dense_and_round_trip_through_portable_keys() {
+    fn path_ids_are_dense() {
         let mut table = PathTable::new();
+        assert_eq!(table.path([]), 0);
         let a = table.path([(2, 7), (0, 9)]);
         let b = table.path([(2, 7), (1, 9)]);
         // [2] is shared, so three paths intern as ids 1..=3.
         assert_eq!((a, b), (2, 3));
+        assert_eq!(table.path([(2, 7)]), 1);
         assert_eq!(table.path([(2, 7), (0, 9)]), a);
-        assert_ne!(table.path([(2, 7), (0, 8)]), a);
-        let key = table.expand(b);
-        assert_eq!(key, (vec![2, 1], vec![7, 9]));
-        assert_eq!((key.0.capacity(), key.1.capacity()), (2, 2));
-        let steps = key.0.iter().map(|&t| usize::from(t)).zip(key.1.clone());
-        assert_eq!(table.path(steps), b);
-        assert_eq!(table.expand(0), (Vec::new(), Vec::new()));
+        assert_eq!(table.intern(1, 1, 9), b);
+        assert_eq!(table.path([(2, 7), (0, 8)]), 4);
         table.clear();
         assert_eq!(table.path([(1, 5)]), 1);
     }
@@ -376,15 +323,13 @@ mod tests {
         let bits = BatchBits::new(&queries, |_, b| b.to_bits());
         let mut table = PathTable::new();
         let trie = QueryTrie::build(&mut table, &queries, &bits, &[0, 1], true);
-        let raw = |v: &[f64]| v.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
-        let key = |chain: &[usize], pos: usize| table.expand(trie.nodes[chain[pos]].key);
+        let key = |chain: &[usize], pos: usize| trie.nodes[chain[pos]].key;
+        let mut id =
+            |steps: &[(usize, f64)]| table.path(steps.iter().map(|&(t, b)| (t, b.to_bits())));
         // Depth 3 keys the path with its first pair sorted; depth 2 stays
         // unfolded.
-        assert_eq!(
-            key(&trie.chains[0], 2),
-            (vec![0, 1, 2], raw(&[1.0, 2.0, 3.0]))
-        );
-        assert_eq!(key(&trie.chains[1], 1), (vec![1, 0], raw(&[2.0, 1.0])));
+        assert_eq!(key(&trie.chains[0], 2), id(&[(0, 1.0), (1, 2.0), (2, 3.0)]));
+        assert_eq!(key(&trie.chains[1], 1), id(&[(1, 2.0), (0, 1.0)]));
     }
 
     #[test]

@@ -85,14 +85,6 @@ impl AuditOrder {
         rec(n, &mut current, &mut used, &mut out);
         out
     }
-
-    /// Enumerate the orders satisfying the given precedence constraints.
-    pub fn enumerate_feasible(n: usize, cons: &PrecedenceConstraints) -> Vec<AuditOrder> {
-        Self::enumerate_all(n)
-            .into_iter()
-            .filter(|o| cons.is_satisfied(o))
-            .collect()
-    }
 }
 
 impl std::fmt::Display for AuditOrder {
@@ -232,7 +224,10 @@ mod tests {
     #[test]
     fn precedence_filters_enumeration() {
         let cons = PrecedenceConstraints::new(vec![(0, 1)], 3).unwrap();
-        let feas = AuditOrder::enumerate_feasible(3, &cons);
+        let feas: Vec<AuditOrder> = AuditOrder::enumerate_all(3)
+            .into_iter()
+            .filter(|o| cons.is_satisfied(o))
+            .collect();
         assert_eq!(feas.len(), 3); // half of 6
         assert!(feas.iter().all(|o| o.position(0) < o.position(1)));
     }

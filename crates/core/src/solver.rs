@@ -4,9 +4,7 @@
 //! scale-out of [`crate::planner`].
 
 use crate::cggs::CggsConfig;
-use crate::detection::{
-    shared_bank_key, CacheStats, DetectionEstimator, DetectionModel, PalEngine, SharedPalCache,
-};
+use crate::detection::{CacheStats, DetectionEstimator, DetectionModel, PalEngine};
 use crate::error::GameError;
 use crate::execute::AuditPolicy;
 use crate::ishm::{
@@ -207,32 +205,12 @@ pub struct AuditSolution {
 pub struct OapSolver {
     /// Configuration.
     pub config: SolverConfig,
-    /// Optional exchange of prefix-state snapshots across solves whose
-    /// banks coincide (see [`SharedPalCache`]). `None` (the default) is
-    /// the isolated path.
-    shared: Option<SharedPalCache>,
 }
 
 impl OapSolver {
     /// Construct with a configuration.
     pub fn new(config: SolverConfig) -> Self {
-        Self {
-            config,
-            shared: None,
-        }
-    }
-
-    /// Attach a shared prefix-state exchange: before a solve, a snapshot
-    /// published under this solver's [`shared_bank_key`] is adopted into
-    /// the fresh engine; after the solve and its
-    /// [`AuditSolution::expected_pal`] pass, the engine's states are
-    /// published back. This solver is the only place the key is derived.
-    /// Adoption is bit-identical to solving isolated —
-    /// only wall-clock and cache counters change. The key is sound because
-    /// every solve draws its bank from `(spec, n_samples, seed)`.
-    pub fn with_shared_cache(mut self, shared: SharedPalCache) -> Self {
-        self.shared = Some(shared);
-        self
+        Self { config }
     }
 
     /// Solve the full OAP: ISHM over thresholds with the configured inner
@@ -264,17 +242,7 @@ impl OapSolver {
             spec.clone()
         };
         let bank = working.sample_bank(self.config.n_samples, self.config.seed);
-        // The share key is taken over the working (dedup-applied) spec,
-        // since that is what the engine evaluates.
-        let share_key = self.shared.as_ref().map(|_| {
-            shared_bank_key(
-                &working,
-                self.config.n_samples,
-                self.config.seed,
-                self.config.detection,
-            )
-        });
-        self.solve_ladder(&working, &bank, warm, share_key)
+        self.solve_ladder(&working, &bank, warm)
     }
 
     /// The inner strategy this solve will run: the configured
@@ -294,24 +262,6 @@ impl OapSolver {
             InnerKind::Cggs => SolveStrategy::Cggs,
             InnerKind::Auto => planner::plan(&features()),
             InnerKind::Decomposed => planner::decomposed_strategy(&features()),
-        }
-    }
-
-    /// Adopt a published prefix-state snapshot into `engine`, when sharing
-    /// is engaged for this solve.
-    fn adopt_shared(&self, share_key: Option<u64>, engine: &PalEngine<'_>) {
-        if let (Some(shared), Some(key)) = (&self.shared, share_key) {
-            if let Some(seed) = shared.get(key) {
-                engine.adopt_states(&seed);
-            }
-        }
-    }
-
-    /// Publish `engine`'s prefix-state snapshot for later solves over the
-    /// same bank, when sharing is engaged for this solve.
-    fn publish_shared(&self, share_key: Option<u64>, engine: &PalEngine<'_>) {
-        if let (Some(shared), Some(key)) = (&self.shared, share_key) {
-            shared.publish(key, engine.export_states());
         }
     }
 
@@ -342,16 +292,15 @@ impl OapSolver {
         working: &GameSpec,
         bank: &stochastics::SampleBank,
         warm: Option<&WarmStart>,
-        share_key: Option<u64>,
     ) -> Result<AuditSolution, GameError> {
         let Some(budget) = self.config.work_budget else {
             let strategy = self.strategy_with(|| InstanceFeatures::of(working));
-            return self.solve_on(working, bank, warm, share_key, strategy, None);
+            return self.solve_on(working, bank, warm, strategy, None);
         };
         let ladder = self.ladder_for(working);
         let last = ladder.len() - 1;
         for (tier, strategy) in ladder.into_iter().enumerate() {
-            let sol = self.solve_on(working, bank, warm, share_key, strategy, Some(budget))?;
+            let sol = self.solve_on(working, bank, warm, strategy, Some(budget))?;
             if !sol.stats.budget_exhausted {
                 return Ok(AuditSolution {
                     degrade: (tier > 0).then_some(DegradeReason::Degraded { tiers: tier }),
@@ -376,7 +325,6 @@ impl OapSolver {
         working: &GameSpec,
         bank: &stochastics::SampleBank,
         warm: Option<&WarmStart>,
-        share_key: Option<u64>,
         strategy: SolveStrategy,
         eval_budget: Option<usize>,
     ) -> Result<AuditSolution, GameError> {
@@ -394,7 +342,6 @@ impl OapSolver {
                 working,
                 ExactEvaluator::with_threads(working, est, self.config.threads),
                 ExactEvaluator::engine,
-                share_key,
                 strategy,
             ),
             SolveStrategy::Cggs => self.run_ishm(
@@ -410,7 +357,6 @@ impl OapSolver {
                     },
                 ),
                 CggsEvaluator::engine,
-                share_key,
                 strategy,
             ),
             SolveStrategy::Decomposed { .. } => self.run_ishm(
@@ -423,28 +369,23 @@ impl OapSolver {
                     warm.map(|w| w.orders.clone()).unwrap_or_default(),
                 ),
                 DecomposedEvaluator::engine,
-                share_key,
                 strategy,
             ),
         }
     }
 
-    /// Run ISHM over `eval` and commit its outcome. The engine is used in
-    /// a fixed order: shared states are adopted before the search; the
-    /// cache counters are read right after it, so they cover the search
-    /// alone; the committed policy's `expected_pal` is then evaluated on
-    /// the same engine; and the states are published last, so the
-    /// exchange also holds whatever that evaluation added.
+    /// Run ISHM over `eval` and commit its outcome. The cache counters
+    /// are read right after the search, so they cover the search alone;
+    /// the committed policy's `expected_pal` is then evaluated on the
+    /// same engine.
     fn run_ishm<'a, E: ThresholdEvaluator>(
         &self,
         ishm: &Ishm,
         working: &GameSpec,
         mut eval: E,
         engine: fn(&E) -> &PalEngine<'a>,
-        share_key: Option<u64>,
         strategy: SolveStrategy,
     ) -> Result<AuditSolution, GameError> {
-        self.adopt_shared(share_key, engine(&eval));
         let outcome = ishm.solve(working, &mut eval)?;
         let cache = engine(&eval).cache_stats();
         let policy = AuditPolicy::new(
@@ -453,7 +394,6 @@ impl OapSolver {
             outcome.master.p_orders.clone(),
         );
         let expected_pal = policy.expected_pal(engine(&eval));
-        self.publish_shared(share_key, engine(&eval));
         Ok(AuditSolution {
             policy,
             loss: outcome.value,
@@ -679,46 +619,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn shared_cache_adoption_is_bit_identical() {
-        let spec = random_game(&RandomGameConfig::default(), 37);
-        let cfg = SolverConfig {
-            n_samples: 60,
-            epsilon: 0.25,
-            ..Default::default()
-        };
-        for inner in [InnerKind::Exact, InnerKind::Cggs] {
-            let cfg = SolverConfig {
-                inner,
-                ..cfg.clone()
-            };
-            let baseline = OapSolver::new(cfg.clone()).solve(&spec).unwrap();
-
-            let shared = SharedPalCache::new();
-            let solver = OapSolver::new(cfg).with_shared_cache(shared.clone());
-            // First shared solve publishes; second adopts the snapshot.
-            let first = solver.solve(&spec).unwrap();
-            let second = solver.solve(&spec).unwrap();
-            for sol in [&first, &second] {
-                assert_eq!(sol.loss.to_bits(), baseline.loss.to_bits(), "{inner:?}");
-                assert_eq!(sol.policy.thresholds, baseline.policy.thresholds);
-                assert_eq!(sol.policy.orders, baseline.policy.orders);
-                assert_eq!(sol.policy.probs, baseline.policy.probs);
-            }
-            let stats = shared.stats();
-            assert_eq!(stats.banks, 1, "{inner:?}");
-            assert_eq!(stats.publishes, 2, "{inner:?}");
-            assert!(stats.adoptions >= 1, "{inner:?}: {stats:?}");
-            // Adoption actually skipped column passes on the second solve.
-            assert!(
-                second.cache.state_hits >= first.cache.state_hits,
-                "{inner:?}: {} vs {}",
-                second.cache.state_hits,
-                first.cache.state_hits
-            );
-        }
-    }
-
     /// The committed policy's mixture `Pal` on a fresh engine over a fresh
     /// bank of the raw spec, as bits.
     fn fresh_expected_pal(spec: &GameSpec, cfg: &SolverConfig, policy: &AuditPolicy) -> Vec<u64> {
@@ -753,21 +653,13 @@ mod tests {
                 inner,
                 ..Default::default()
             };
-            let isolated = OapSolver::new(cfg.clone()).solve(spec).unwrap();
-            let shared = SharedPalCache::new();
-            let solver = OapSolver::new(cfg.clone()).with_shared_cache(shared.clone());
-            // The first shared solve publishes; the second adopts.
-            let first = solver.solve(spec).unwrap();
-            let second = solver.solve(spec).unwrap();
-            assert!(shared.stats().adoptions >= 1, "{inner:?}");
-            for sol in [&isolated, &first, &second] {
-                assert_eq!(sol.expected_pal.len(), spec.n_types());
-                assert_eq!(
-                    bits(&sol.expected_pal),
-                    fresh_expected_pal(spec, &cfg, &sol.policy),
-                    "{inner:?}"
-                );
-            }
+            let sol = OapSolver::new(cfg.clone()).solve(spec).unwrap();
+            assert_eq!(sol.expected_pal.len(), spec.n_types());
+            assert_eq!(
+                bits(&sol.expected_pal),
+                fresh_expected_pal(spec, &cfg, &sol.policy),
+                "{inner:?}"
+            );
         }
         // A truncated ladder commits its final rung's policy, and its Pal.
         let cfg = SolverConfig {

@@ -10,32 +10,25 @@
 //! round is a barrier, so no tenant ever runs two epochs concurrently
 //! with itself.
 //!
-//! **Determinism.** Each tenant's epoch loop is the unmodified
-//! [`AuditService`] loop — per-period derived RNG streams, deterministic
-//! solves — so a tenant's [`RuntimeReport`] is bit-identical to running
-//! that tenant alone. The scheduler only decides *when* work happens,
-//! never *what* it computes, so the [`FleetReport::fingerprint`] is
-//! invariant across worker counts, reruns, and cache sharing.
-//!
-//! **Shared solver work.** With [`FleetConfig::share_caches`] on, every
-//! tenant's cold start joins one [`SharedPalCache`]: tenants whose sample
-//! banks coincide (same deduped spec, bank parameters, detection model —
-//! see [`audit_game::detection::shared_bank_key`]) adopt each other's
-//! prefix-state snapshots instead of recomputing the columns. Re-solves
-//! stay out: each one's spec is refit from its own tenant's stream, so
-//! its bank is that tenant's alone. Adoption is bit-identical by
-//! construction; only wall-clock time and cache counters (excluded from
-//! fingerprints) change.
+//! **Determinism.** Each tenant is an independent [`AuditService`]:
+//! the unmodified epoch loop, per-period derived RNG streams, and
+//! deterministic solves, each on a fresh `Pal` engine that lives and
+//! dies with that solve. Tenants share no solver state, so a tenant's
+//! [`RuntimeReport`] — cache counters included — equals a standalone
+//! [`AuditService::run`] of that tenant. The scheduler only decides
+//! *when* work happens, never *what* it computes, so the
+//! [`FleetReport::fingerprint`] is invariant across worker counts and
+//! reruns.
 
 use crate::service::{AuditService, RuntimeConfig, ServiceState};
 use crate::supervisor::{
     panic_message, FaultInjector, FaultPlan, RetryPolicy, TenantFailure, TenantHealth,
 };
 use crate::telemetry::{Fnv, RuntimeReport};
-use audit_game::detection::{SharedCacheStats, SharedPalCache};
 use audit_game::error::GameError;
 use audit_game::scenario::Scenario;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -59,9 +52,6 @@ pub struct FleetConfig {
     /// Worker threads pulling tenants within a scheduling round (`0` is
     /// treated as `1`). Never changes results, only wall-clock time.
     pub workers: usize,
-    /// Share one prefix-state exchange across all tenants' solvers (see
-    /// module docs). Bit-identical on or off.
-    pub share_caches: bool,
     /// Deterministic fault plan (see [`crate::supervisor::FaultPlan`]).
     /// Empty by default: no injectors are attached and the run is
     /// bit-identical to the pre-supervisor scheduler.
@@ -74,7 +64,6 @@ impl Default for FleetConfig {
     fn default() -> Self {
         Self {
             workers: 1,
-            share_caches: true,
             fault_plan: FaultPlan::new(),
             retry: RetryPolicy::default(),
         }
@@ -108,8 +97,6 @@ pub struct FleetTenantReport {
 pub struct FleetReport {
     /// Worker threads the fleet ran with.
     pub workers: usize,
-    /// Whether solver caches were shared across tenants.
-    pub shared: bool,
     /// Per-tenant reports, in tenant order.
     pub tenants: Vec<FleetTenantReport>,
     /// Periods executed across all tenants.
@@ -127,18 +114,31 @@ pub struct FleetReport {
     pub latency_p95_millis: f64,
     /// 99th-percentile per-period latency. **Excluded.**
     pub latency_p99_millis: f64,
-    /// Shared-exchange counters (zeros when sharing was off). **Excluded
-    /// from the fingerprint** like every cache statistic.
+    /// Always zero: tenants share no solver state (see
+    /// [`SharedCacheStats`]). **Excluded from the fingerprint.**
     pub shared_cache: SharedCacheStats,
+}
+
+/// Counters of a cross-tenant solver-cache exchange the fleet no longer
+/// has, so every field is always zero. The benchmark's fleet workload
+/// (`perfbench/src/fleet.rs`) still reads the three fields; the struct
+/// goes with the next change to the benchmark.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SharedCacheStats {
+    /// Always zero.
+    pub banks: usize,
+    /// Always zero.
+    pub publishes: u64,
+    /// Always zero.
+    pub adoptions: u64,
 }
 
 impl FleetReport {
     /// FNV-1a fingerprint of the fleet's deterministic outcome: the
     /// tenant count and, per tenant in order, its name and its
     /// [`RuntimeReport::fingerprint`]. Scheduling artifacts — worker
-    /// count, sharing flag, latencies, cache counters — are excluded, so
-    /// the fingerprint is invariant across worker counts, reruns, and
-    /// cache sharing.
+    /// count, latencies, cache counters — are excluded, so the
+    /// fingerprint is invariant across worker counts and reruns.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         h.word(self.tenants.len() as u64);
@@ -318,11 +318,22 @@ impl FleetService {
     /// longer abort the fleet. The failing tenant is quarantined and
     /// retried from its last good state under [`FleetConfig::retry`];
     /// once retries are spent it is marked [`TenantHealth::Failed`] and
-    /// the rest of the fleet keeps running. `Err` is reserved for fleet-
-    /// level invariant breaches, none of which currently exist.
+    /// the rest of the fleet keeps running.
+    ///
+    /// `Err` is a fleet-level configuration breach, found before any
+    /// tenant runs: two tenants with one name
+    /// ([`GameError::InvalidConfig`]). The fault plan and
+    /// [`FleetReport::subset_fingerprint`] key tenants by name, so a
+    /// duplicate would take its twin's faults and hide its twin's failure.
     pub fn run(&self) -> Result<FleetReport, GameError> {
+        let mut names = HashSet::with_capacity(self.tenants.len());
+        if let Some(dup) = self.tenants.iter().find(|t| !names.insert(t.name.as_str())) {
+            return Err(GameError::InvalidConfig(format!(
+                "fleet tenant name '{}' is used more than once",
+                dup.name
+            )));
+        }
         let t0 = Instant::now();
-        let shared = self.config.share_caches.then(SharedPalCache::new);
         let plan = Arc::new(self.config.fault_plan.clone());
         let retry = self.config.retry;
         let runs: Vec<Mutex<TenantRun>> = self
@@ -330,10 +341,6 @@ impl FleetService {
             .iter()
             .map(|t| {
                 let service = AuditService::new(Arc::clone(&t.scenario), t.config.clone());
-                let service = match &shared {
-                    Some(cache) => service.with_shared_cache(cache.clone()),
-                    None => service,
-                };
                 let service = if plan.is_empty() {
                     service
                 } else {
@@ -499,7 +506,6 @@ impl FleetService {
         latencies.sort_by(f64::total_cmp);
         Ok(FleetReport {
             workers,
-            shared: shared.is_some(),
             tenants,
             total_periods,
             wall_millis,
@@ -511,7 +517,7 @@ impl FleetService {
             latency_p50_millis: percentile(&latencies, 50.0),
             latency_p95_millis: percentile(&latencies, 95.0),
             latency_p99_millis: percentile(&latencies, 99.0),
-            shared_cache: shared.map(|s| s.stats()).unwrap_or_default(),
+            shared_cache: SharedCacheStats::default(),
         })
     }
 }

@@ -28,12 +28,11 @@
 //!   process ([`service::AuditService::restore`] +
 //!   [`service::AuditService::resume`]) with a report fingerprint
 //!   bit-identical to an uninterrupted run;
-//! * [`fleet`] — the multi-tenant scheduler: N independent tenant
-//!   streams (each its own scenario instance, seed, drift gate, and
-//!   committed policy) multiplexed over a bounded worker pool, with one
-//!   [`audit_game::detection::SharedPalCache`] amortizing solver work
-//!   across tenants whose sample banks coincide; per-tenant reports are
-//!   bit-identical to running each tenant alone, at every worker count;
+//! * [`fleet`] — the multi-tenant scheduler: N independent
+//!   [`service::AuditService`] loops (each its own scenario instance,
+//!   seed, drift gate, and committed policy) on a bounded worker pool;
+//!   tenants share no solver state, so per-tenant reports equal running
+//!   each tenant alone, at every worker count;
 //! * [`telemetry`] — structured per-epoch telemetry (realized detection
 //!   rates, gap to the predicted `Pal`, drift statistics, solve latency,
 //!   epochs-since-resolve) with a deterministic fingerprint: reruns and

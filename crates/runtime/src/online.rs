@@ -142,17 +142,13 @@ impl OnlineFit {
     }
 
     /// Worst-type KS distance of the recent windows against the committed
-    /// count models — the drift statistic the gate thresholds.
-    pub fn max_ks(&self, models: &[Arc<dyn CountDistribution>]) -> f64 {
-        self.max_ks_guarded(models).0
-    }
-
-    /// [`OnlineFit::max_ks`] with a degeneracy guard: a per-type statistic
-    /// poisoned by non-finite model mass (e.g. a count model whose fit
-    /// collapsed to NaN parameters under a degenerate window or an
-    /// all-zero epoch) is clamped to 0.0 ("no evidence of drift") instead
-    /// of leaking NaN into the gate, and the returned flag records that
-    /// the clamp fired so telemetry can surface it. The mass check is
+    /// count models — the drift statistic the gate thresholds — with a
+    /// degeneracy guard: a per-type statistic poisoned by non-finite model
+    /// mass (e.g. a count model whose fit collapsed to NaN parameters
+    /// under a degenerate window or an all-zero epoch) is clamped to 0.0
+    /// ("no evidence of drift") instead of leaking NaN into the gate, and
+    /// the returned flag records that the clamp fired so telemetry can
+    /// surface it. The mass check is
     /// explicit because [`ks_statistic`]'s `f64::max` fold silently
     /// *swallows* NaN distances — without it a degenerate model would
     /// masquerade as a perfect fit. An empty window contributes 0.0
@@ -238,11 +234,11 @@ mod tests {
         for z in [9u64, 11, 10, 12, 9, 10, 11, 13] {
             fit.observe(&[z]);
         }
-        assert!(fit.max_ks(std::slice::from_ref(&calm)) > 0.5);
+        assert!(fit.max_ks_guarded(std::slice::from_ref(&calm)).0 > 0.5);
         // A matching model scores low.
         let busy: Arc<dyn CountDistribution> =
             Arc::new(DiscretizedGaussian::with_halfwidth(10.6, 1.4, 4));
-        assert!(fit.max_ks(std::slice::from_ref(&busy)) < 0.4);
+        assert!(fit.max_ks_guarded(std::slice::from_ref(&busy)).0 < 0.4);
     }
 
     #[test]
@@ -347,7 +343,7 @@ mod tests {
         let (ks2, flag2) = fit.max_ks_guarded(&healthy_only);
         assert!(!flag2);
         assert!(ks2 > 0.0);
-        assert_eq!(fit.max_ks(&healthy_only).to_bits(), ks2.to_bits());
+        assert_eq!(fit.max_ks_guarded(&healthy_only).0.to_bits(), ks2.to_bits());
         // Empty windows report 0.0 without claiming degeneracy.
         let empty = OnlineFit::new(2, 4);
         let (ks3, flag3) = empty.max_ks_guarded(&models);

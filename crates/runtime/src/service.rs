@@ -35,7 +35,7 @@ use crate::online::{DriftConfig, OnlineFit};
 use crate::supervisor::{FaultInjector, FaultSite};
 use crate::telemetry::{EpochTelemetry, RuntimeReport};
 use audit_game::attacker::AttackerModel;
-use audit_game::detection::{CacheStats, SharedPalCache};
+use audit_game::detection::CacheStats;
 use audit_game::error::GameError;
 use audit_game::execute::{execute_policy, AuditPolicy, RealizedAlert};
 use audit_game::model::GameSpec;
@@ -202,7 +202,6 @@ pub struct ServiceState {
 pub struct AuditService {
     scenario: Arc<dyn Scenario>,
     config: RuntimeConfig,
-    shared: Option<SharedPalCache>,
     injector: Option<FaultInjector>,
 }
 
@@ -214,7 +213,6 @@ impl AuditService {
         Self {
             scenario,
             config,
-            shared: None,
             injector: None,
         }
     }
@@ -233,19 +231,6 @@ impl AuditService {
         self.injector
             .as_ref()
             .is_some_and(|inj| inj.fires(round, site))
-    }
-
-    /// Attach a shared prefix-state exchange: this service's cold start
-    /// adopts and publishes snapshots through its solver, so services
-    /// whose sample banks coincide amortize each other's column passes.
-    /// Re-solves stay out of the exchange: a re-solve's spec is refit from
-    /// this tenant's own stream, so no other service shares its bank.
-    /// Bit-identical to running isolated — adopted states are exact
-    /// values, and cache counters are excluded from the telemetry
-    /// fingerprint (see [`audit_game::detection::SharedPalCache`]).
-    pub fn with_shared_cache(mut self, shared: SharedPalCache) -> Self {
-        self.shared = Some(shared);
-        self
     }
 
     /// The configuration the service runs under.
@@ -386,10 +371,6 @@ impl AuditService {
         spec.validate()?;
         let n = spec.n_types();
         let solver = OapSolver::new(cfg.solver.clone());
-        let solver = match &self.shared {
-            Some(shared) => solver.with_shared_cache(shared.clone()),
-            None => solver,
-        };
 
         let t0 = Instant::now();
         let solution = solver.solve(&spec)?;
@@ -453,9 +434,8 @@ impl AuditService {
         let empty_epoch = self.fault(round, FaultSite::EmptyEpoch);
         let budget_fault = self.fault(round, FaultSite::BudgetExhaust);
         let solve_fault = self.fault(round, FaultSite::SolveError);
-        // Re-solves never join the shared exchange (see
-        // `with_shared_cache`); the injected budget exhaustion re-solves
-        // under a one-evaluation work budget.
+        // The injected budget exhaustion re-solves under a one-evaluation
+        // work budget.
         let mut scfg = self.config.solver.clone();
         if budget_fault {
             scfg.work_budget = Some(1);

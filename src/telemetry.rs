@@ -164,14 +164,13 @@ pub fn report_to_json(report: &RuntimeReport) -> Value {
 }
 
 /// Render a fleet run: aggregate header (throughput, latency
-/// percentiles, shared-cache counters, fleet fingerprint) plus the full
+/// percentiles, fleet fingerprint) plus the full
 /// per-tenant reports. Per-tenant fingerprints ride inside each embedded
 /// [`report_to_json`]; the fleet fingerprint folds them in tenant order.
 pub fn fleet_report_to_json(report: &FleetReport) -> Value {
     Value::obj([
         ("tenants", Value::Num(report.tenants.len() as f64)),
         ("workers", Value::Num(report.workers as f64)),
-        ("shared_caches", Value::Bool(report.shared)),
         ("total_periods", Value::Num(report.total_periods as f64)),
         ("total_resolves", Value::Num(report.total_resolves() as f64)),
         ("wall_millis", Value::Num(report.wall_millis)),
@@ -179,20 +178,6 @@ pub fn fleet_report_to_json(report: &FleetReport) -> Value {
         ("latency_p50_millis", Value::Num(report.latency_p50_millis)),
         ("latency_p95_millis", Value::Num(report.latency_p95_millis)),
         ("latency_p99_millis", Value::Num(report.latency_p99_millis)),
-        (
-            "shared_cache",
-            Value::obj([
-                ("banks", Value::Num(report.shared_cache.banks as f64)),
-                (
-                    "publishes",
-                    Value::Num(report.shared_cache.publishes as f64),
-                ),
-                (
-                    "adoptions",
-                    Value::Num(report.shared_cache.adoptions as f64),
-                ),
-            ]),
-        ),
         (
             "fingerprint",
             Value::Str(format!("{:016x}", report.fingerprint())),

@@ -1,10 +1,10 @@
 //! Determinism contract of the multi-tenant fleet runtime.
 //!
 //! The fleet scheduler only decides *when* tenant work happens, never
-//! *what* it computes, so the [`FleetReport::fingerprint`] must be
-//! bit-identical across worker counts, reruns, and cache sharing — and a
-//! one-tenant fleet must reproduce the plain [`AuditService::run`]
-//! fingerprint exactly.
+//! *what* it computes, and tenants share no solver state. So the
+//! [`FleetReport::fingerprint`] must be bit-identical across worker
+//! counts and reruns, and every tenant's report must equal a standalone
+//! [`AuditService::run`] of that tenant, cache counters included.
 
 use alert_audit::prelude::*;
 use alert_audit::runtime::{
@@ -28,7 +28,7 @@ fn tenant_config(seed: u64) -> RuntimeConfig {
     }
 }
 
-fn fleet_over(keys: &[&str], n: usize, workers: usize, share: bool) -> FleetReport {
+fn fleet_over(keys: &[&str], n: usize, workers: usize) -> FleetReport {
     let reg = registry();
     let tenants = (0..n)
         .map(|i| {
@@ -44,7 +44,6 @@ fn fleet_over(keys: &[&str], n: usize, workers: usize, share: bool) -> FleetRepo
         tenants,
         FleetConfig {
             workers,
-            share_caches: share,
             ..FleetConfig::default()
         },
     )
@@ -55,49 +54,45 @@ fn fleet_over(keys: &[&str], n: usize, workers: usize, share: bool) -> FleetRepo
 #[test]
 fn fingerprint_is_invariant_across_worker_counts_and_reruns() {
     let keys = ["syn-a", "syn-seasonal"];
-    let baseline = fleet_over(&keys, 6, 1, true);
+    let baseline = fleet_over(&keys, 6, 1);
     assert_eq!(baseline.tenants.len(), 6);
     assert_eq!(baseline.total_periods, 6 * 3 * 4);
     for workers in [1usize, 2, 4] {
-        let run = fleet_over(&keys, 6, workers, true);
+        let run = fleet_over(&keys, 6, workers);
         assert_eq!(
             run.fingerprint(),
             baseline.fingerprint(),
             "workers {workers}"
         );
-        // Not just the hash: every tenant's report fingerprint matches.
+        // Not just the hash: every tenant's report fingerprint matches,
+        // and so do its cache counters, which the fingerprint leaves out.
         for (a, b) in run.tenants.iter().zip(&baseline.tenants) {
             assert_eq!(a.tenant, b.tenant);
             assert_eq!(a.report.fingerprint(), b.report.fingerprint());
+            assert_eq!(
+                a.report.engine_cache, b.report.engine_cache,
+                "{} at workers {workers}",
+                a.tenant
+            );
         }
     }
 }
 
 #[test]
-fn shared_caches_are_bit_identical_to_isolated() {
-    // All tenants share one scenario/spec, so the shared exchange is hit
-    // constantly — and must still change nothing observable.
-    let shared = fleet_over(&["syn-a"], 5, 4, true);
-    let isolated = fleet_over(&["syn-a"], 5, 4, false);
-    assert!(shared.shared && !isolated.shared);
-    assert_eq!(shared.fingerprint(), isolated.fingerprint());
-    // Sharing actually engaged: snapshots were published and adopted,
-    // exactly once per cold start. Re-solves ran but stay out of the
-    // exchange: each one's spec is refit from its own tenant's stream, so
-    // no other tenant could adopt its snapshot.
-    assert!(shared.total_resolves() > 0, "no tenant re-solved");
-    assert_eq!(
-        shared.shared_cache.publishes,
-        shared.tenants.len() as u64,
-        "{:?}",
-        shared.shared_cache
-    );
-    assert!(
-        shared.shared_cache.adoptions > 0,
-        "identical banks never shared a snapshot: {:?}",
-        shared.shared_cache
-    );
-    assert_eq!(isolated.shared_cache.publishes, 0);
+fn every_tenant_reproduces_its_standalone_run() {
+    let keys = ["syn-a", "syn-seasonal"];
+    let fleet = fleet_over(&keys, 6, 2);
+    assert_eq!(fleet.tenants.len(), 6);
+    assert!(fleet.total_resolves() > 0, "no tenant re-solved");
+    let reg = registry();
+    for (i, t) in fleet.tenants.iter().enumerate() {
+        let scenario = reg.get(keys[i % keys.len()]).unwrap().clone();
+        let solo = AuditService::new(scenario, tenant_config(derive_seed(7, i as u64)))
+            .run()
+            .unwrap();
+        assert_eq!(t.report.fingerprint(), solo.fingerprint(), "{}", t.tenant);
+        assert_eq!(t.report.engine_cache, solo.engine_cache, "{}", t.tenant);
+    }
 }
 
 #[test]
@@ -118,14 +113,8 @@ fn single_tenant_fleet_reproduces_the_plain_service_run() {
     let solo = AuditService::new(scenario.clone(), config.clone())
         .run()
         .unwrap();
-    for share in [true, false] {
-        let fleet = fleet_over(&["syn-seasonal"], 1, 2, share);
-        assert_eq!(fleet.tenants.len(), 1);
-        assert_eq!(
-            fleet.tenants[0].report.fingerprint(),
-            solo.fingerprint(),
-            "share {share}"
-        );
-        assert_eq!(fleet.total_periods, solo.total_periods());
-    }
+    let fleet = fleet_over(&["syn-seasonal"], 1, 2);
+    assert_eq!(fleet.tenants.len(), 1);
+    assert_eq!(fleet.tenants[0].report.fingerprint(), solo.fingerprint());
+    assert_eq!(fleet.total_periods, solo.total_periods());
 }

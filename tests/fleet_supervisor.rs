@@ -10,6 +10,7 @@
 //! plan must change nothing at all.
 
 use alert_audit::scenario::registry;
+use audit_game::error::GameError;
 use audit_game::solver::{DegradeReason, InnerKind, SolverConfig};
 use audit_runtime::{
     AuditService, DriftConfig, FaultPlan, FaultSite, FleetConfig, FleetReport, FleetService,
@@ -50,7 +51,6 @@ fn run_with(n: usize, workers: usize, plan: FaultPlan, retry: RetryPolicy) -> Fl
         tenants(n),
         FleetConfig {
             workers,
-            share_caches: true,
             fault_plan: plan,
             retry,
         },
@@ -250,4 +250,30 @@ fn empty_plan_is_bit_identical_to_default_config() {
     .run()
     .unwrap();
     assert_eq!(explicit.tenants[0].report.fingerprint(), solo.fingerprint());
+}
+
+/// The fault plan and the subset fingerprints key tenants by name, so a
+/// duplicate name would take its twin's faults and let a failed twin hide
+/// behind a healthy one. The fleet refuses it before any tenant runs.
+#[test]
+fn duplicate_tenant_names_are_rejected() {
+    let mut specs = tenants(3);
+    specs[2].name = "t0".into();
+    let plan = FaultPlan::new().inject("t0", 1, FaultSite::SolverPanic);
+    let result = FleetService::new(
+        specs,
+        FleetConfig {
+            workers: 2,
+            fault_plan: plan,
+            ..FleetConfig::default()
+        },
+    )
+    .run();
+    match result {
+        Err(GameError::InvalidConfig(msg)) => assert!(msg.contains("'t0'"), "{msg}"),
+        other => panic!(
+            "duplicate tenant names accepted: {:?}",
+            other.map(|r| r.health_counts())
+        ),
+    }
 }
