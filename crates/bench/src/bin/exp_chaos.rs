@@ -21,7 +21,7 @@
 //!   healthy tenants hashed at their original indices, which must be
 //!   bit-identical to the same subset of the baseline (`fault
 //!   isolation: identical`). Divergence exits non-zero;
-//! * reports recovery latency (mean quarantine backoff in scheduler
+//! * reports recovery latency (mean quarantine backoff in tenant
 //!   rounds) and the degraded-solve overhead (throughput and degraded
 //!   epoch counts against the baseline).
 //!

@@ -27,7 +27,7 @@ use crate::detection::{DetectionEstimator, PalEngine, PalQuery};
 use crate::error::GameError;
 use crate::master::{MasterMemo, MasterSolution};
 use crate::model::GameSpec;
-use crate::ordering::{AuditOrder, PrecedenceConstraints};
+use crate::ordering::AuditOrder;
 use crate::payoff::{action_utility, PayoffMatrix};
 
 /// Reduced-cost tolerance for convergence: a priced column enters the
@@ -40,8 +40,6 @@ pub struct CggsConfig {
     /// Upper bound on generated columns (safety valve; the algorithm
     /// normally converges in far fewer).
     pub max_columns: usize,
-    /// Organizational constraints restricting the feasible order set `O`.
-    pub precedence: PrecedenceConstraints,
     /// Worker threads for batched `Pal` evaluation (results are identical
     /// at every thread count; see [`PalEngine`]).
     pub threads: usize,
@@ -49,9 +47,9 @@ pub struct CggsConfig {
     /// before the first pricing iteration (typically the incumbent basis of
     /// a previous solve, so an online re-solve restarts from the old
     /// optimum instead of rediscovering it column by column). Seeds that
-    /// are infeasible for the current game (wrong arity, precedence
-    /// violation) or duplicates are silently skipped. An **empty** pool is
-    /// bit-identical to a cold solve.
+    /// have the wrong arity for the current game or are duplicates are
+    /// silently skipped. An **empty** pool is bit-identical to a cold
+    /// solve.
     pub seed_columns: Vec<AuditOrder>,
 }
 
@@ -59,7 +57,6 @@ impl Default for CggsConfig {
     fn default() -> Self {
         Self {
             max_columns: 256,
-            precedence: PrecedenceConstraints::none(),
             threads: 1,
             seed_columns: Vec::new(),
         }
@@ -142,21 +139,16 @@ impl Cggs {
         // whole seed pool is built as ONE engine batch: warm-start columns
         // overwhelmingly share prefixes (they came out of one incumbent
         // basis), so the trie pays each shared prefix once.
-        let initial = self.initial_order(n)?;
-        let mut pool = vec![initial];
+        let mut pool = vec![AuditOrder::identity(n)];
         for seed in &self.config.seed_columns {
             if pool.len() >= self.config.max_columns {
                 break;
             }
-            let feasible = seed.len() == n
-                && self.config.precedence.is_satisfied(seed)
-                && !pool.contains(seed);
-            if feasible {
+            if seed.len() == n && !pool.contains(seed) {
                 pool.push(seed.clone());
             }
         }
         let mut matrix = PayoffMatrix::build_with_engine(spec, engine, pool, thresholds);
-        let precedence = &self.config.precedence;
         let (master, iterations, converged) = generate_columns(
             spec,
             engine,
@@ -167,9 +159,7 @@ impl Cggs {
             self.config.max_columns,
             |y| {
                 let w = detection_weights(spec, y);
-                vec![greedy_order(engine, thresholds, &w, |t, placed| {
-                    precedence.can_place_next(t, placed)
-                })]
+                vec![greedy_order(engine, thresholds, &w, |_, _| true)]
             },
         )?;
         Ok(CggsOutcome {
@@ -178,26 +168,6 @@ impl Cggs {
             iterations,
             converged,
         })
-    }
-
-    /// A deterministic feasible initial order (identity filtered through a
-    /// precedence-respecting topological placement).
-    fn initial_order(&self, n: usize) -> Result<AuditOrder, GameError> {
-        if self.config.precedence.is_empty() {
-            return Ok(AuditOrder::identity(n));
-        }
-        let mut placed = vec![false; n];
-        let mut order = Vec::with_capacity(n);
-        for _ in 0..n {
-            let next = (0..n)
-                .find(|&t| !placed[t] && self.config.precedence.can_place_next(t, &placed))
-                .ok_or_else(|| {
-                    GameError::InvalidSpec("precedence constraints are unsatisfiable".into())
-                })?;
-            placed[next] = true;
-            order.push(next);
-        }
-        AuditOrder::new(order)
     }
 }
 
@@ -303,7 +273,7 @@ pub(crate) fn greedy_order(
                 best = Some((t, gain));
             }
         }
-        let (t, _) = best.expect("some type must be placeable (DAG precedence)");
+        let (t, _) = best.expect("`placeable` must admit some unplaced type");
         placed[t] = true;
         prefix.push(t);
     }
@@ -520,22 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn precedence_respected_in_generated_columns() {
-        let spec = three_type_spec();
-        let bank = spec.sample_bank(8, 3);
-        let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
-        let precedence = PrecedenceConstraints::new(vec![(1, 0)], 3).unwrap();
-        let cggs = Cggs::new(CggsConfig {
-            precedence: precedence.clone(),
-            ..Default::default()
-        });
-        let out = cggs.solve(&spec, &est, &[1.0, 1.0, 1.0]).unwrap();
-        for o in &out.orders {
-            assert!(precedence.is_satisfied(o), "order {o} violates precedence");
-        }
-    }
-
-    #[test]
     fn empty_seed_pool_is_bit_identical_to_cold_solve() {
         let spec = three_type_spec();
         let bank = spec.sample_bank(32, 3);
@@ -579,25 +533,30 @@ mod tests {
         let spec = three_type_spec();
         let bank = spec.sample_bank(8, 3);
         let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
-        let precedence = PrecedenceConstraints::new(vec![(1, 0)], 3).unwrap();
         let cggs = Cggs::new(CggsConfig {
-            precedence: precedence.clone(),
             seed_columns: vec![
-                AuditOrder::new(vec![0, 1, 2]).unwrap(), // violates 1-before-0
                 AuditOrder::new(vec![0, 1]).unwrap(),    // wrong arity
+                AuditOrder::new(vec![0, 1, 2]).unwrap(), // duplicates the identity
                 AuditOrder::new(vec![1, 0, 2]).unwrap(), // feasible
                 AuditOrder::new(vec![1, 0, 2]).unwrap(), // duplicate
             ],
             ..Default::default()
         });
         let out = cggs.solve(&spec, &est, &[1.0, 1.0, 1.0]).unwrap();
-        for o in &out.orders {
-            assert_eq!(o.len(), 3);
-            assert!(precedence.is_satisfied(o), "order {o} violates precedence");
+        assert!(out.orders.iter().all(|o| o.len() == 3));
+        for seed in [[0, 1, 2], [1, 0, 2]] {
+            assert_eq!(
+                out.orders.iter().filter(|o| o.types() == seed).count(),
+                1,
+                "seed {seed:?}"
+            );
         }
         assert_eq!(
-            out.orders.iter().filter(|o| o.types() == [1, 0, 2]).count(),
-            1
+            out.orders[..2],
+            [
+                AuditOrder::identity(3),
+                AuditOrder::new(vec![1, 0, 2]).unwrap()
+            ]
         );
     }
 

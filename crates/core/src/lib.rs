@@ -28,7 +28,7 @@
 //!
 //! * [`model`] — [`model::GameSpec`]: alert types, count distributions,
 //!   attacker/victim payoff structure;
-//! * [`ordering`] — audit orders, enumeration, precedence constraints;
+//! * [`ordering`] — audit orders and their enumeration;
 //! * [`detection`] — the recourse budget math `B_t(o,b,Z)`, `n_t(o,b,Z)`
 //!   and Monte-Carlo estimation of `Pal(o,b,t)` (paper eq. 1), both as a
 //!   scalar reference and as the batched/parallel/memoizing
@@ -121,7 +121,7 @@ pub mod prelude {
     pub use crate::ishm::{Ishm, IshmConfig, IshmOutcome};
     pub use crate::master::{MasterSolution, MasterSolver};
     pub use crate::model::{AlertType, AttackAction, Attacker, GameSpec};
-    pub use crate::ordering::{AuditOrder, PrecedenceConstraints};
+    pub use crate::ordering::AuditOrder;
     pub use crate::persist::PersistError;
     pub use crate::planner::{
         plan, DecomposedEvaluator, InstanceFeatures, SolveStrategy, TypeClusters, EXACT_MAX_TYPES,

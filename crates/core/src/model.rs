@@ -3,6 +3,7 @@
 
 use crate::error::GameError;
 use std::sync::Arc;
+use stochastics::snapshot::Fnv;
 use stochastics::{CountDistribution, JointCountModel};
 
 /// One alert category `t ∈ T`.
@@ -332,19 +333,7 @@ impl GameSpec {
     /// thread counts.
     pub fn fingerprint(&self) -> u64 {
         // FNV-1a over a canonical byte serialization.
-        struct Fnv(u64);
-        impl Fnv {
-            fn bytes(&mut self, bytes: &[u8]) {
-                for &b in bytes {
-                    self.0 ^= b as u64;
-                    self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            }
-            fn word(&mut self, x: u64) {
-                self.bytes(&x.to_le_bytes());
-            }
-        }
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv::new();
         h.word(self.alert_types.len() as u64);
         for (t, d) in self.alert_types.iter().zip(&self.distributions) {
             h.bytes(t.name.as_bytes());
@@ -383,7 +372,7 @@ impl GameSpec {
                 }
             }
         }
-        h.0
+        h.finish()
     }
 
     /// Sum over attackers of their single best undetected-attack utility —

@@ -1,6 +1,6 @@
-//! Audit orders: permutations over alert types, their enumeration, and
-//! organizational precedence constraints (the feasible set `O` of the
-//! paper, which "may be a subset of all possible orders over types").
+//! Audit orders: permutations over alert types and their enumeration.
+//! Every permutation is feasible, so the paper's order set `O` is all of
+//! them.
 
 use crate::error::GameError;
 use serde::{Deserialize, Serialize};
@@ -44,14 +44,6 @@ impl AuditOrder {
     /// Whether the order is empty.
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
-    }
-
-    /// `o(t)`: zero-based position of alert type `t` in this order.
-    pub fn position(&self, t: usize) -> usize {
-        self.0
-            .iter()
-            .position(|&x| x == t)
-            .expect("type not present in order")
     }
 
     /// Enumerate **all** `n!` orders over `n` types, in lexicographic order
@@ -101,90 +93,6 @@ impl std::fmt::Display for AuditOrder {
     }
 }
 
-/// Organizational constraints on feasible orders: pairs `(a, b)` meaning
-/// "alert type `a` must be audited before alert type `b`".
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PrecedenceConstraints {
-    pairs: Vec<(usize, usize)>,
-}
-
-impl PrecedenceConstraints {
-    /// No constraints: every permutation is feasible.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Build from explicit precedence pairs; rejects self-precedences and
-    /// (via a cycle check) unsatisfiable constraint sets.
-    pub fn new(pairs: Vec<(usize, usize)>, n_types: usize) -> Result<Self, GameError> {
-        for &(a, b) in &pairs {
-            if a == b {
-                return Err(GameError::InvalidSpec(format!(
-                    "precedence ({a}, {b}) is self-referential"
-                )));
-            }
-            if a >= n_types || b >= n_types {
-                return Err(GameError::InvalidSpec(format!(
-                    "precedence ({a}, {b}) references a type outside 0..{n_types}"
-                )));
-            }
-        }
-        let cons = Self { pairs };
-        if cons.has_cycle(n_types) {
-            return Err(GameError::InvalidSpec(
-                "precedence constraints contain a cycle; no feasible order exists".into(),
-            ));
-        }
-        Ok(cons)
-    }
-
-    /// The precedence pairs.
-    pub fn pairs(&self) -> &[(usize, usize)] {
-        &self.pairs
-    }
-
-    /// Whether there are no constraints.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// Does `order` satisfy every precedence?
-    pub fn is_satisfied(&self, order: &AuditOrder) -> bool {
-        self.pairs
-            .iter()
-            .all(|&(a, b)| order.position(a) < order.position(b))
-    }
-
-    /// Restrict a greedy construction: given the set of already-placed
-    /// types, may `t` be placed next?
-    pub fn can_place_next(&self, t: usize, placed: &[bool]) -> bool {
-        self.pairs.iter().all(|&(a, b)| b != t || placed[a])
-    }
-
-    fn has_cycle(&self, n: usize) -> bool {
-        // Kahn's algorithm: constraints are a DAG iff a topological order
-        // exists.
-        let mut indeg = vec![0usize; n];
-        for &(_, b) in &self.pairs {
-            indeg[b] += 1;
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut seen = 0usize;
-        while let Some(u) = queue.pop() {
-            seen += 1;
-            for &(a, b) in &self.pairs {
-                if a == u {
-                    indeg[b] -= 1;
-                    if indeg[b] == 0 {
-                        queue.push(b);
-                    }
-                }
-            }
-        }
-        seen != n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,14 +102,6 @@ mod tests {
         assert!(AuditOrder::new(vec![2, 0, 1]).is_ok());
         assert!(AuditOrder::new(vec![0, 0, 1]).is_err());
         assert!(AuditOrder::new(vec![0, 3]).is_err());
-    }
-
-    #[test]
-    fn position_lookup() {
-        let o = AuditOrder::new(vec![2, 0, 1]).unwrap();
-        assert_eq!(o.position(2), 0);
-        assert_eq!(o.position(0), 1);
-        assert_eq!(o.position(1), 2);
     }
 
     #[test]
@@ -219,33 +119,6 @@ mod tests {
     fn display_is_one_based() {
         let o = AuditOrder::new(vec![1, 0, 3, 2]).unwrap();
         assert_eq!(o.to_string(), "[2,1,4,3]");
-    }
-
-    #[test]
-    fn precedence_filters_enumeration() {
-        let cons = PrecedenceConstraints::new(vec![(0, 1)], 3).unwrap();
-        let feas: Vec<AuditOrder> = AuditOrder::enumerate_all(3)
-            .into_iter()
-            .filter(|o| cons.is_satisfied(o))
-            .collect();
-        assert_eq!(feas.len(), 3); // half of 6
-        assert!(feas.iter().all(|o| o.position(0) < o.position(1)));
-    }
-
-    #[test]
-    fn precedence_rejects_cycles_and_self() {
-        assert!(PrecedenceConstraints::new(vec![(0, 0)], 2).is_err());
-        assert!(PrecedenceConstraints::new(vec![(0, 1), (1, 0)], 2).is_err());
-        assert!(PrecedenceConstraints::new(vec![(0, 1), (1, 2)], 3).is_ok());
-    }
-
-    #[test]
-    fn can_place_next_respects_pairs() {
-        let cons = PrecedenceConstraints::new(vec![(0, 1)], 3).unwrap();
-        assert!(!cons.can_place_next(1, &[false, false, false]));
-        assert!(cons.can_place_next(1, &[true, false, false]));
-        assert!(cons.can_place_next(0, &[false, false, false]));
-        assert!(cons.can_place_next(2, &[false, false, false]));
     }
 
     #[test]

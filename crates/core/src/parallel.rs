@@ -1,17 +1,20 @@
 //! The workspace's one deterministic parallel map.
 //!
-//! Every short-lived fan-out in the workspace goes through
-//! [`parallel_map_indexed`]: the detection engine's trie-subtree split and
-//! the experiment drivers' per-budget sweeps. (The fleet keeps its own
-//! long-lived worker pool.)
+//! Every fan-out in the workspace goes through [`parallel_map_indexed`]:
+//! the detection engine's trie-subtree split, the experiment drivers'
+//! per-budget sweeps, and the runtime fleet, which runs each tenant from
+//! cold start to horizon as one item.
 
-/// Deterministic parallel map: apply `f` to every item of `items`,
-/// splitting the index range into contiguous chunks across at most
-/// `threads` scoped workers and merging results back **by index**. `f`
-/// must be pure — given that, the output is byte-identical at every thread
-/// count, because each slot is computed exactly once from `(index, item)`
-/// alone and the merge is positional. Runs inline (no threads spawned)
-/// when one worker suffices. A panic in `f` propagates to the caller.
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Deterministic parallel map: apply `f` to every item of `items` on at
+/// most `threads` scoped workers, which claim indices one at a time from a
+/// shared cursor (so uneven items never idle a worker while work remains),
+/// and merge results back **by index**. `f` must be pure — given that, the
+/// output is byte-identical at every thread count, because each slot is
+/// computed exactly once from `(index, item)` alone and the merge is
+/// positional. Runs inline (no threads spawned) when one worker suffices.
+/// A panic in `f` propagates to the caller with its original payload.
 pub fn parallel_map_indexed<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -22,22 +25,33 @@ where
     if workers <= 1 {
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
-    let chunk = items.len().div_ceil(workers);
+    let cursor = AtomicUsize::new(0);
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     std::thread::scope(|s| {
-        let f = &f;
-        for (ci, (in_chunk, out_chunk)) in
-            items.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
-        {
-            s.spawn(move || {
-                for (j, (x, slot)) in in_chunk.iter().zip(out_chunk.iter_mut()).enumerate() {
-                    *slot = Some(f(ci * chunk + j, x));
-                }
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let claim = || {
+                        // Relaxed: the cursor publishes no data. Items are
+                        // shared before the spawn, results return by join.
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        items.get(i).map(|x| (i, f(i, x)))
+                    };
+                    std::iter::from_fn(claim).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            for (i, r) in done {
+                out[i] = Some(r);
+            }
         }
     });
     out.into_iter()
-        .map(|r| r.expect("every index slot is covered by exactly one worker"))
+        .map(|r| r.expect("every index is claimed by exactly one worker"))
         .collect()
 }
 
@@ -58,5 +72,15 @@ mod tests {
             }
         }
         assert!(parallel_map_indexed(4, &[] as &[usize], f).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 failed")]
+    fn a_panic_in_f_reaches_the_caller() {
+        let items: Vec<usize> = (0..16).collect();
+        parallel_map_indexed(3, &items, |_, &x| {
+            assert!(x != 5, "item {x} failed");
+            x
+        });
     }
 }

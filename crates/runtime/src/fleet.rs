@@ -1,22 +1,23 @@
 //! Multi-tenant fleet runtime: many independent audit streams, one
 //! process.
 //!
-//! [`FleetService`] multiplexes N tenants — each a registry scenario with
-//! its own seed, drift gate, attacker model, and committed policy — over
-//! a bounded worker pool. Scheduling is **round-based**: round 0 cold-
-//! starts every tenant (initial solve + alert-stream derivation), and
-//! each later round advances every live tenant by exactly one epoch.
-//! Within a round, workers pull tenant indices from a shared cursor; a
-//! round is a barrier, so no tenant ever runs two epochs concurrently
-//! with itself.
+//! [`FleetService`] runs N tenants — each a registry scenario with its own
+//! seed, drift gate, attacker model, and committed policy — over a bounded
+//! worker pool: each tenant is one job of
+//! [`audit_game::parallel::parallel_map_indexed`]. One worker owns a tenant
+//! from cold start to horizon, so no tenant ever runs two epochs
+//! concurrently with itself. A tenant counts its own **rounds**: round 0
+//! is the cold start (initial solve + alert-stream derivation), and each
+//! later round advances it by exactly one epoch. A failed round
+//! quarantines the tenant until the round its [`RetryPolicy`] names.
 //!
 //! **Determinism.** Each tenant is an independent [`AuditService`]:
 //! the unmodified epoch loop, per-period derived RNG streams, and
 //! deterministic solves, each on a fresh `Pal` engine that lives and
 //! dies with that solve. Tenants share no solver state, so a tenant's
 //! [`RuntimeReport`] — cache counters included — equals a standalone
-//! [`AuditService::run`] of that tenant. The scheduler only decides
-//! *when* work happens, never *what* it computes, so the
+//! [`AuditService::run`] of that tenant. The pool only decides *which
+//! worker* runs a tenant and *when*, never *what* it computes, so the
 //! [`FleetReport::fingerprint`] is invariant across worker counts and
 //! reruns.
 
@@ -24,15 +25,16 @@ use crate::service::{AuditService, RuntimeConfig, ServiceState};
 use crate::supervisor::{
     panic_message, FaultInjector, FaultPlan, RetryPolicy, TenantFailure, TenantHealth,
 };
-use crate::telemetry::{Fnv, RuntimeReport};
+use crate::telemetry::RuntimeReport;
 use audit_game::error::GameError;
+use audit_game::parallel::parallel_map_indexed;
 use audit_game::scenario::Scenario;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
+use stochastics::snapshot::Fnv;
 
 /// One tenant of the fleet: a named scenario instance with its own
 /// runtime configuration (seed, horizon, drift gate, solver).
@@ -49,8 +51,9 @@ pub struct TenantSpec {
 /// Fleet scheduling configuration.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Worker threads pulling tenants within a scheduling round (`0` is
-    /// treated as `1`). Never changes results, only wall-clock time.
+    /// Worker threads, each running whole tenants from cold start to
+    /// horizon (`0` is treated as `1`). Never changes results, only
+    /// wall-clock time.
     pub workers: usize,
     /// Deterministic fault plan (see [`crate::supervisor::FaultPlan`]).
     /// Empty by default: no injectors are attached and the run is
@@ -208,86 +211,6 @@ impl FleetReport {
     }
 }
 
-/// Live scheduling state of one tenant between rounds.
-struct TenantRun {
-    service: AuditService,
-    epochs: usize,
-    state: Option<ServiceState>,
-    /// Clone of the state after the last successful round — the
-    /// checkpoint a quarantined tenant resumes from. `None` until the
-    /// cold start succeeds (a cold-start failure retries from scratch).
-    last_good: Option<ServiceState>,
-    stream: Vec<Vec<u64>>,
-    start_millis: f64,
-    epoch_millis: Vec<f64>,
-    /// Every failure observed so far, in order.
-    failures: Vec<TenantFailure>,
-    /// Failures consumed against [`RetryPolicy::max_retries`].
-    attempts: usize,
-    /// `Some(r)`: quarantined until scheduler round `r`.
-    quarantined_until: Option<usize>,
-    /// Terminal failure: `(round, cause)`. Set once retries are spent.
-    failed: Option<(usize, String)>,
-}
-
-impl TenantRun {
-    /// Does this tenant still want scheduler rounds?
-    fn is_pending(&self) -> bool {
-        self.failed.is_none()
-            && (self.quarantined_until.is_some()
-                || match &self.state {
-                    None => true,
-                    Some(st) => st.epoch < self.epochs,
-                })
-    }
-
-    /// Record one failure: quarantine with deterministic backoff while
-    /// retries remain, otherwise fail the tenant terminally.
-    fn record_failure(&mut self, round: usize, cause: String, retry: &RetryPolicy) {
-        self.attempts += 1;
-        if self.attempts > retry.max_retries {
-            self.failures.push(TenantFailure {
-                round,
-                cause: cause.clone(),
-                resume_round: None,
-            });
-            self.failed = Some((round, cause));
-        } else {
-            let resume = retry.resume_round(round, self.attempts);
-            self.failures.push(TenantFailure {
-                round,
-                cause,
-                resume_round: Some(resume),
-            });
-            self.quarantined_until = Some(resume);
-        }
-    }
-
-    /// The supervisor's verdict once scheduling is over.
-    fn health(&self) -> TenantHealth {
-        match &self.failed {
-            Some((round, cause)) => TenantHealth::Failed {
-                round: *round,
-                cause: cause.clone(),
-                failures: self.failures.clone(),
-            },
-            None if self.failures.is_empty() => TenantHealth::Healthy,
-            None => TenantHealth::Recovered {
-                failures: self.failures.clone(),
-            },
-        }
-    }
-}
-
-/// Lock a tenant slot, recovering a poisoned mutex instead of aborting:
-/// the only code that can panic while holding the guard is tenant work,
-/// which is wrapped in `catch_unwind`, so a poisoned slot still holds a
-/// consistent `TenantRun` (the failure was already recorded or will be
-/// visible as a missing state).
-fn lock_slot(slot: &Mutex<TenantRun>) -> MutexGuard<'_, TenantRun> {
-    slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// The multi-tenant scheduler. See the module docs for the round model
 /// and the determinism contract.
 pub struct FleetService {
@@ -335,172 +258,23 @@ impl FleetService {
         }
         let t0 = Instant::now();
         let plan = Arc::new(self.config.fault_plan.clone());
-        let retry = self.config.retry;
-        let runs: Vec<Mutex<TenantRun>> = self
-            .tenants
-            .iter()
-            .map(|t| {
-                let service = AuditService::new(Arc::clone(&t.scenario), t.config.clone());
-                let service = if plan.is_empty() {
-                    service
-                } else {
-                    service.with_injector(FaultInjector::new(Arc::clone(&plan), &t.name))
-                };
-                Mutex::new(TenantRun {
-                    service,
-                    epochs: t.config.epochs,
-                    state: None,
-                    last_good: None,
-                    stream: Vec::new(),
-                    start_millis: 0.0,
-                    epoch_millis: Vec::new(),
-                    failures: Vec::new(),
-                    attempts: 0,
-                    quarantined_until: None,
-                    failed: None,
-                })
-            })
-            .collect();
-
-        let n = runs.len();
-        let max_epochs = self
-            .tenants
-            .iter()
-            .map(|t| t.config.epochs)
-            .max()
-            .unwrap_or(0);
-        // Hard cap on scheduler rounds: the fault-free schedule plus the
+        let max_epochs = self.tenants.iter().map(|t| t.config.epochs).max();
+        // Hard cap on a tenant's rounds: the fault-free schedule plus the
         // worst-case quarantine delay any retry ladder can add. Purely a
-        // livelock backstop — the loop normally exits when no tenant is
-        // pending.
-        let round_cap = 1 + max_epochs + retry.worst_case_delay();
-        let workers = self.config.workers.max(1).min(n.max(1));
-        let mut round = 0usize;
-        loop {
-            if n == 0 || !runs.iter().any(|slot| lock_slot(slot).is_pending()) {
-                break;
-            }
-            if round > round_cap {
-                for slot in &runs {
-                    let mut run = lock_slot(slot);
-                    if run.is_pending() {
-                        let cause = "scheduler round cap exceeded".to_string();
-                        run.failures.push(TenantFailure {
-                            round,
-                            cause: cause.clone(),
-                            resume_round: None,
-                        });
-                        run.failed = Some((round, cause));
-                    }
-                }
-                break;
-            }
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let mut guard = lock_slot(&runs[i]);
-                        let run = &mut *guard;
-                        if run.failed.is_some() {
-                            continue;
-                        }
-                        if let Some(resume) = run.quarantined_until {
-                            if round < resume {
-                                continue; // serving its backoff delay
-                            }
-                            // Resume from the last good state. After a
-                            // cold-start failure this is `None` and the
-                            // tenant cold-starts again.
-                            run.quarantined_until = None;
-                            run.state = run.last_good.clone();
-                        }
-                        let t = Instant::now();
-                        if run.state.is_none() {
-                            // Cold start (fresh tenant or cold-start retry).
-                            let service = &run.service;
-                            let result = catch_unwind(AssertUnwindSafe(|| {
-                                service
-                                    .start_state()
-                                    .and_then(|st| service.full_alert_stream().map(|s| (st, s)))
-                            }));
-                            match result {
-                                Ok(Ok((st, stream))) => {
-                                    run.state = Some(st);
-                                    run.last_good = run.state.clone();
-                                    run.stream = stream;
-                                    run.start_millis = millis_since(t);
-                                }
-                                Ok(Err(e)) => run.record_failure(round, e.to_string(), &retry),
-                                Err(payload) => {
-                                    run.record_failure(round, panic_message(payload), &retry)
-                                }
-                            }
-                        } else {
-                            let epoch = run.state.as_ref().map(|st| st.epoch).unwrap_or(0);
-                            if epoch >= run.epochs {
-                                continue; // tenant already at its horizon
-                            }
-                            // Move the state into the unwind scope: if the
-                            // advance panics, the torn state is dropped
-                            // with the closure and the tenant resumes from
-                            // `last_good`.
-                            let state = run.state.take().expect("checked above");
-                            let stop = epoch + 1;
-                            let service = &run.service;
-                            let stream = &run.stream;
-                            let result = catch_unwind(AssertUnwindSafe(move || {
-                                let mut state = state;
-                                service
-                                    .advance_with_stream(&mut state, stop, stream)
-                                    .map(|()| state)
-                            }));
-                            match result {
-                                Ok(Ok(state)) => {
-                                    run.state = Some(state);
-                                    run.last_good = run.state.clone();
-                                    run.epoch_millis.push(millis_since(t));
-                                }
-                                Ok(Err(e)) => run.record_failure(round, e.to_string(), &retry),
-                                Err(payload) => {
-                                    run.record_failure(round, panic_message(payload), &retry)
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-            round += 1;
-        }
+        // livelock backstop — a tenant normally stops at its horizon.
+        let round_cap = 1 + max_epochs.unwrap_or(0) + self.config.retry.worst_case_delay();
+        let workers = self.config.workers.max(1).min(self.tenants.len().max(1));
+        let tenants = parallel_map_indexed(workers, &self.tenants, |_, spec| {
+            run_tenant(spec, &plan, self.config.retry, round_cap)
+        });
 
-        // Assemble in tenant order. Failed tenants keep whatever partial
-        // report their last good state supports; tenants that never
-        // cold-started get an empty report.
-        let mut tenants = Vec::with_capacity(n);
+        // Aggregate in tenant order.
         let mut latencies: Vec<f64> = Vec::new();
         let mut total_periods = 0usize;
-        for (spec, slot) in self.tenants.iter().zip(runs) {
-            let run = slot
-                .into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            let health = run.health();
-            let report = match run.state.or(run.last_good) {
-                Some(state) => run.service.report(state),
-                None => empty_report(spec),
-            };
-            total_periods += report.total_periods();
+        for (spec, t) in self.tenants.iter().zip(&tenants) {
+            total_periods += t.report.total_periods();
             let per_epoch = spec.config.periods_per_epoch.max(1) as f64;
-            latencies.extend(run.epoch_millis.iter().map(|&m| m / per_epoch));
-            tenants.push(FleetTenantReport {
-                tenant: spec.name.clone(),
-                report,
-                start_millis: run.start_millis,
-                epoch_millis: run.epoch_millis,
-                health,
-            });
+            latencies.extend(t.epoch_millis.iter().map(|&m| m / per_epoch));
         }
         let wall_millis = millis_since(t0);
         latencies.sort_by(f64::total_cmp);
@@ -519,6 +293,123 @@ impl FleetService {
             latency_p99_millis: percentile(&latencies, 99.0),
             shared_cache: SharedCacheStats::default(),
         })
+    }
+}
+
+/// Drive one tenant from cold start to horizon on its own round counter:
+/// round 0 is the cold start, each later round one epoch. A failed round
+/// leaves the state as it was before the round, then quarantines the
+/// tenant with deterministic backoff while retries remain, or fails it
+/// terminally. Failed tenants keep whatever partial report their last
+/// good state supports; tenants that never cold-started get an empty
+/// report.
+fn run_tenant(
+    spec: &TenantSpec,
+    plan: &Arc<FaultPlan>,
+    retry: RetryPolicy,
+    round_cap: usize,
+) -> FleetTenantReport {
+    let service = AuditService::new(Arc::clone(&spec.scenario), spec.config.clone());
+    let service = if plan.is_empty() {
+        service
+    } else {
+        service.with_injector(FaultInjector::new(Arc::clone(plan), &spec.name))
+    };
+    let mut state: Option<ServiceState> = None;
+    let mut stream = Vec::new();
+    let mut start_millis = 0.0;
+    let mut epoch_millis = Vec::new();
+    let mut failures: Vec<TenantFailure> = Vec::new();
+    let mut round = 0usize;
+    loop {
+        if matches!(&state, Some(st) if st.epoch >= spec.config.epochs) {
+            break;
+        }
+        if round > round_cap {
+            failures.push(TenantFailure {
+                round,
+                cause: "scheduler round cap exceeded".to_string(),
+                resume_round: None,
+            });
+            break;
+        }
+        let t = Instant::now();
+        let outcome = match state.as_mut() {
+            // Cold start (fresh tenant or cold-start retry): a failure
+            // leaves no state, so the retry starts from scratch.
+            None => attempt(|| Ok((service.start_state()?, service.full_alert_stream()?))).map(
+                |(st, s)| {
+                    state = Some(st);
+                    stream = s;
+                    start_millis = millis_since(t);
+                },
+            ),
+            // One epoch. The live state advances in place; a failed
+            // advance may have torn it, so the backup taken before the
+            // round replaces it.
+            Some(st) => {
+                let backup = st.clone();
+                let stop = st.epoch + 1;
+                let advanced = attempt(|| service.advance_with_stream(st, stop, &stream));
+                match advanced {
+                    Ok(()) => epoch_millis.push(millis_since(t)),
+                    Err(_) => *st = backup,
+                }
+                advanced
+            }
+        };
+        let cause = match outcome {
+            Ok(()) => {
+                round += 1;
+                continue;
+            }
+            Err(cause) => cause,
+        };
+        // Quarantine while retries remain; the failure after the last
+        // retry is terminal.
+        let attempts = failures.len() + 1;
+        let resume_round =
+            (attempts <= retry.max_retries).then(|| retry.resume_round(round, attempts));
+        failures.push(TenantFailure {
+            round,
+            cause,
+            resume_round,
+        });
+        match resume_round {
+            // Backoff rounds run nothing: jump to the resume round, or to
+            // the first round past the cap, which fails the tenant.
+            Some(resume) => round = resume.min(round_cap + 1),
+            None => break,
+        }
+    }
+    // Only a terminal failure has no resume round, and it ends the run.
+    let health = match failures.last() {
+        None => TenantHealth::Healthy,
+        Some(last) if last.resume_round.is_none() => TenantHealth::Failed {
+            round: last.round,
+            cause: last.cause.clone(),
+            failures,
+        },
+        Some(_) => TenantHealth::Recovered { failures },
+    };
+    let report = match state {
+        Some(state) => service.report(state),
+        None => empty_report(spec),
+    };
+    FleetTenantReport {
+        tenant: spec.name.clone(),
+        report,
+        start_millis,
+        epoch_millis,
+        health,
+    }
+}
+
+/// Run one round's work, turning a typed error or a panic into its cause.
+fn attempt<T>(work: impl FnOnce() -> Result<T, GameError>) -> Result<T, String> {
+    match catch_unwind(AssertUnwindSafe(work)) {
+        Ok(result) => result.map_err(|e| e.to_string()),
+        Err(payload) => Err(panic_message(payload)),
     }
 }
 

@@ -328,7 +328,8 @@ impl AuditService {
 
     /// The scenario's full alert stream for this service's horizon — the
     /// input [`AuditService::advance_with_stream`] consumes. Split out so
-    /// a round-based scheduler derives it once instead of per epoch.
+    /// a caller stepping one epoch at a time (the fleet) derives it once
+    /// instead of per epoch.
     pub fn full_alert_stream(&self) -> Result<Vec<Vec<u64>>, GameError> {
         self.scenario.alert_stream(
             self.config.seed,

@@ -23,11 +23,12 @@
 //!   fault forever: one-shot semantics are what make `Recovered` an
 //!   observable outcome rather than a livelock;
 //! * [`RetryPolicy`] — deterministic, round-based exponential backoff.
-//!   Delays are counted in scheduler rounds, never wall-clock, so the
-//!   retry schedule is part of the reproducible transcript.
+//!   Delays are counted in tenant rounds (see [`crate::fleet`]), never
+//!   wall-clock, so the retry schedule is part of the reproducible
+//!   transcript.
 //!
 //! [`TenantHealth`] and [`TenantFailure`] are the supervisor's public
-//! record of what happened to each tenant; the fleet scheduler
+//! record of what happened to each tenant; the fleet
 //! ([`crate::fleet::FleetService`]) attaches them to every tenant report.
 
 use serde::{Deserialize, Serialize};
@@ -37,9 +38,9 @@ use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use crate::telemetry::Fnv;
 use rand::Rng;
 use stochastics::rng::stream_rng;
+use stochastics::snapshot::Fnv;
 
 /// Stream id base for seeded fault-plan generation (xored with the
 /// tenant index) — disjoint from the service's execution and attack
@@ -148,10 +149,14 @@ impl fmt::Display for FaultSite {
 
 /// A deterministic set of planned faults, keyed `(tenant, round, site)`.
 ///
-/// Round semantics match the fleet scheduler: round 0 is the tenant's
-/// cold start, round `r ≥ 1` runs epoch `r − 1`. Checkpoint sites are
-/// keyed by the **state epoch** of the checkpoint being written or read
-/// instead, since checkpoints are taken outside the round loop.
+/// A plan round names a point in the tenant's stream: round 0 is its
+/// cold start, round `r ≥ 1` its epoch `r − 1`. That matches the fleet's
+/// tenant round only until the first retry, since a retried round and its
+/// backoff push the tenant's later rounds back: plan rounds 1, 2 and 3 all
+/// failing under the default [`RetryPolicy`] fail at tenant rounds 1, 3
+/// and 6. Checkpoint sites are keyed by the **state epoch** of the
+/// checkpoint being written or read instead, since checkpoints are taken
+/// outside the fleet.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: BTreeSet<(String, usize, FaultSite)>,
@@ -315,11 +320,11 @@ pub fn corrupt_file(path: &Path, salt: u64) -> std::io::Result<()> {
 
 /// Deterministic retry/backoff policy for quarantined tenants.
 ///
-/// All delays are measured in **scheduler rounds**, never wall-clock, so
-/// the quarantine schedule is reproducible. A tenant that fails for the
-/// `a`-th time at round `r` is quarantined until
-/// [`RetryPolicy::resume_round`]`(r, a)`; after `max_retries` failures
-/// the next failure is permanent.
+/// All delays are measured in the tenant's own **rounds** (see
+/// [`crate::fleet`]), never wall-clock, so the quarantine schedule is
+/// reproducible. A tenant that fails for the `a`-th time at round `r` is
+/// quarantined until [`RetryPolicy::resume_round`]`(r, a)`; after
+/// `max_retries` failures the next failure is permanent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// How many times a tenant may be retried before a further failure
@@ -348,9 +353,9 @@ impl RetryPolicy {
         failed_round.saturating_add(base.saturating_mul(1usize << shift))
     }
 
-    /// Upper bound on the extra scheduler rounds one tenant's retries can
-    /// add to a run: `backoff · (2^max_retries − 1)`. The fleet uses this
-    /// to cap its round loop.
+    /// Upper bound on the extra rounds one tenant's retries can add to its
+    /// schedule: `backoff · (2^max_retries − 1)`. The fleet uses this to
+    /// cap every tenant's round counter.
     pub fn worst_case_delay(&self) -> usize {
         let base = self.backoff_rounds.max(1);
         let doublings = self.max_retries.min(16) as u32;
@@ -365,7 +370,9 @@ impl RetryPolicy {
 /// One failure a tenant suffered, as recorded by the supervisor.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TenantFailure {
-    /// Scheduler round at which the failure surfaced.
+    /// The tenant's own round at which the failure surfaced: round 0 is
+    /// its cold start, and each epoch attempt or backoff round after it
+    /// counts one (see [`crate::fleet`]).
     pub round: usize,
     /// Human-readable cause (panic message or typed error display).
     pub cause: String,

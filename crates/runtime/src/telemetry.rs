@@ -9,6 +9,7 @@
 use audit_game::detection::CacheStats;
 use audit_game::solver::DegradeReason;
 use serde::{Deserialize, Serialize};
+use stochastics::snapshot::Fnv;
 
 /// Telemetry of one epoch of the service loop.
 ///
@@ -207,32 +208,6 @@ impl RuntimeReport {
             resolves: resolved.len(),
             mean_solve_millis: millis.iter().sum::<f64>() / millis.len() as f64,
         })
-    }
-}
-
-/// FNV-1a, the same construction as `GameSpec::fingerprint`. Shared with
-/// the fleet layer, whose report fingerprint folds per-tenant
-/// [`RuntimeReport::fingerprint`]s through the same hash.
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn word(&mut self, x: u64) {
-        self.bytes(&x.to_le_bytes());
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
     }
 }
 

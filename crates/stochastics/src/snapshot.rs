@@ -138,15 +138,46 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a over a byte slice — the same construction as
-/// `GameSpec::fingerprint`, applied byte-at-a-time.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Streaming 64-bit FNV-1a, byte at a time: the workspace's one
+/// fingerprint hash (`GameSpec::fingerprint`, the runtime's report, fleet
+/// and fault-plan fingerprints). Words fold in as their little-endian
+/// bytes. The methods are `#[inline]` so hashing loops in other crates
+/// can inline them.
+pub struct Fnv(u64);
+
+impl Fnv {
+    /// The FNV-1a offset basis: the hash of nothing.
+    #[inline]
+    pub fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Fold in a byte slice.
+    #[inline]
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Fold in a `u64` as its 8 little-endian bytes.
+    #[inline]
+    pub fn word(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
+    }
+
+    /// The hash of everything folded in so far.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Four-lane FNV-1a over little-endian `u64` words — the container

@@ -1,56 +1,27 @@
-//! Advanced usage: organizational precedence constraints, alternative
-//! detection models, and the NP-hardness reduction as a worked object.
+//! Advanced usage: alternative detection models and the NP-hardness
+//! reduction as a worked object.
 //!
 //! ```text
 //! cargo run --release --example custom_policy
 //! ```
 
-use alert_audit::game::cggs::{Cggs, CggsConfig};
+use alert_audit::game::cggs::Cggs;
 use alert_audit::game::detection::{DetectionEstimator, DetectionModel};
 use alert_audit::game::hardness::{knapsack_to_oap, solve_knapsack, KnapsackInstance};
-use alert_audit::game::ordering::PrecedenceConstraints;
 
 fn main() {
-    // ------------------------------------------------------------------
-    // 1. Precedence-constrained auditing: organizational policy demands
-    //    that Type 1 alerts (index 0) are always audited before Type 4
-    //    alerts (index 3). Base game: the registry's `syn-a-b6`.
-    // ------------------------------------------------------------------
+    // Base game: the registry's `syn-a-b6`.
     let spec = alert_audit::scenario::registry()
         .build("syn-a-b6", 0)
         .expect("registered scenario");
     let bank = spec.sample_bank(400, 3);
-    let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
     let thresholds = vec![2.0, 2.0, 2.0, 2.0];
 
-    let unconstrained = Cggs::default()
-        .solve(&spec, &est, &thresholds)
-        .expect("solves");
-    let precedence = PrecedenceConstraints::new(vec![(0, 3)], 4).expect("acyclic");
-    let constrained = Cggs::new(CggsConfig {
-        precedence,
-        ..Default::default()
-    })
-    .solve(&spec, &est, &thresholds)
-    .expect("solves");
-    println!("Syn A @ B=6, thresholds [2,2,2,2]:");
-    println!(
-        "  unconstrained loss:          {:.4}",
-        unconstrained.master.value
-    );
-    println!(
-        "  with 'type 1 before type 4': {:.4}  (constraints can only cost)",
-        constrained.master.value
-    );
-    for o in &constrained.orders {
-        assert!(o.position(0) < o.position(3));
-    }
-
     // ------------------------------------------------------------------
-    // 2. Detection-model sensitivity: the paper's approximation vs the
+    // 1. Detection-model sensitivity: the paper's approximation vs the
     //    attack-inclusive and operational-recourse variants.
     // ------------------------------------------------------------------
-    println!("\ndetection-model sensitivity (same thresholds):");
+    println!("Syn A @ B=6, thresholds [2,2,2,2]: detection-model sensitivity");
     for (name, model) in [
         ("paper approximation", DetectionModel::PaperApprox),
         ("attack-inclusive   ", DetectionModel::AttackInclusive),
@@ -64,7 +35,7 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // 3. Theorem 1 as code: a knapsack instance and its OAP twin.
+    // 2. Theorem 1 as code: a knapsack instance and its OAP twin.
     // ------------------------------------------------------------------
     let inst = KnapsackInstance::new(vec![2, 3, 4, 5], vec![3, 4, 5, 6], 5);
     let dp = solve_knapsack(&inst);

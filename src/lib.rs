@@ -25,9 +25,6 @@
 //! * [`conformance`] — the golden conformance harness solving every
 //!   registry scenario under every solver/detection-model combination
 //!   (snapshots in `tests/golden/`);
-//! * [`persist`] — the facade over the columnar snapshot stack: binary
-//!   container, scenario snapshots (spec + bank), and runtime service
-//!   checkpoints for warm restarts;
 //! * [`json`] — the minimal JSON layer behind the snapshots (the offline
 //!   serde shim has no data format);
 //! * [`telemetry`] — JSON rendering of the runtime's epoch telemetry
@@ -61,7 +58,6 @@ pub use tdmt;
 
 pub mod conformance;
 pub mod json;
-pub mod persist;
 pub mod scenario;
 pub mod telemetry;
 

@@ -68,6 +68,15 @@ fn health_of<'a>(report: &'a FleetReport, name: &str) -> &'a TenantHealth {
         .health
 }
 
+/// Every failure of the named tenant as `(round, resume_round)`.
+fn rounds_of(report: &FleetReport, name: &str) -> Vec<(usize, Option<usize>)> {
+    health_of(report, name)
+        .failures()
+        .iter()
+        .map(|f| (f.round, f.resume_round))
+        .collect()
+}
+
 /// Satellite (a): a tenant that panics mid-epoch no longer aborts the
 /// fleet (the old scheduler died on a poisoned tenant-slot mutex). With
 /// retries disabled the tenant fails terminally; everyone else finishes
@@ -134,6 +143,15 @@ fn quarantine_isolates_faults_at_every_worker_count() {
             "workers {workers}"
         );
         assert_eq!(health_of(&chaos, "t3").key(), "failed", "workers {workers}");
+        // Tenant rounds, not plan rounds: a plan round is the service's
+        // epoch + 1, so t3's plan rounds 1/2/3 strike at tenant rounds
+        // 1/3/6, each retry resuming after its doubled backoff.
+        assert_eq!(rounds_of(&chaos, "t1"), [(1, Some(2))], "workers {workers}");
+        assert_eq!(
+            rounds_of(&chaos, "t3"),
+            [(1, Some(2)), (3, Some(5)), (6, None)],
+            "workers {workers}"
+        );
         for name in &untouched {
             assert!(health_of(&chaos, name).is_healthy(), "{name} not healthy");
         }
@@ -182,11 +200,34 @@ fn cold_start_panic_recovers_from_scratch() {
     let chaos = run_with(2, 1, plan, RetryPolicy::default());
     let baseline = run_with(2, 1, FaultPlan::new(), RetryPolicy::default());
     assert_eq!(health_of(&chaos, "t0").key(), "recovered");
+    assert_eq!(rounds_of(&chaos, "t0"), [(0, Some(1))]);
     assert_eq!(
         chaos.tenants[0].report.fingerprint(),
         baseline.tenants[0].report.fingerprint()
     );
     assert_eq!(chaos.tenants[0].report.epochs.len(), 3);
+}
+
+/// A quarantined tenant runs nothing until its resume round, so the
+/// scheduler skips the backoff instead of stepping through it: a backoff
+/// of 2^40 rounds finishes at once, resumes at the round the policy
+/// names, and recovers fingerprint-identical to the fault-free run.
+#[test]
+fn quarantine_backoff_runs_no_idle_rounds() {
+    let retry = RetryPolicy {
+        max_retries: 1,
+        backoff_rounds: 1 << 40,
+    };
+    let plan = FaultPlan::new().inject("t0", 2, FaultSite::SolverPanic);
+    let chaos = run_with(2, 2, plan, retry);
+    let baseline = run_with(2, 2, FaultPlan::new(), retry);
+    assert_eq!(health_of(&chaos, "t0").key(), "recovered");
+    assert_eq!(rounds_of(&chaos, "t0"), [(2, Some(2 + (1 << 40)))]);
+    assert_eq!(
+        chaos.tenants[0].report.fingerprint(),
+        baseline.tenants[0].report.fingerprint()
+    );
+    assert!(health_of(&chaos, "t1").is_healthy());
 }
 
 /// Absorbed faults (empty epoch, budget exhaustion) never quarantine:

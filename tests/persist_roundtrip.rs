@@ -21,11 +21,14 @@
 //! changes, the test demands a deliberate `FORMAT_VERSION` bump and a
 //! regeneration via `UPDATE_GOLDEN=1 cargo test --test persist_roundtrip`.
 
-use alert_audit::persist::{
-    load_scenario_snapshot, scenario_snapshot_bytes, scenario_snapshot_from_bytes, BankReadOptions,
-    PersistError, Snapshot, SnapshotError, FORMAT_VERSION, HEADER_LEN,
+use alert_audit::game::persist::{
+    load_scenario_snapshot, scenario_snapshot_bytes, scenario_snapshot_from_bytes, PersistError,
+    KIND_RUNTIME_STATE, TAG_PROVENANCE, TAG_SPEC_META,
 };
 use alert_audit::scenario::registry;
+use alert_audit::stochastics::snapshot::{
+    BankReadOptions, SectionWriter, Snapshot, SnapshotError, FORMAT_VERSION, HEADER_LEN,
+};
 
 const BANK_ROWS: usize = 120;
 
@@ -226,13 +229,10 @@ fn corrupted_snapshots_fail_with_typed_errors_not_panics() {
                 // Re-checksum so only the kind disagrees: isolates the
                 // kind check from the integrity check.
                 let snap = Snapshot::from_bytes(&good).unwrap();
-                let mut clone = Snapshot::new(alert_audit::persist::KIND_RUNTIME_STATE);
-                for tag in [
-                    alert_audit::persist::TAG_PROVENANCE,
-                    alert_audit::persist::TAG_SPEC_META,
-                ] {
+                let mut clone = Snapshot::new(KIND_RUNTIME_STATE);
+                for tag in [TAG_PROVENANCE, TAG_SPEC_META] {
                     let mut r = snap.section(tag).unwrap();
-                    let mut w = alert_audit::persist::SectionWriter::new();
+                    let mut w = SectionWriter::new();
                     while r.remaining() >= 8 {
                         w.put_u64(r.get_u64().unwrap());
                     }

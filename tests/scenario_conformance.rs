@@ -114,7 +114,7 @@ fn no_stray_golden_snapshots() {
             // new one, or the stale pin would linger here unguarded.
             let want = format!(
                 "persist_format_v{}.snap",
-                alert_audit::persist::FORMAT_VERSION
+                alert_audit::stochastics::snapshot::FORMAT_VERSION
             );
             assert_eq!(
                 name, want,
