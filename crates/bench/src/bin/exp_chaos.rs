@@ -11,7 +11,7 @@
 //! Two runs of the **same** tenant set execute back to back: a baseline
 //! with an empty [`FaultPlan`] and a chaos run under the plan. The plan
 //! is either seeded (`--rate`, default 0.2 faults per tenant x round
-//! cell, sites drawn from [`FaultSite::SEEDED`]) or explicit
+//! cell, sites drawn from [`FaultSite::ALL`]) or explicit
 //! (`--plan "tenant:round:site,..."`). The harness then:
 //!
 //! * prints every planned fault and every tenant's supervisor verdict

@@ -2,7 +2,8 @@
 //! fleet to completion, report every planned fault and supervisor
 //! verdict, prove fault isolation (untouched tenants bit-identical to
 //! the fault-free baseline), stay deterministic across reruns and
-//! worker counts, and exit non-zero only on isolation violations.
+//! worker counts, and exit non-zero only on isolation violations or a
+//! plan it cannot inject.
 
 use std::process::Command;
 
@@ -100,6 +101,36 @@ fn exp_chaos_empty_plan_matches_the_baseline_exactly() {
         "an empty plan must be bit-identical to the fault-free run:\n{stdout}"
     );
     assert!(stdout.contains("health counts: healthy=3 recovered=0 failed=0"));
+}
+
+/// A plan may name only the sites the fleet fires. Any other site is
+/// refused with the list of known sites, rather than counted against its
+/// tenant and never fired.
+#[test]
+fn exp_chaos_rejects_a_site_it_cannot_fire() {
+    let out = run(&["2", "2", "1", "--plan", "syn-a#0:1:checkpoint-write"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "exp_chaos accepted an unknown site:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(
+        stderr.contains("unknown fault site 'checkpoint-write'"),
+        "stderr:\n{stderr}"
+    );
+    for site in [
+        "solver-panic",
+        "solve-error",
+        "empty-epoch",
+        "malformed-epoch",
+        "budget-exhaust",
+    ] {
+        assert!(
+            stderr.contains(site),
+            "known site '{site}' not listed:\n{stderr}"
+        );
+    }
 }
 
 #[test]

@@ -37,8 +37,8 @@
 //!
 //! State files older than snapshot format version 3 use a layout whose
 //! words would decode as different fields, so [`load_checkpoint`] refuses
-//! them with [`PersistError::StaleFormat`] and [`restore_or_cold`]
-//! cold-starts. `bank.snap` reads every version up to the current one.
+//! them with [`PersistError::StaleFormat`]. `bank.snap` reads every
+//! version up to the current one.
 //!
 //! [`AuditPolicy`]: audit_game::execute::AuditPolicy
 
@@ -60,13 +60,6 @@ use stochastics::StreamingMoments;
 pub const BANK_FILE: &str = "bank.snap";
 /// File name of the runtime-state snapshot in a checkpoint directory.
 pub const STATE_FILE: &str = "state.snap";
-/// Subdirectory holding the previous container-valid checkpoint pair,
-/// rotated there by [`save_checkpoint`] before each overwrite.
-pub const LAST_GOOD_DIR: &str = "last_good";
-/// Subdirectory a corrupt primary pair is moved to by
-/// [`recover_checkpoint`], preserving the evidence for post-mortems
-/// instead of silently overwriting it.
-pub const QUARANTINE_DIR: &str = "quarantine";
 
 /// Section tag: the full [`RuntimeConfig`].
 pub const TAG_RT_CONFIG: u64 = 0x40;
@@ -475,35 +468,10 @@ fn io_err(path: &Path, e: std::io::Error) -> PersistError {
     PersistError::Snapshot(SnapshotError::Io(format!("{}: {e}", path.display())))
 }
 
-/// Rotate the current checkpoint pair into `dir/last_good/`, but only if
-/// both containers still pass their integrity checks (magic, version,
-/// checksum, framing) — rotating an already-rotten pair would evict a
-/// good fallback for a bad one. The primary files are copied, not moved:
-/// the save that follows replaces them atomically.
-fn rotate_last_good(dir: &Path) -> Result<(), PersistError> {
-    let bank = dir.join(BANK_FILE);
-    let state = dir.join(STATE_FILE);
-    if !bank.is_file() || !state.is_file() {
-        return Ok(());
-    }
-    if Snapshot::read_from(&bank).is_err() || Snapshot::read_from(&state).is_err() {
-        return Ok(());
-    }
-    let good = dir.join(LAST_GOOD_DIR);
-    std::fs::create_dir_all(&good).map_err(|e| io_err(&good, e))?;
-    for name in [BANK_FILE, STATE_FILE] {
-        let to = good.join(name);
-        std::fs::copy(dir.join(name), &to).map_err(|e| io_err(&to, e))?;
-    }
-    Ok(())
-}
-
 /// Persist a mid-run service state to `dir` (created if missing):
 /// `bank.snap` with the committed spec + solver sample bank, `state.snap`
-/// with everything else. See the module docs for the layout. The
-/// previous pair, if still container-valid, is first rotated into
-/// `dir/last_good/` so one torn or rotten write never strands the
-/// service (see [`recover_checkpoint`]).
+/// with everything else, overwriting any pair already there. See the
+/// module docs for the layout.
 pub fn save_checkpoint(
     dir: &Path,
     scenario_key: &str,
@@ -511,7 +479,6 @@ pub fn save_checkpoint(
     state: &ServiceState,
 ) -> Result<(), PersistError> {
     std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    rotate_last_good(dir)?;
     let bank = state
         .spec
         .sample_bank(cfg.solver.n_samples, cfg.solver.seed);
@@ -540,7 +507,7 @@ pub fn save_checkpoint(
 /// refuses state files older than the current runtime-state layout
 /// ([`PersistError::StaleFormat`]) and cross-validates the two files and
 /// the chain of invariants the epoch loop maintains: spec fingerprint,
-/// bank-vs-regeneration equality, scenario-key agreement,
+/// bank size, bank-vs-regeneration equality, scenario-key agreement,
 /// telemetry-chain fingerprint, record count vs epoch cursor,
 /// drift-tracker period count, and alert-id continuity.
 pub fn load_checkpoint(dir: &Path) -> Result<LoadedCheckpoint, PersistError> {
@@ -618,6 +585,15 @@ pub fn load_checkpoint(dir: &Path) -> Result<LoadedCheckpoint, PersistError> {
             loaded.spec.n_types()
         )));
     }
+    // The sample count is a word of the state file: check it against the
+    // bank actually read before drawing a bank of that size.
+    if loaded.bank.n_samples() != config.solver.n_samples {
+        return Err(PersistError::Provenance(format!(
+            "bank snapshot holds {} samples, config says {}",
+            loaded.bank.n_samples(),
+            config.solver.n_samples
+        )));
+    }
     // End-to-end integrity probe: the persisted bank must equal a fresh
     // regeneration from the (fingerprint-verified) spec.
     let regen = loaded
@@ -665,149 +641,6 @@ pub fn load_checkpoint(dir: &Path) -> Result<LoadedCheckpoint, PersistError> {
     })
 }
 
-// ---------------------------------------------------------------------
-// Hardened recovery
-// ---------------------------------------------------------------------
-
-/// Where a hardened restore found its state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoverySource {
-    /// The primary pair loaded and verified cleanly.
-    Primary,
-    /// The primary pair was corrupt; the rotated `last_good/` pair loaded.
-    LastGood,
-    /// Both pairs were unusable (or no checkpoint existed); the service
-    /// was regenerated from a cold start.
-    Cold,
-}
-
-impl RecoverySource {
-    /// Stable string key: `primary`, `last-good`, or `cold`.
-    pub fn key(&self) -> &'static str {
-        match self {
-            RecoverySource::Primary => "primary",
-            RecoverySource::LastGood => "last-good",
-            RecoverySource::Cold => "cold",
-        }
-    }
-}
-
-/// What a hardened restore did, for telemetry and grep lines.
-#[derive(Debug, Clone)]
-pub struct RecoveryReport {
-    /// Which fallback level served the restore.
-    pub source: RecoverySource,
-    /// Whether a corrupt primary pair was moved to `quarantine/`.
-    pub quarantined: bool,
-    /// The primary load error, when there was one.
-    pub cause: Option<String>,
-}
-
-/// Move whatever exists of the primary pair into `dir/quarantine/`,
-/// best-effort (recovery must not fail because evidence preservation
-/// did). Returns whether anything was moved.
-fn quarantine_primary(dir: &Path) -> bool {
-    let qdir = dir.join(QUARANTINE_DIR);
-    if std::fs::create_dir_all(&qdir).is_err() {
-        return false;
-    }
-    let mut moved = false;
-    for name in [BANK_FILE, STATE_FILE] {
-        let from = dir.join(name);
-        if from.is_file() && std::fs::rename(&from, qdir.join(name)).is_ok() {
-            moved = true;
-        }
-    }
-    moved
-}
-
-/// Load a checkpoint with the full fallback ladder short of a cold
-/// start: primary pair first; on any load or verification failure the
-/// corrupt pair is moved to `dir/quarantine/` and the `last_good/` pair
-/// (rotated there by [`save_checkpoint`]) is tried. Errs only when both
-/// levels fail — callers that can regenerate should use
-/// [`restore_or_cold`] instead.
-pub fn recover_checkpoint(dir: &Path) -> Result<(LoadedCheckpoint, RecoveryReport), PersistError> {
-    let primary_err = match load_checkpoint(dir) {
-        Ok(loaded) => {
-            return Ok((
-                loaded,
-                RecoveryReport {
-                    source: RecoverySource::Primary,
-                    quarantined: false,
-                    cause: None,
-                },
-            ))
-        }
-        Err(e) => e,
-    };
-    let quarantined = quarantine_primary(dir);
-    match load_checkpoint(&dir.join(LAST_GOOD_DIR)) {
-        Ok(loaded) => Ok((
-            loaded,
-            RecoveryReport {
-                source: RecoverySource::LastGood,
-                quarantined,
-                cause: Some(primary_err.to_string()),
-            },
-        )),
-        // The primary failure is the actionable one; the fallback's
-        // failure is usually just "no last_good yet".
-        Err(_) => Err(primary_err),
-    }
-}
-
-/// The top of the recovery ladder: restore from `dir` via
-/// [`recover_checkpoint`], and if **both** checkpoint levels are
-/// unusable, regenerate the service from a cold start under
-/// `fallback_config` — the supervisor's guarantee that a tenant with a
-/// shredded checkpoint directory is degraded, never stranded. The
-/// scenario must match a recovered checkpoint's key (that mismatch is a
-/// caller bug, not corruption, and surfaces as an error).
-pub fn restore_or_cold(
-    scenario: std::sync::Arc<dyn audit_game::scenario::Scenario>,
-    dir: &Path,
-    fallback_config: &RuntimeConfig,
-) -> Result<
-    (crate::service::AuditService, ServiceState, RecoveryReport),
-    audit_game::error::GameError,
-> {
-    use crate::service::AuditService;
-    match recover_checkpoint(dir) {
-        Ok((loaded, report)) => {
-            if loaded.scenario_key != scenario.key() {
-                return Err(audit_game::error::GameError::Persist(
-                    PersistError::Provenance(format!(
-                        "checkpoint was taken on scenario '{}', not '{}'",
-                        loaded.scenario_key,
-                        scenario.key()
-                    )),
-                ));
-            }
-            Ok((
-                AuditService::new(scenario, loaded.config),
-                loaded.state,
-                report,
-            ))
-        }
-        Err(e) => {
-            let qdir = dir.join(QUARANTINE_DIR);
-            let quarantined = qdir.join(STATE_FILE).is_file() || qdir.join(BANK_FILE).is_file();
-            let service = AuditService::new(scenario, fallback_config.clone());
-            let state = service.start_state()?;
-            Ok((
-                service,
-                state,
-                RecoveryReport {
-                    source: RecoverySource::Cold,
-                    quarantined,
-                    cause: Some(e.to_string()),
-                },
-            ))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -839,6 +672,29 @@ mod tests {
                 ..Default::default()
             },
         }
+    }
+
+    /// A saved state file re-encoded with `cfg` and `records` in place of
+    /// its own, every other section as saved. The container checksum is
+    /// recomputed, so the result passes the container checks.
+    fn reencode_state(
+        snap: &Snapshot,
+        cfg: &RuntimeConfig,
+        records: &[EpochTelemetry],
+    ) -> Snapshot {
+        let mut forged = Snapshot::new(KIND_RUNTIME_STATE);
+        encode_config(&mut forged, cfg);
+        let mut cursor = SectionWriter::new();
+        let mut r = snap.section(TAG_RT_CURSOR).unwrap();
+        while r.remaining() >= 8 {
+            cursor.put_u64(r.get_u64().unwrap());
+        }
+        forged.add_section(TAG_RT_CURSOR, cursor);
+        encode_policy(&mut forged, &decode_policy(snap).unwrap());
+        encode_cache(&mut forged, &decode_cache(snap).unwrap());
+        encode_fit(&mut forged, &decode_fit(snap).unwrap());
+        encode_telemetry(&mut forged, records);
+        forged
     }
 
     #[test]
@@ -903,19 +759,7 @@ mod tests {
         let snap = Snapshot::read_from(&dir.join(STATE_FILE)).unwrap();
         let mut records = decode_telemetry(&snap).unwrap();
         records[0].alerts_audited[0] += 1;
-        let mut forged = Snapshot::new(KIND_RUNTIME_STATE);
-        for tag in [TAG_RT_CONFIG, TAG_RT_CURSOR] {
-            let mut w = SectionWriter::new();
-            let mut r = snap.section(tag).unwrap();
-            while r.remaining() >= 8 {
-                w.put_u64(r.get_u64().unwrap());
-            }
-            forged.add_section(tag, w);
-        }
-        encode_policy(&mut forged, &decode_policy(&snap).unwrap());
-        encode_cache(&mut forged, &decode_cache(&snap).unwrap());
-        encode_fit(&mut forged, &decode_fit(&snap).unwrap());
-        encode_telemetry(&mut forged, &records);
+        let forged = reencode_state(&snap, &decode_config(&snap).unwrap(), &records);
         forged.write_to(&dir.join(STATE_FILE)).unwrap();
 
         // Alert accounting still matches (audited, not seen, was bumped),
@@ -923,6 +767,30 @@ mod tests {
         assert!(matches!(
             load_checkpoint(&dir),
             Err(PersistError::FingerprintMismatch { .. })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sample_count_is_checked_before_a_bank_is_drawn() {
+        let reg = registry();
+        let scenario = reg.get("syn-seasonal").unwrap().clone();
+        let service = AuditService::new(Arc::clone(&scenario), small_config());
+        let state = service.run_until(2).unwrap();
+        let dir = temp_dir("sample-count");
+        service.checkpoint(&state, &dir).unwrap();
+
+        // A sample count whose bank byte size overflows: drawing that bank
+        // to compare it would panic in the allocator, so the count has to
+        // be refused against the bank read from `bank.snap` first.
+        let snap = Snapshot::read_from(&dir.join(STATE_FILE)).unwrap();
+        let mut cfg = decode_config(&snap).unwrap();
+        cfg.solver.n_samples = usize::MAX / 4;
+        let forged = reencode_state(&snap, &cfg, &decode_telemetry(&snap).unwrap());
+        forged.write_to(&dir.join(STATE_FILE)).unwrap();
+        assert!(matches!(
+            load_checkpoint(&dir),
+            Err(PersistError::Provenance(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -961,86 +829,5 @@ mod tests {
             load_checkpoint(&dir),
             Err(PersistError::Snapshot(SnapshotError::Io(_)))
         ));
-    }
-
-    #[test]
-    fn recovery_ladder_falls_back_to_last_good_then_cold() {
-        let reg = registry();
-        let scenario = reg.get("syn-seasonal").unwrap().clone();
-        let service = AuditService::new(Arc::clone(&scenario), small_config());
-        let dir = temp_dir("ladder");
-
-        // First checkpoint at epoch 2: no prior pair, nothing rotated.
-        let state2 = service.run_until(2).unwrap();
-        service.checkpoint(&state2, &dir).unwrap();
-        assert!(!dir.join(LAST_GOOD_DIR).join(STATE_FILE).is_file());
-
-        // Second checkpoint at epoch 3 rotates the epoch-2 pair.
-        let state3 = service.run_until(3).unwrap();
-        service.checkpoint(&state3, &dir).unwrap();
-        assert!(dir.join(LAST_GOOD_DIR).join(STATE_FILE).is_file());
-
-        // Pristine primary: recovery uses it and quarantines nothing.
-        let (loaded, report) = recover_checkpoint(&dir).unwrap();
-        assert_eq!(report.source, RecoverySource::Primary);
-        assert!(!report.quarantined);
-        assert_eq!(loaded.state.epoch, 3);
-
-        // Corrupt the primary state file: recovery quarantines the pair
-        // and serves the rotated epoch-2 checkpoint.
-        crate::supervisor::corrupt_file(&dir.join(STATE_FILE), 9).unwrap();
-        let (loaded, report) = recover_checkpoint(&dir).unwrap();
-        assert_eq!(report.source, RecoverySource::LastGood);
-        assert!(report.quarantined);
-        assert!(report.cause.is_some());
-        assert_eq!(loaded.state.epoch, 2);
-        assert!(dir.join(QUARANTINE_DIR).join(STATE_FILE).is_file());
-        assert!(!dir.join(STATE_FILE).is_file(), "corrupt primary moved");
-
-        // A last-good restore resumes to the same fingerprint as an
-        // uninterrupted run — it is a real checkpoint, just older.
-        let resumed = service.resume(loaded.state).unwrap();
-        assert_eq!(resumed.fingerprint(), service.run().unwrap().fingerprint());
-
-        // Now shred the fallback too: recover errs, restore_or_cold
-        // regenerates from a cold start and reports the primary cause.
-        crate::supervisor::corrupt_file(&dir.join(LAST_GOOD_DIR).join(STATE_FILE), 3).unwrap();
-        assert!(recover_checkpoint(&dir).is_err());
-        let (cold_service, cold_state, report) =
-            restore_or_cold(Arc::clone(&scenario), &dir, &small_config()).unwrap();
-        assert_eq!(report.source, RecoverySource::Cold);
-        assert!(report.cause.is_some());
-        assert_eq!(cold_state.epoch, 0);
-        let cold_report = cold_service.resume(cold_state).unwrap();
-        assert_eq!(
-            cold_report.fingerprint(),
-            service.run().unwrap().fingerprint(),
-            "cold regeneration under the same config converges to the same run"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn rotation_never_evicts_a_good_pair_for_a_rotten_one() {
-        let reg = registry();
-        let scenario = reg.get("syn-seasonal").unwrap().clone();
-        let service = AuditService::new(Arc::clone(&scenario), small_config());
-        let dir = temp_dir("rotation-guard");
-        let state2 = service.run_until(2).unwrap();
-        service.checkpoint(&state2, &dir).unwrap();
-        let state3 = service.run_until(3).unwrap();
-        service.checkpoint(&state3, &dir).unwrap();
-
-        // Corrupt the primary, then checkpoint again: the rotten pair
-        // must NOT rotate over the good epoch-2 fallback.
-        crate::supervisor::corrupt_file(&dir.join(STATE_FILE), 1).unwrap();
-        let state4 = service.run_until(4).unwrap();
-        service.checkpoint(&state4, &dir).unwrap();
-        let good = Snapshot::read_from(&dir.join(LAST_GOOD_DIR).join(STATE_FILE));
-        assert!(good.is_ok(), "last_good stayed container-valid");
-        let (loaded, report) = recover_checkpoint(&dir).unwrap();
-        assert_eq!(report.source, RecoverySource::Primary);
-        assert_eq!(loaded.state.epoch, 4);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -257,7 +257,6 @@ impl FleetService {
             )));
         }
         let t0 = Instant::now();
-        let plan = Arc::new(self.config.fault_plan.clone());
         let max_epochs = self.tenants.iter().map(|t| t.config.epochs).max();
         // Hard cap on a tenant's rounds: the fault-free schedule plus the
         // worst-case quarantine delay any retry ladder can add. Purely a
@@ -265,7 +264,7 @@ impl FleetService {
         let round_cap = 1 + max_epochs.unwrap_or(0) + self.config.retry.worst_case_delay();
         let workers = self.config.workers.max(1).min(self.tenants.len().max(1));
         let tenants = parallel_map_indexed(workers, &self.tenants, |_, spec| {
-            run_tenant(spec, &plan, self.config.retry, round_cap)
+            run_tenant(spec, &self.config.fault_plan, self.config.retry, round_cap)
         });
 
         // Aggregate in tenant order.
@@ -305,7 +304,7 @@ impl FleetService {
 /// report.
 fn run_tenant(
     spec: &TenantSpec,
-    plan: &Arc<FaultPlan>,
+    plan: &FaultPlan,
     retry: RetryPolicy,
     round_cap: usize,
 ) -> FleetTenantReport {
@@ -313,7 +312,7 @@ fn run_tenant(
     let service = if plan.is_empty() {
         service
     } else {
-        service.with_injector(FaultInjector::new(Arc::clone(plan), &spec.name))
+        service.with_injector(FaultInjector::new(plan, &spec.name))
     };
     let mut state: Option<ServiceState> = None;
     let mut stream = Vec::new();

@@ -59,15 +59,11 @@ pub mod service;
 pub mod supervisor;
 pub mod telemetry;
 
-pub use checkpoint::{
-    load_checkpoint, recover_checkpoint, restore_or_cold, save_checkpoint, LoadedCheckpoint,
-    RecoveryReport, RecoverySource,
-};
+pub use checkpoint::{load_checkpoint, save_checkpoint, LoadedCheckpoint};
 pub use fleet::{FleetConfig, FleetReport, FleetService, FleetTenantReport, TenantSpec};
 pub use online::{DriftConfig, OnlineFit};
 pub use service::{warm_start_rescaled, AuditService, RuntimeConfig, ServiceState};
 pub use supervisor::{
-    corrupt_file, panic_message, FaultInjector, FaultPlan, FaultSite, RetryPolicy, TenantFailure,
-    TenantHealth,
+    panic_message, FaultInjector, FaultPlan, FaultSite, RetryPolicy, TenantFailure, TenantHealth,
 };
 pub use telemetry::{EpochTelemetry, ResolveStats, RuntimeReport};

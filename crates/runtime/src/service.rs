@@ -49,7 +49,6 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 use stochastics::rng::stream_rng;
-use stochastics::snapshot::SnapshotError;
 
 /// High bits of the execution-randomness stream ids: period `i` executes
 /// with `stream_rng(seed, EXEC_STREAM_BASE ^ i)`. Disjoint by construction
@@ -287,23 +286,7 @@ impl AuditService {
     /// [`crate::checkpoint`] for the on-disk layout.
     pub fn checkpoint(&self, state: &ServiceState, dir: &Path) -> Result<(), GameError> {
         crate::checkpoint::save_checkpoint(dir, self.scenario.key(), &self.config, state)
-            .map_err(GameError::from)?;
-        // Injected torn write: the save itself succeeded (and rotated the
-        // previous pair into `last_good/`), then the primary state file
-        // rots on disk. Keyed by the state epoch, since checkpoints are
-        // taken outside the round loop.
-        if self.fault(state.epoch, FaultSite::CheckpointWrite) {
-            crate::supervisor::corrupt_file(
-                &dir.join(crate::checkpoint::STATE_FILE),
-                state.epoch as u64,
-            )
-            .map_err(|e| {
-                GameError::Persist(PersistError::Snapshot(SnapshotError::Io(format!(
-                    "injected checkpoint-write fault: {e}"
-                ))))
-            })?;
-        }
-        Ok(())
+            .map_err(GameError::from)
     }
 
     /// Reload a checkpoint written by [`AuditService::checkpoint`],

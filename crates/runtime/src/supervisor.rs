@@ -19,7 +19,7 @@
 //! * [`FaultInjector`] — a per-tenant view of the plan handed to
 //!   [`crate::service::AuditService`]. Each planned fault fires **exactly
 //!   once** ([`FaultInjector::fires`] consumes it), so a quarantined
-//!   tenant retried from its last good state does not re-trip the same
+//!   tenant retried from its pre-round state does not re-trip the same
 //!   fault forever: one-shot semantics are what make `Recovered` an
 //!   observable outcome rather than a livelock;
 //! * [`RetryPolicy`] — deterministic, round-based exponential backoff.
@@ -35,8 +35,7 @@ use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use rand::Rng;
 use stochastics::rng::stream_rng;
@@ -76,33 +75,12 @@ pub enum FaultSite {
     /// The epoch's re-solve budget collapses to one evaluation, forcing
     /// the graceful-degradation ladder to its floor.
     BudgetExhaust,
-    /// The checkpoint written at this state epoch is corrupted on disk
-    /// after a successful save (models torn writes / media rot).
-    CheckpointWrite,
-    /// The checkpoint is corrupted before it is read back (models rot
-    /// between save and restore). Applied by
-    /// [`FaultInjector::corrupt_for_read`], which harnesses call between
-    /// save and restore.
-    CheckpointRead,
 }
 
 impl FaultSite {
-    /// Every site, in declaration order.
-    pub const ALL: [FaultSite; 7] = [
-        FaultSite::SolverPanic,
-        FaultSite::SolveError,
-        FaultSite::EmptyEpoch,
-        FaultSite::MalformedEpoch,
-        FaultSite::BudgetExhaust,
-        FaultSite::CheckpointWrite,
-        FaultSite::CheckpointRead,
-    ];
-
-    /// Sites eligible for seeded plan generation: the in-loop faults a
-    /// tenant can recover from without an on-disk checkpoint. The two
-    /// checkpoint sites need a checkpoint directory to exist and are
-    /// exercised by explicit plans instead.
-    pub const SEEDED: [FaultSite; 5] = [
+    /// Every site, in declaration order. [`FaultPlan::seeded`] draws
+    /// from this list by index, so reordering it reshuffles seeded plans.
+    pub const ALL: [FaultSite; 5] = [
         FaultSite::SolverPanic,
         FaultSite::SolveError,
         FaultSite::EmptyEpoch,
@@ -118,8 +96,6 @@ impl FaultSite {
             FaultSite::EmptyEpoch => "empty-epoch",
             FaultSite::MalformedEpoch => "malformed-epoch",
             FaultSite::BudgetExhaust => "budget-exhaust",
-            FaultSite::CheckpointWrite => "checkpoint-write",
-            FaultSite::CheckpointRead => "checkpoint-read",
         }
     }
 
@@ -131,8 +107,6 @@ impl FaultSite {
             FaultSite::EmptyEpoch => 3,
             FaultSite::MalformedEpoch => 4,
             FaultSite::BudgetExhaust => 5,
-            FaultSite::CheckpointWrite => 6,
-            FaultSite::CheckpointRead => 7,
         }
     }
 }
@@ -154,9 +128,7 @@ impl fmt::Display for FaultSite {
 /// tenant round only until the first retry, since a retried round and its
 /// backoff push the tenant's later rounds back: plan rounds 1, 2 and 3 all
 /// failing under the default [`RetryPolicy`] fail at tenant rounds 1, 3
-/// and 6. Checkpoint sites are keyed by the **state epoch** of the
-/// checkpoint being written or read instead, since checkpoints are taken
-/// outside the fleet.
+/// and 6.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: BTreeSet<(String, usize, FaultSite)>,
@@ -178,7 +150,7 @@ impl FaultPlan {
     /// Generate a plan from a seed: each tenant × round cell (rounds
     /// `1..=rounds`; cold starts are never seeded) independently draws a
     /// fault with probability `rate`, choosing uniformly among
-    /// [`FaultSite::SEEDED`]. Deterministic in `(seed, tenants, rounds,
+    /// [`FaultSite::ALL`]. Deterministic in `(seed, tenants, rounds,
     /// rate)`; the tenant *index* keys the stream, so renaming a tenant
     /// does not reshuffle the others.
     pub fn seeded(seed: u64, tenants: &[String], rounds: usize, rate: f64) -> Self {
@@ -187,17 +159,12 @@ impl FaultPlan {
             let mut rng = stream_rng(seed, FAULT_STREAM_BASE ^ ((ti as u64) << 20));
             for round in 1..=rounds {
                 if rng.gen::<f64>() < rate {
-                    let site = FaultSite::SEEDED[rng.gen_range(0..FaultSite::SEEDED.len())];
+                    let site = FaultSite::ALL[rng.gen_range(0..FaultSite::ALL.len())];
                     plan.faults.insert((tenant.clone(), round, site));
                 }
             }
         }
         plan
-    }
-
-    /// Does the plan contain this exact fault?
-    pub fn contains(&self, tenant: &str, round: usize, site: FaultSite) -> bool {
-        self.faults.contains(&(tenant.to_string(), round, site))
     }
 
     /// The distinct tenants the plan touches, sorted.
@@ -239,28 +206,33 @@ impl FaultPlan {
 // Fault injector
 // ---------------------------------------------------------------------
 
-/// A per-tenant, one-shot view of a [`FaultPlan`].
+/// A per-tenant, one-shot view of a [`FaultPlan`]: the tenant's planned
+/// `(round, site)` faults that have not fired yet.
 ///
-/// The injector is cloned into the tenant's [`crate::service::AuditService`];
-/// clones share the fired set, so a fault consumed before a panic stays
-/// consumed when the tenant is retried from its last good state. That
-/// one-shot discipline models transient chaos events (a single torn
-/// write, a single poisoned epoch) and is what lets a quarantined tenant
+/// The fleet attaches one injector to a tenant's
+/// [`crate::service::AuditService`] for the tenant's whole run, so a fault
+/// consumed before a panic stays consumed when the tenant is retried from
+/// its pre-round state. That one-shot discipline models transient chaos
+/// events (a single poisoned epoch) and is what lets a quarantined tenant
 /// actually recover instead of re-tripping the same fault every retry.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FaultInjector {
-    plan: Arc<FaultPlan>,
     tenant: String,
-    fired: Arc<Mutex<BTreeSet<(usize, FaultSite)>>>,
+    pending: Mutex<BTreeSet<(usize, FaultSite)>>,
 }
 
 impl FaultInjector {
-    /// Build an injector for one tenant over a shared plan.
-    pub fn new(plan: Arc<FaultPlan>, tenant: impl Into<String>) -> Self {
+    /// Build an injector over `plan`'s faults for `tenant`.
+    pub fn new(plan: &FaultPlan, tenant: impl Into<String>) -> Self {
+        let tenant = tenant.into();
+        let pending = plan
+            .iter()
+            .filter(|&(t, _, _)| t == tenant)
+            .map(|(_, round, site)| (round, site))
+            .collect();
         Self {
-            plan,
-            tenant: tenant.into(),
-            fired: Arc::new(Mutex::new(BTreeSet::new())),
+            tenant,
+            pending: Mutex::new(pending),
         }
     }
 
@@ -271,47 +243,17 @@ impl FaultInjector {
 
     /// Consume-and-fire: true exactly once per planned `(round, site)`.
     ///
-    /// A panic between marking and acting leaves the fault consumed —
+    /// A panic between consuming and acting leaves the fault consumed —
     /// deliberately, since the supervisor's retry must not replay it.
     pub fn fires(&self, round: usize, site: FaultSite) -> bool {
-        if !self.plan.contains(&self.tenant, round, site) {
-            return false;
-        }
-        // A panic while holding the lock (never the case here: insert
+        // A panic while holding the lock (never the case here: remove
         // cannot panic) would poison it; recover the inner set rather
         // than propagate the poison.
-        let mut fired = self
-            .fired
+        self.pending
             .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        fired.insert((round, site))
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .remove(&(round, site))
     }
-
-    /// Apply a pending [`FaultSite::CheckpointRead`] fault for the given
-    /// state epoch by corrupting the file in place. Harnesses call this
-    /// between save and restore; returns true when the fault fired.
-    pub fn corrupt_for_read(&self, epoch: usize, path: &Path) -> std::io::Result<bool> {
-        if !self.fires(epoch, FaultSite::CheckpointRead) {
-            return Ok(false);
-        }
-        corrupt_file(path, epoch as u64)?;
-        Ok(true)
-    }
-}
-
-/// Deterministically corrupt a file: flip one byte at a salt-derived
-/// offset (or append a byte to an empty file). Writes directly — the
-/// corruption deliberately bypasses the atomic-write path, since it
-/// models damage *after* a clean write.
-pub fn corrupt_file(path: &Path, salt: u64) -> std::io::Result<()> {
-    let mut bytes = std::fs::read(path)?;
-    if bytes.is_empty() {
-        bytes.push(0xFF);
-    } else {
-        let idx = (salt as usize ^ (bytes.len() / 2)) % bytes.len();
-        bytes[idx] ^= 0x5A;
-    }
-    std::fs::write(path, &bytes)
 }
 
 // ---------------------------------------------------------------------
@@ -491,7 +433,7 @@ mod tests {
         for (_, round, site) in a.iter() {
             assert!(round >= 1, "cold starts (round 0) are never seeded");
             assert!(round <= 8);
-            assert!(FaultSite::SEEDED.contains(&site));
+            assert!(FaultSite::ALL.contains(&site));
         }
         let c = FaultPlan::seeded(43, &tenants, 8, 0.35);
         assert_ne!(a.fingerprint(), c.fingerprint(), "seed must matter");
@@ -501,26 +443,21 @@ mod tests {
 
     #[test]
     fn injector_fires_each_planned_fault_exactly_once() {
-        let plan = Arc::new(
-            FaultPlan::new()
-                .inject("t0", 2, FaultSite::SolverPanic)
-                .inject("t0", 4, FaultSite::EmptyEpoch)
-                .inject("t1", 2, FaultSite::SolverPanic),
-        );
-        let inj = FaultInjector::new(Arc::clone(&plan), "t0");
+        let plan = FaultPlan::new()
+            .inject("t0", 2, FaultSite::SolverPanic)
+            .inject("t0", 4, FaultSite::EmptyEpoch)
+            .inject("t1", 2, FaultSite::SolverPanic);
+        let inj = FaultInjector::new(&plan, "t0");
         assert!(!inj.fires(1, FaultSite::SolverPanic), "unplanned round");
         assert!(inj.fires(2, FaultSite::SolverPanic), "first consult fires");
         assert!(!inj.fires(2, FaultSite::SolverPanic), "one-shot");
-
-        // Clones share the fired set: a retried service must not re-trip.
-        let clone = inj.clone();
-        assert!(!clone.fires(2, FaultSite::SolverPanic));
-        assert!(clone.fires(4, FaultSite::EmptyEpoch));
+        assert!(!inj.fires(4, FaultSite::SolverPanic), "unplanned site");
+        assert!(inj.fires(4, FaultSite::EmptyEpoch));
         assert!(!inj.fires(4, FaultSite::EmptyEpoch));
 
         // Another tenant's faults are invisible.
         assert!(!inj.fires(2, FaultSite::SolverPanic));
-        let other = FaultInjector::new(plan, "t1");
+        let other = FaultInjector::new(&plan, "t1");
         assert!(other.fires(2, FaultSite::SolverPanic));
     }
 
@@ -540,30 +477,6 @@ mod tests {
             backoff_rounds: 0,
         };
         assert!(zero.resume_round(3, 1) > 3);
-    }
-
-    #[test]
-    fn corrupt_file_is_deterministic_and_touches_one_byte() {
-        let dir = std::env::temp_dir().join(format!("audit-corrupt-helper-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("victim.bin");
-        let original: Vec<u8> = (0..257u32).map(|i| (i % 251) as u8).collect();
-
-        std::fs::write(&path, &original).unwrap();
-        corrupt_file(&path, 7).unwrap();
-        let once = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &original).unwrap();
-        corrupt_file(&path, 7).unwrap();
-        let twice = std::fs::read(&path).unwrap();
-        assert_eq!(once, twice, "same salt corrupts the same byte");
-        let diffs = original.iter().zip(&once).filter(|(a, b)| a != b).count();
-        assert_eq!(diffs, 1, "exactly one byte flipped");
-
-        let empty = dir.join("empty.bin");
-        std::fs::write(&empty, b"").unwrap();
-        corrupt_file(&empty, 0).unwrap();
-        assert_eq!(std::fs::read(&empty).unwrap(), vec![0xFF]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

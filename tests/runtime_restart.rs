@@ -162,8 +162,10 @@ fn checkpoint_at_the_horizon_restores_the_finished_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A checkpoint directory with a flipped byte in either file is rejected
-/// with a typed error — the service never resumes from damaged state.
+/// A checkpoint directory with either file damaged — a byte flipped, the
+/// file truncated to a third, or the file deleted — is rejected with a
+/// typed error, never a panic: the service never resumes from damaged
+/// state. The next save overwrites the damage.
 #[test]
 fn damaged_checkpoint_files_are_rejected() {
     let reg = registry();
@@ -175,24 +177,38 @@ fn damaged_checkpoint_files_are_rejected() {
     service.checkpoint(&state, &dir).unwrap();
 
     for file in ["bank.snap", "state.snap"] {
-        let path = dir.join(file);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        let damaged = temp_dir(&format!("damage-{file}"));
-        std::fs::create_dir_all(&damaged).unwrap();
-        for f in ["bank.snap", "state.snap"] {
-            std::fs::copy(dir.join(f), damaged.join(f)).unwrap();
+        let bytes = std::fs::read(dir.join(file)).unwrap();
+        let mut flipped = bytes.clone();
+        flipped[bytes.len() / 2] ^= 0x10;
+        let truncated = bytes[..bytes.len() / 3].to_vec();
+        // `None` deletes the file.
+        for (damage, replacement) in [
+            ("flip", Some(flipped)),
+            ("truncate", Some(truncated)),
+            ("delete", None),
+        ] {
+            let damaged = temp_dir(&format!("damage-{damage}-{file}"));
+            std::fs::create_dir_all(&damaged).unwrap();
+            for f in ["bank.snap", "state.snap"] {
+                std::fs::copy(dir.join(f), damaged.join(f)).unwrap();
+            }
+            match replacement {
+                Some(bytes) => std::fs::write(damaged.join(file), bytes).unwrap(),
+                None => std::fs::remove_file(damaged.join(file)).unwrap(),
+            }
+            match AuditService::restore(Arc::clone(&scenario), &damaged) {
+                Ok(_) => panic!("{file}/{damage}: damaged checkpoint restored successfully?!"),
+                Err(err) => assert!(
+                    matches!(err, audit_game::error::GameError::Persist(_)),
+                    "{file}/{damage}: unexpected error: {err}"
+                ),
+            }
+            // A save over the damaged pair replaces it.
+            service.checkpoint(&state, &damaged).unwrap();
+            let (_, restored) = AuditService::restore(Arc::clone(&scenario), &damaged).unwrap();
+            assert_eq!(restored.epoch, state.epoch, "{file}/{damage}");
+            std::fs::remove_dir_all(&damaged).ok();
         }
-        std::fs::write(damaged.join(file), &bytes).unwrap();
-        match AuditService::restore(Arc::clone(&scenario), &damaged) {
-            Ok(_) => panic!("{file}: damaged checkpoint restored successfully?!"),
-            Err(err) => assert!(
-                matches!(err, audit_game::error::GameError::Persist(_)),
-                "{file}: unexpected error: {err}"
-            ),
-        }
-        std::fs::remove_dir_all(&damaged).ok();
     }
     std::fs::remove_dir_all(&dir).ok();
 }
