@@ -12,7 +12,10 @@
 //! with an empty [`FaultPlan`] and a chaos run under the plan. The plan
 //! is either seeded (`--rate`, default 0.2 faults per tenant x round
 //! cell, sites drawn from [`FaultSite::ALL`]) or explicit
-//! (`--plan "tenant:round:site,..."`). The harness then:
+//! (`--plan "tenant:round:site,..."`). A plan with a fault that cannot
+//! fire — a tenant the fleet lacks, a round past `epochs`, or a site other
+//! than `solver-panic` at round 0 (the cold start) — is refused with a
+//! non-zero exit before either run. The harness then:
 //!
 //! * prints every planned fault and every tenant's supervisor verdict
 //!   (`health: ...` lines) plus every degraded epoch (`degrade: ...`
@@ -92,7 +95,7 @@ fn build_fleet(tenants: &[TenantSpec], workers: usize, plan: FaultPlan) -> Fleet
         },
     )
     .run()
-    .expect("fleet runs")
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn main() {
@@ -149,8 +152,10 @@ fn main() {
             .unwrap_or_else(|| "none".into()),
     );
 
-    let baseline = build_fleet(&tenants, workers, FaultPlan::new());
+    // The chaos run goes first: the fleet refuses a plan with a fault that
+    // cannot fire before any tenant runs.
     let chaos = build_fleet(&tenants, workers, plan.clone());
+    let baseline = build_fleet(&tenants, workers, FaultPlan::new());
 
     // In --json mode stdout is one parseable document; the grep surface
     // moves to stderr there.
@@ -185,10 +190,14 @@ fn main() {
                 t.tenant,
                 failures.len()
             )),
-            TenantHealth::Failed { round, cause, .. } => line(format!(
-                "health: {} failed round={round} cause={cause}",
-                t.tenant
-            )),
+            TenantHealth::Failed { .. } => {
+                if let Some(last) = t.health.terminal_failure() {
+                    line(format!(
+                        "health: {} failed round={} cause={}",
+                        t.tenant, last.round, last.cause
+                    ))
+                }
+            }
         }
     }
     let (healthy, recovered, failed) = chaos.health_counts();

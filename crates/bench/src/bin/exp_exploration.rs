@@ -11,6 +11,7 @@ use audit_bench::defaults::{SEED, SYN_BUDGETS, SYN_EPSILONS, SYN_SAMPLES};
 use audit_bench::report::Table;
 use audit_bench::scenarios::resolve_base_spec;
 use audit_bench::syn_experiments::{exploration_summary, ishm_grid};
+use audit_game::solver::InnerKind;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -22,7 +23,17 @@ fn main() {
     let (key, base) = resolve_base_spec(scenario, "syn-a", SEED);
     eprintln!("Section IV.C exploration vectors T and T' on {key}");
     let t0 = std::time::Instant::now();
-    let grid = ishm_grid(&base, &budgets, &epsilons, false, samples, SEED, threads).expect("grid");
+    let grid = ishm_grid(
+        &base,
+        &budgets,
+        &epsilons,
+        InnerKind::Exact,
+        samples,
+        SEED,
+        threads,
+    )
+    .expect("grid")
+    .0;
     let summary = exploration_summary(&base, &grid);
 
     let mut table = Table::new(vec!["eps", "T (mean explored)", "T' (ratio of lattice)"]);

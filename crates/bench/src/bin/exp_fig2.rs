@@ -7,9 +7,7 @@
 //! ```
 
 use audit_bench::cli::{default_threads, parse_count, parse_list, take_scenario_flag};
-use audit_bench::defaults::{
-    FIG_EPSILONS, RANDOM_ORDER_SAMPLES, RANDOM_THRESHOLD_REPEATS, REAL_SAMPLES, SEED,
-};
+use audit_bench::defaults::{FIG_EPSILONS, RANDOM_THRESHOLD_REPEATS, REAL_SAMPLES, SEED};
 use audit_bench::real_experiments::{budget_sweep, render_figure, SweepConfig};
 use audit_bench::scenarios::resolve_base_spec;
 
@@ -39,9 +37,7 @@ fn main() {
         epsilons: FIG_EPSILONS.to_vec(),
         n_samples: samples,
         seed: SEED,
-        random_order_samples: RANDOM_ORDER_SAMPLES,
         random_threshold_repeats: repeats,
-        dedup_actions: true,
         threads,
     };
     let data = budget_sweep(&spec, &budgets, &sweep).expect("sweep solves");

@@ -13,9 +13,10 @@ use audit_bench::cli::{
     default_threads, parse_count, parse_list, render_cache_stats, take_flag, take_scenario_flag,
 };
 use audit_bench::defaults::{SEED, SYN_BUDGETS, SYN_EPSILONS, SYN_SAMPLES};
-use audit_bench::report::{f4, thresholds_str, Table};
+use audit_bench::report::render_grid;
 use audit_bench::scenarios::resolve_base_spec;
-use audit_bench::syn_experiments::ishm_grid_with_stats;
+use audit_bench::syn_experiments::ishm_grid;
+use audit_game::solver::InnerKind;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,26 +31,17 @@ fn main() {
         "Table IV reproduction on {key}: ISHM with exact inner LP ({samples} samples, {threads} engine thread(s))"
     );
     let t0 = std::time::Instant::now();
-    let (grid, engine_stats) =
-        ishm_grid_with_stats(&base, &budgets, &epsilons, false, samples, SEED, threads)
-            .expect("ISHM grid");
-    let costs = base.audit_costs();
-
-    let mut header: Vec<String> = vec!["B".into()];
-    header.extend(epsilons.iter().map(|e| format!("eps={e}")));
-    let mut table = Table::new(header);
-    for row in &grid {
-        let mut cells: Vec<String> = vec![format!("{}", row[0].budget)];
-        for cell in row {
-            cells.push(format!(
-                "{} {}",
-                f4(cell.value),
-                thresholds_str(&cell.thresholds, &costs)
-            ));
-        }
-        table.row(cells);
-    }
-    println!("{}", table.render());
+    let (grid, engine_stats) = ishm_grid(
+        &base,
+        &budgets,
+        &epsilons,
+        InnerKind::Exact,
+        samples,
+        SEED,
+        threads,
+    )
+    .expect("ISHM grid");
+    println!("{}", render_grid(&grid, &epsilons, &base.audit_costs()));
     if cache_stats {
         println!("{}", render_cache_stats(&engine_stats));
     }

@@ -7,9 +7,10 @@
 
 use audit_bench::cli::{default_threads, parse_count, parse_list, take_scenario_flag};
 use audit_bench::defaults::{SEED, SYN_BUDGETS, SYN_EPSILONS, SYN_SAMPLES};
-use audit_bench::report::{f4, thresholds_str, Table};
+use audit_bench::report::render_grid;
 use audit_bench::scenarios::resolve_base_spec;
 use audit_bench::syn_experiments::ishm_grid;
+use audit_game::solver::InnerKind;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -23,24 +24,17 @@ fn main() {
         "Table V reproduction on {key}: ISHM + CGGS ({samples} samples, {threads} engine thread(s))"
     );
     let t0 = std::time::Instant::now();
-    let grid = ishm_grid(&base, &budgets, &epsilons, true, samples, SEED, threads)
-        .expect("ISHM+CGGS grid");
-    let costs = base.audit_costs();
-
-    let mut header: Vec<String> = vec!["B".into()];
-    header.extend(epsilons.iter().map(|e| format!("eps={e}")));
-    let mut table = Table::new(header);
-    for row in &grid {
-        let mut cells: Vec<String> = vec![format!("{}", row[0].budget)];
-        for cell in row {
-            cells.push(format!(
-                "{} {}",
-                f4(cell.value),
-                thresholds_str(&cell.thresholds, &costs)
-            ));
-        }
-        table.row(cells);
-    }
-    println!("{}", table.render());
+    let grid = ishm_grid(
+        &base,
+        &budgets,
+        &epsilons,
+        InnerKind::Cggs,
+        samples,
+        SEED,
+        threads,
+    )
+    .expect("ISHM+CGGS grid")
+    .0;
+    println!("{}", render_grid(&grid, &epsilons, &base.audit_costs()));
     eprintln!("elapsed: {:.1?}", t0.elapsed());
 }

@@ -13,6 +13,7 @@ use audit_bench::defaults::{SEED, SYN_BUDGETS, SYN_EPSILONS, SYN_SAMPLES};
 use audit_bench::report::Table;
 use audit_bench::scenarios::resolve_base_spec;
 use audit_bench::syn_experiments::{gamma_per_epsilon, ishm_grid, table3};
+use audit_game::solver::InnerKind;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -26,12 +27,15 @@ fn main() {
 
     eprintln!("[1/3] brute-force optimum (Table III)");
     let optimal = table3(&base, &budgets, samples, SEED, threads).expect("table3");
+    let grid = |inner| {
+        ishm_grid(&base, &budgets, &epsilons, inner, samples, SEED, threads)
+            .expect("grid")
+            .0
+    };
     eprintln!("[2/3] ISHM grid (Table IV)");
-    let grid_exact =
-        ishm_grid(&base, &budgets, &epsilons, false, samples, SEED, threads).expect("grid");
+    let grid_exact = grid(InnerKind::Exact);
     eprintln!("[3/3] ISHM+CGGS grid (Table V)");
-    let grid_cggs =
-        ishm_grid(&base, &budgets, &epsilons, true, samples, SEED, threads).expect("grid");
+    let grid_cggs = grid(InnerKind::Cggs);
 
     let g1 = gamma_per_epsilon(&optimal, &grid_exact);
     let g2 = gamma_per_epsilon(&optimal, &grid_cggs);

@@ -10,6 +10,7 @@ use audit_bench::defaults::{SEED, SYN_BUDGETS, SYN_EPSILONS_T7, SYN_SAMPLES};
 use audit_bench::report::Table;
 use audit_bench::scenarios::resolve_base_spec;
 use audit_bench::syn_experiments::ishm_grid;
+use audit_game::solver::InnerKind;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -21,7 +22,17 @@ fn main() {
     let (key, base) = resolve_base_spec(scenario, "syn-a", SEED);
     eprintln!("Table VII reproduction on {key}: ISHM exploration counters");
     let t0 = std::time::Instant::now();
-    let grid = ishm_grid(&base, &budgets, &epsilons, false, samples, SEED, threads).expect("grid");
+    let grid = ishm_grid(
+        &base,
+        &budgets,
+        &epsilons,
+        InnerKind::Exact,
+        samples,
+        SEED,
+        threads,
+    )
+    .expect("grid")
+    .0;
 
     // Paper layout: rows = ε, columns = B.
     let mut header: Vec<String> = vec!["eps \\ B".into()];

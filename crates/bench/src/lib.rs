@@ -3,7 +3,8 @@
 //! One binary per table/figure of the paper (see `src/bin/`), built on the
 //! shared runners in this library:
 //!
-//! * [`report`] — plain-text/markdown table rendering;
+//! * [`report`] — plain-text/markdown table rendering, including the
+//!   Table IV/V grid;
 //! * [`syn_experiments`] — synthetic-grid sweeps (Tables III–VII, Section
 //!   IV.C) over any base scenario;
 //! * [`real_experiments`] — budget sweeps with baselines (Figures 1–2);
@@ -13,6 +14,10 @@
 //!   rendering);
 //! * [`defaults`] — the budget grids and seeds shared across binaries.
 //!
+//! Every zero-sum solve these runners make goes through
+//! `audit_game::solver::OapSolver`, configured by its `SolverConfig`;
+//! only Table III's brute-force optimum and the baselines work below it
+//! (as does `exp_attacker`, which scores one bank under two objectives).
 //! Every runner takes explicit seeds and sample counts so results are
 //! reproducible; the binaries print the same rows/series the paper
 //! reports, and each accepts `--scenario <key>` to re-run its experiment

@@ -2,17 +2,19 @@
 //! (Figures 1 and 2 of the paper).
 //!
 //! The runners are dataset-agnostic: they take any [`GameSpec`] (Rea A from
-//! `emrsim`, Rea B from `creditsim`, or anything else) and sweep the audit
-//! budget, producing the proposed-model series for several ISHM step sizes
-//! alongside the three baseline series.
+//! `emrsim`, Rea B from `creditsim`, or anything else), merge its
+//! strategically identical actions, and sweep the audit budget, producing
+//! the proposed-model series (one [`OapSolver`] CGGS solve per ISHM step
+//! size) alongside the three baseline series.
 
+use crate::defaults::RANDOM_ORDER_SAMPLES;
 use audit_game::baselines::{greedy_by_benefit_loss, random_orders_loss, random_thresholds_loss};
 use audit_game::cggs::{Cggs, CggsConfig};
 use audit_game::detection::{DetectionEstimator, DetectionModel};
 use audit_game::error::GameError;
-use audit_game::ishm::{CggsEvaluator, Ishm, IshmConfig};
 use audit_game::model::GameSpec;
 use audit_game::parallel::parallel_map_indexed;
+use audit_game::solver::{InnerKind, OapSolver, SolverConfig};
 use serde::{Deserialize, Serialize};
 
 /// All series of one figure.
@@ -42,12 +44,8 @@ pub struct SweepConfig {
     pub n_samples: usize,
     /// Seed for sample banks and baseline randomness.
     pub seed: u64,
-    /// Orders drawn by the random-order baseline (when `|T|!` is large).
-    pub random_order_samples: usize,
     /// Repetitions of the random-threshold baseline.
     pub random_threshold_repeats: usize,
-    /// Merge identical actions before solving (harmless, much faster).
-    pub dedup_actions: bool,
     /// Worker threads for batched `Pal` evaluation inside each solve
     /// (orthogonal to the per-budget thread fan-out; results are
     /// thread-count invariant).
@@ -60,9 +58,7 @@ impl Default for SweepConfig {
             epsilons: vec![0.1, 0.2, 0.3],
             n_samples: 400,
             seed: 0,
-            random_order_samples: 2000,
             random_threshold_repeats: 100,
-            dedup_actions: true,
             threads: 1,
         }
     }
@@ -77,17 +73,14 @@ struct BudgetPoint {
     greedy_benefit: f64,
 }
 
-/// Run the full sweep of one figure. Budgets are processed in parallel.
+/// Run the full sweep of one figure on `base` with its identical actions
+/// merged. Budgets are processed in parallel.
 pub fn budget_sweep(
     base: &GameSpec,
     budgets: &[f64],
     config: &SweepConfig,
 ) -> Result<FigureData, GameError> {
-    let spec0 = if config.dedup_actions {
-        base.dedup_actions()
-    } else {
-        base.clone()
-    };
+    let spec0 = base.dedup_actions();
 
     // One thread per budget.
     let points: Vec<BudgetPoint> = parallel_map_indexed(budgets.len(), budgets, |_, &b| {
@@ -108,7 +101,7 @@ pub fn budget_sweep(
             &spec,
             &est,
             &points[i].reference_thresholds,
-            config.random_order_samples,
+            RANDOM_ORDER_SAMPLES,
             config.seed ^ 0x5EED,
         )?);
     }
@@ -132,32 +125,34 @@ fn one_budget(
 ) -> Result<BudgetPoint, GameError> {
     let mut spec = spec0.clone();
     spec.budget = budget;
-    let bank = spec.sample_bank(config.n_samples, config.seed);
-    let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
-
-    let cggs_config = CggsConfig {
-        threads: config.threads,
-        ..Default::default()
-    };
     let mut proposed = Vec::with_capacity(config.epsilons.len());
     let mut reference_thresholds: Option<Vec<f64>> = None;
-    for &eps in &config.epsilons {
-        let ishm = Ishm::new(IshmConfig {
-            epsilon: eps,
+    for &epsilon in &config.epsilons {
+        let sol = OapSolver::new(SolverConfig {
+            epsilon,
+            n_samples: config.n_samples,
+            seed: config.seed,
+            inner: InnerKind::Cggs,
+            dedup_actions: false,
+            threads: config.threads,
             ..Default::default()
-        });
-        let mut eval = CggsEvaluator::new(&spec, est, cggs_config.clone());
-        let out = ishm.solve(&spec, &mut eval)?;
+        })
+        .solve(&spec)?;
         if reference_thresholds.is_none() {
-            reference_thresholds = Some(out.thresholds.clone());
+            reference_thresholds = Some(sol.policy.thresholds);
         }
-        proposed.push(out.value);
+        proposed.push(sol.loss);
     }
 
+    let bank = spec.sample_bank(config.n_samples, config.seed);
+    let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
     let random_thresholds = random_thresholds_loss(
         &spec,
         &est,
-        &Cggs::new(cggs_config),
+        &Cggs::new(CggsConfig {
+            threads: config.threads,
+            ..Default::default()
+        }),
         config.random_threshold_repeats,
         config.seed ^ 0xA11E,
     )?;
@@ -210,7 +205,6 @@ mod tests {
         let sweep = SweepConfig {
             epsilons: vec![0.2],
             n_samples: 60,
-            random_order_samples: 100,
             random_threshold_repeats: 8,
             ..Default::default()
         };

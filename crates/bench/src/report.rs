@@ -1,6 +1,8 @@
 //! Table rendering for experiment binaries: fixed-width plain text that
 //! doubles as valid Markdown.
 
+use crate::syn_experiments::GridCell;
+
 /// A simple column-aligned table builder.
 #[derive(Debug, Default, Clone)]
 pub struct Table {
@@ -79,6 +81,26 @@ pub fn thresholds_str(thresholds: &[f64], costs: &[f64]) -> String {
         .map(|(&b, &c)| format!("{}", (b / c).floor() as i64))
         .collect();
     format!("[{}]", caps.join(","))
+}
+
+/// Render a Table IV/V grid: one row per budget and, per ε, the cell's
+/// value with its thresholds as integer audit capacities.
+pub fn render_grid(grid: &[Vec<GridCell>], epsilons: &[f64], costs: &[f64]) -> String {
+    let mut header: Vec<String> = vec!["B".into()];
+    header.extend(epsilons.iter().map(|e| format!("eps={e}")));
+    let mut table = Table::new(header);
+    for row in grid {
+        let mut cells: Vec<String> = vec![format!("{}", row[0].budget)];
+        for cell in row {
+            cells.push(format!(
+                "{} {}",
+                f4(cell.value),
+                thresholds_str(&cell.thresholds, costs)
+            ));
+        }
+        table.row(cells);
+    }
+    table.render()
 }
 
 /// Format a mixed strategy's support: orders with probability ≥ `min_prob`.

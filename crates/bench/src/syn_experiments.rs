@@ -1,17 +1,17 @@
 //! Synthetic-grid experiment runners (paper Section IV, Tables III–VII).
 //!
-//! Historically these runners hard-coded the Syn A game; they now take any
-//! base [`GameSpec`] (resolved from the scenario registry by the `exp_*`
-//! binaries' `--scenario` flag) and sweep the audit budget over it.
+//! The runners take any base [`GameSpec`] (resolved from the scenario
+//! registry by the `exp_*` binaries' `--scenario` flag) and sweep the audit
+//! budget over it: Table III by brute force over the threshold lattice,
+//! Tables IV–VII as one [`OapSolver`] solve per `(B, ε)` cell.
 
 use audit_game::brute_force::{solve_brute_force_with, threshold_space_size, BruteForceResult};
-use audit_game::cggs::CggsConfig;
 use audit_game::detection::{CacheStats, DetectionEstimator, DetectionModel, PalEngine};
 use audit_game::error::GameError;
-use audit_game::ishm::{CggsEvaluator, ExactEvaluator, Ishm, IshmConfig};
 use audit_game::model::GameSpec;
 use audit_game::ordering::AuditOrder;
 use audit_game::parallel::parallel_map_indexed;
+use audit_game::solver::{InnerKind, OapSolver, SolverConfig};
 use serde::{Deserialize, Serialize};
 
 /// One row of Table III: the brute-force optimum for a budget.
@@ -33,7 +33,7 @@ pub struct OptimalRow {
     pub space_size: u128,
 }
 
-/// One cell of Tables IV/V: an ISHM (± CGGS) run at `(B, ε)`.
+/// One cell of Tables IV/V: an ISHM (± CGGS) solve at `(B, ε)`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GridCell {
     /// Audit budget `B`.
@@ -100,101 +100,47 @@ pub fn table3(
     .collect()
 }
 
-/// Run ISHM at one `(B, ε)` grid point. `use_cggs` selects the Table V
-/// variant (CGGS inner evaluator) over the Table IV variant (exact inner).
-pub fn ishm_cell(
-    base: &GameSpec,
-    budget: f64,
-    epsilon: f64,
-    use_cggs: bool,
-    n_samples: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<GridCell, GameError> {
-    Ok(ishm_cell_with_stats(base, budget, epsilon, use_cggs, n_samples, seed, threads)?.0)
-}
-
-/// As [`ishm_cell`], additionally returning the detection-engine counters
-/// of the run's evaluator (behind `--cache-stats` in the drivers).
-#[allow(clippy::too_many_arguments)]
-pub fn ishm_cell_with_stats(
-    base: &GameSpec,
-    budget: f64,
-    epsilon: f64,
-    use_cggs: bool,
-    n_samples: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<(GridCell, CacheStats), GameError> {
-    let mut spec = base.clone();
-    spec.budget = budget;
-    let bank = spec.sample_bank(n_samples, seed);
-    let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
-    let ishm = Ishm::new(IshmConfig {
-        epsilon,
-        ..Default::default()
-    });
-    let (outcome, cache) = if use_cggs {
-        let mut eval = CggsEvaluator::new(
-            &spec,
-            est,
-            CggsConfig {
-                threads,
-                ..Default::default()
-            },
-        );
-        let outcome = ishm.solve(&spec, &mut eval)?;
-        let cache = eval.engine().cache_stats();
-        (outcome, cache)
-    } else {
-        let mut eval = ExactEvaluator::with_threads(&spec, est, threads);
-        let outcome = ishm.solve(&spec, &mut eval)?;
-        let cache = eval.engine().cache_stats();
-        (outcome, cache)
-    };
-    Ok((
-        GridCell {
-            budget,
-            epsilon,
-            value: outcome.value,
-            thresholds: outcome.thresholds,
-            explored: outcome.stats.thresholds_explored,
-        },
-        cache,
-    ))
-}
-
-/// The full `(B, ε)` grid of Table IV (or V with `use_cggs`). Outer index:
-/// budget; inner index: epsilon.
+/// The full `(B, ε)` grid of Tables IV–VII: one [`OapSolver`] solve per
+/// cell, with `inner` as the inner LP (`Exact` for Table IV, `Cggs` for
+/// Table V) on the base spec as given (its actions are not merged). Outer
+/// index: budget (one thread per budget); inner index: epsilon. Also
+/// returns the detection-engine counters summed across every cell's
+/// solve (behind `--cache-stats` in the drivers).
 pub fn ishm_grid(
     base: &GameSpec,
     budgets: &[f64],
     epsilons: &[f64],
-    use_cggs: bool,
-    n_samples: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<Vec<Vec<GridCell>>, GameError> {
-    Ok(ishm_grid_with_stats(base, budgets, epsilons, use_cggs, n_samples, seed, threads)?.0)
-}
-
-/// As [`ishm_grid`], additionally returning the detection-engine counters
-/// summed across every cell's evaluator.
-#[allow(clippy::too_many_arguments)]
-pub fn ishm_grid_with_stats(
-    base: &GameSpec,
-    budgets: &[f64],
-    epsilons: &[f64],
-    use_cggs: bool,
+    inner: InnerKind,
     n_samples: usize,
     seed: u64,
     threads: usize,
 ) -> Result<(Vec<Vec<GridCell>>, CacheStats), GameError> {
-    let rows = parallel_map_indexed(budgets.len(), budgets, |_, &b| {
+    let rows = parallel_map_indexed(budgets.len(), budgets, |_, &budget| {
+        let mut spec = base.clone();
+        spec.budget = budget;
         epsilons
             .iter()
-            .map(|&e| ishm_cell_with_stats(base, b, e, use_cggs, n_samples, seed, threads))
-            .collect::<Result<Vec<_>, _>>()
+            .map(|&epsilon| {
+                let sol = OapSolver::new(SolverConfig {
+                    epsilon,
+                    n_samples,
+                    seed,
+                    inner,
+                    dedup_actions: false,
+                    threads,
+                    ..Default::default()
+                })
+                .solve(&spec)?;
+                let cell = GridCell {
+                    budget,
+                    epsilon,
+                    value: sol.loss,
+                    thresholds: sol.policy.thresholds,
+                    explored: sol.stats.thresholds_explored,
+                };
+                Ok((cell, sol.cache))
+            })
+            .collect::<Result<Vec<_>, GameError>>()
     })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
@@ -274,7 +220,8 @@ mod tests {
     #[test]
     fn ishm_cell_close_to_optimal_at_fine_epsilon() {
         let opt = optimal_for_budget(&syn_a(), 6.0, 150, 7, 1).unwrap();
-        let cell = ishm_cell(&syn_a(), 6.0, 0.1, false, 150, 7, 1).unwrap();
+        let (grid, _) = ishm_grid(&syn_a(), &[6.0], &[0.1], InnerKind::Exact, 150, 7, 1).unwrap();
+        let cell = &grid[0][0];
         let gap = (cell.value - opt.value).abs() / opt.value.abs();
         assert!(
             gap < 0.05,

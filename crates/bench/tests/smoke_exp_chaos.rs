@@ -133,6 +133,27 @@ fn exp_chaos_rejects_a_site_it_cannot_fire() {
     }
 }
 
+/// A fault that cannot fire is refused before either run, with the entry
+/// named, rather than counted against its tenant and never fired.
+#[test]
+fn exp_chaos_rejects_a_fault_it_cannot_fire() {
+    for (plan, entry) in [
+        ("syn-a#0:3:solver-panic", "'syn-a#0:3:solver-panic'"),
+        ("syn-b#5:1:solver-panic", "'syn-b#5:1:solver-panic'"),
+        ("syn-a#1:0:empty-epoch", "'syn-a#1:0:empty-epoch'"),
+    ] {
+        let out = run(&["2", "2", "1", "--plan", plan]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "exp_chaos accepted {plan}:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(stderr.contains(entry), "stderr:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{plan} printed a report");
+    }
+}
+
 #[test]
 fn exp_chaos_json_mode_emits_a_parseable_document() {
     let out = run(&["3", "2", "1", "--plan", "syn-a#0:1:solver-panic", "--json"]);

@@ -34,12 +34,13 @@ use crate::payoff::{action_utility, PayoffMatrix};
 /// master only if it improves the value by more than this.
 const REDUCED_COST_TOL: f64 = 1e-7;
 
+/// Upper bound on a CGGS master's columns (a safety valve; the algorithm
+/// normally converges in far fewer).
+const MAX_COLUMNS: usize = 256;
+
 /// CGGS configuration.
 #[derive(Debug, Clone)]
 pub struct CggsConfig {
-    /// Upper bound on generated columns (safety valve; the algorithm
-    /// normally converges in far fewer).
-    pub max_columns: usize,
     /// Worker threads for batched `Pal` evaluation (results are identical
     /// at every thread count; see [`PalEngine`]).
     pub threads: usize,
@@ -56,7 +57,6 @@ pub struct CggsConfig {
 impl Default for CggsConfig {
     fn default() -> Self {
         Self {
-            max_columns: 256,
             threads: 1,
             seed_columns: Vec::new(),
         }
@@ -74,7 +74,7 @@ pub struct CggsOutcome {
     /// memo.
     pub iterations: usize,
     /// `true` when the oracle proved no improving column exists (within
-    /// its heuristic power); `false` when `max_columns` was hit.
+    /// its heuristic power); `false` when the column cap was hit.
     pub converged: bool,
 }
 
@@ -141,7 +141,7 @@ impl Cggs {
         // basis), so the trie pays each shared prefix once.
         let mut pool = vec![AuditOrder::identity(n)];
         for seed in &self.config.seed_columns {
-            if pool.len() >= self.config.max_columns {
+            if pool.len() >= MAX_COLUMNS {
                 break;
             }
             if seed.len() == n && !pool.contains(seed) {
@@ -156,7 +156,7 @@ impl Cggs {
             &mut matrix,
             masters,
             None,
-            self.config.max_columns,
+            MAX_COLUMNS,
             |y| {
                 let w = detection_weights(spec, y);
                 vec![greedy_order(engine, thresholds, &w, |_, _| true)]
@@ -558,18 +558,5 @@ mod tests {
                 AuditOrder::new(vec![1, 0, 2]).unwrap()
             ]
         );
-    }
-
-    #[test]
-    fn column_budget_is_respected() {
-        let spec = three_type_spec();
-        let bank = spec.sample_bank(8, 3);
-        let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
-        let cggs = Cggs::new(CggsConfig {
-            max_columns: 2,
-            ..Default::default()
-        });
-        let out = cggs.solve(&spec, &est, &[1.0, 1.0, 1.0]).unwrap();
-        assert!(out.orders.len() <= 2);
     }
 }

@@ -8,10 +8,9 @@
 //! `robust_audit` example use it to show how the policy's value and the
 //! deterrence frontier move with the (admittedly ad hoc) payoff settings.
 
-use crate::detection::{DetectionEstimator, DetectionModel};
 use crate::error::GameError;
-use crate::ishm::{ExactEvaluator, Ishm, IshmConfig};
 use crate::model::GameSpec;
+use crate::solver::{InnerKind, OapSolver, SolverConfig};
 use serde::{Deserialize, Serialize};
 
 /// Which parameter family a sweep scales.
@@ -79,9 +78,6 @@ pub struct SensitivityConfig {
     pub n_samples: usize,
     /// Seed.
     pub seed: u64,
-    /// Worker threads for the detection engine backing each re-solve
-    /// (results are thread-count invariant).
-    pub threads: usize,
 }
 
 impl Default for SensitivityConfig {
@@ -91,30 +87,31 @@ impl Default for SensitivityConfig {
             epsilon: 0.25,
             n_samples: 300,
             seed: 0,
-            threads: 1,
         }
     }
 }
 
-/// Run a sweep over one parameter family (exact inner LP; intended for
+/// Run a sweep over one parameter family: one [`OapSolver`] solve per
+/// scale with the exact inner LP, on the scaled spec as given (intended for
 /// small `|T|` games such as Syn A).
 pub fn sweep(
     spec: &GameSpec,
     parameter: Parameter,
     config: &SensitivityConfig,
 ) -> Result<Vec<SensitivityPoint>, GameError> {
+    let solver = OapSolver::new(SolverConfig {
+        epsilon: config.epsilon,
+        n_samples: config.n_samples,
+        seed: config.seed,
+        inner: InnerKind::Exact,
+        dedup_actions: false,
+        ..Default::default()
+    });
     let mut out = Vec::with_capacity(config.scales.len());
     for &scale in &config.scales {
         let scaled = scale_spec(spec, parameter, scale);
-        let bank = scaled.sample_bank(config.n_samples, config.seed);
-        let est = DetectionEstimator::new(&scaled, &bank, DetectionModel::PaperApprox);
-        let mut eval = ExactEvaluator::with_threads(&scaled, est, config.threads);
-        let outcome = Ishm::new(IshmConfig {
-            epsilon: config.epsilon,
-            ..Default::default()
-        })
-        .solve(&scaled, &mut eval)?;
-        let deterred = outcome
+        let sol = solver.solve(&scaled)?;
+        let deterred = sol
             .master
             .u_attackers
             .iter()
@@ -122,7 +119,7 @@ pub fn sweep(
             .count();
         out.push(SensitivityPoint {
             scale,
-            loss: outcome.value,
+            loss: sol.loss,
             deterred_fraction: deterred as f64 / scaled.n_attackers().max(1) as f64,
         });
     }
@@ -165,7 +162,6 @@ mod tests {
             epsilon: 0.5,
             n_samples: 100,
             seed: 2,
-            threads: 1,
         };
         let curve = sweep(&s, Parameter::Reward, &cfg).unwrap();
         assert!(
@@ -182,7 +178,6 @@ mod tests {
             epsilon: 0.5,
             n_samples: 100,
             seed: 2,
-            threads: 1,
         };
         let curve = sweep(&s, Parameter::Penalty, &cfg).unwrap();
         assert!(curve[1].loss < curve[0].loss, "harsher penalties must help");

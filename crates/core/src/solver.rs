@@ -353,7 +353,6 @@ impl OapSolver {
                     CggsConfig {
                         threads: self.config.threads,
                         seed_columns: warm.map(|w| w.orders.clone()).unwrap_or_default(),
-                        ..Default::default()
                     },
                 ),
                 CggsEvaluator::engine,
@@ -411,6 +410,7 @@ impl OapSolver {
 mod tests {
     use super::*;
     use crate::datasets::{random_game, RandomGameConfig};
+    use crate::ishm::IshmOutcome;
 
     #[test]
     fn facade_solves_random_game_end_to_end() {
@@ -676,34 +676,53 @@ mod tests {
         );
     }
 
+    /// The facade against the same ISHM run driven by hand: same outcome
+    /// and same engine counters, since the counters are read before the
+    /// `expected_pal` pass. The experiment drivers' printed numbers and
+    /// `--cache-stats` lines rest on this equivalence.
     #[test]
     fn cache_counters_exclude_the_expected_pal_pass() {
-        let spec = random_game(&RandomGameConfig::default(), 61);
-        let cfg = SolverConfig {
-            n_samples: 60,
-            epsilon: 0.5,
-            inner: InnerKind::Exact,
-            ..Default::default()
-        };
-        let sol = OapSolver::new(cfg.clone()).solve(&spec).unwrap();
+        fn check(sol: &AuditSolution, by_hand: IshmOutcome, engine: &PalEngine<'_>) {
+            assert_eq!(sol.loss.to_bits(), by_hand.value.to_bits());
+            assert_eq!(sol.policy.thresholds, by_hand.thresholds);
+            assert_eq!(
+                sol.stats.thresholds_explored,
+                by_hand.stats.thresholds_explored
+            );
+            assert_eq!(sol.cache, engine.cache_stats());
+            // The pass itself is visible in the counters, so the equality
+            // above shows it was left out.
+            sol.policy.expected_pal(engine);
+            assert_ne!(sol.cache, engine.cache_stats());
+        }
 
-        // The same ISHM run, driven by hand.
-        let working = spec.dedup_actions();
-        let bank = working.sample_bank(cfg.n_samples, cfg.seed);
-        let est = DetectionEstimator::new(&working, &bank, cfg.detection);
-        let mut eval = ExactEvaluator::with_threads(&working, est, cfg.threads);
-        Ishm::new(IshmConfig {
-            epsilon: cfg.epsilon,
-            max_level: SolveStrategy::Exact.level_cap(),
-            ..Default::default()
-        })
-        .solve(&working, &mut eval)
-        .unwrap();
-        assert_eq!(sol.cache, eval.engine().cache_stats());
-        // The pass itself is visible in the counters, so the equality
-        // above shows it was left out.
-        sol.policy.expected_pal(eval.engine());
-        assert_ne!(sol.cache, eval.engine().cache_stats());
+        let spec = random_game(&RandomGameConfig::default(), 61);
+        for inner in [InnerKind::Exact, InnerKind::Cggs] {
+            let cfg = SolverConfig {
+                n_samples: 60,
+                epsilon: 0.5,
+                inner,
+                ..Default::default()
+            };
+            let sol = OapSolver::new(cfg.clone()).solve(&spec).unwrap();
+
+            let working = spec.dedup_actions();
+            let bank = working.sample_bank(cfg.n_samples, cfg.seed);
+            let est = DetectionEstimator::new(&working, &bank, cfg.detection);
+            let ishm = Ishm::new(IshmConfig {
+                epsilon: cfg.epsilon,
+                ..Default::default()
+            });
+            if inner == InnerKind::Exact {
+                let mut eval = ExactEvaluator::with_threads(&working, est, cfg.threads);
+                let by_hand = ishm.solve(&working, &mut eval).unwrap();
+                check(&sol, by_hand, eval.engine());
+            } else {
+                let mut eval = CggsEvaluator::new(&working, est, CggsConfig::default());
+                let by_hand = ishm.solve(&working, &mut eval).unwrap();
+                check(&sol, by_hand, eval.engine());
+            }
+        }
     }
 
     #[test]

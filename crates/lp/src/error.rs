@@ -18,8 +18,8 @@ pub enum LpError {
         /// Internal column index certifying the unbounded ray.
         column: usize,
     },
-    /// The pivot loop exceeded its iteration budget (see
-    /// [`crate::SimplexOptions::max_iterations`]).
+    /// The pivot loop exceeded its budget of 100,000 pivots across both
+    /// phases.
     IterationLimit {
         /// Number of pivots performed before giving up.
         iterations: usize,

@@ -50,5 +50,4 @@ mod solution;
 
 pub use error::LpError;
 pub use problem::{ConstrId, Problem, Relation, Sense, VarId};
-pub use simplex::SimplexOptions;
 pub use solution::Solution;

@@ -1,7 +1,7 @@
 //! LP model builder: variables, bounds, constraints, objective sense.
 
 use crate::error::LpError;
-use crate::simplex::{self, SimplexOptions};
+use crate::simplex;
 use crate::solution::Solution;
 use serde::{Deserialize, Serialize};
 
@@ -185,15 +185,10 @@ impl Problem {
         Ok(())
     }
 
-    /// Solve with default options.
+    /// Validate the model and solve it with the two-phase simplex.
     pub fn solve(&self) -> Result<Solution, LpError> {
-        self.solve_with(&SimplexOptions::default())
-    }
-
-    /// Solve with explicit simplex options.
-    pub fn solve_with(&self, opts: &SimplexOptions) -> Result<Solution, LpError> {
         self.validate()?;
-        simplex::solve(self, opts)
+        simplex::solve(self)
     }
 
     /// Evaluate the objective at a candidate point (for verification).

@@ -17,33 +17,17 @@ use crate::error::LpError;
 use crate::problem::{Problem, Relation, Sense};
 use crate::solution::Solution;
 
-/// Tunable solver parameters.
-#[derive(Debug, Clone)]
-pub struct SimplexOptions {
-    /// Hard cap on total pivots across both phases.
-    pub max_iterations: usize,
-    /// Switch from Dantzig to Bland pricing after this many consecutive
-    /// degenerate (non-improving) pivots.
-    pub bland_after_stalls: usize,
-    /// Reduced-cost optimality tolerance.
-    pub cost_tol: f64,
-    /// Pivot-element magnitude tolerance.
-    pub pivot_tol: f64,
-    /// Phase-1 residual above which the model is declared infeasible.
-    pub feas_tol: f64,
-}
-
-impl Default for SimplexOptions {
-    fn default() -> Self {
-        Self {
-            max_iterations: 100_000,
-            bland_after_stalls: 256,
-            cost_tol: 1e-9,
-            pivot_tol: 1e-9,
-            feas_tol: 1e-7,
-        }
-    }
-}
+/// Hard cap on total pivots across both phases.
+const MAX_ITERATIONS: usize = 100_000;
+/// Switch from Dantzig to Bland pricing after this many consecutive
+/// degenerate (non-improving) pivots.
+const BLAND_AFTER_STALLS: usize = 256;
+/// Reduced-cost optimality tolerance.
+const COST_TOL: f64 = 1e-9;
+/// Pivot-element magnitude tolerance.
+const PIVOT_TOL: f64 = 1e-9;
+/// Phase-1 residual above which the model is declared infeasible.
+const FEAS_TOL: f64 = 1e-7;
 
 /// How a user variable maps to standard-form columns.
 #[derive(Debug, Clone, Copy)]
@@ -342,12 +326,12 @@ impl Tableau {
 
     /// Choose the entering column: Dantzig (most negative reduced cost) or
     /// Bland (lowest index with negative reduced cost).
-    fn choose_entering(&self, bland: bool, tol: f64) -> Option<usize> {
+    fn choose_entering(&self, bland: bool) -> Option<usize> {
         if bland {
-            (0..self.n).find(|&j| self.allowed[j] && self.red[j] < -tol)
+            (0..self.n).find(|&j| self.allowed[j] && self.red[j] < -COST_TOL)
         } else {
             let mut best = None;
-            let mut best_val = -tol;
+            let mut best_val = -COST_TOL;
             for j in 0..self.n {
                 if self.allowed[j] && self.red[j] < best_val {
                     best_val = self.red[j];
@@ -369,20 +353,14 @@ impl Tableau {
     /// under Dantzig pricing they resolve to the **largest pivot element**,
     /// which avoids the numerical blow-ups that near-zero pivots cause on
     /// heavily degenerate game LPs.
-    fn choose_leaving(
-        &self,
-        enter: usize,
-        is_artificial: &[bool],
-        pivot_tol: f64,
-        bland: bool,
-    ) -> Option<usize> {
+    fn choose_leaving(&self, enter: usize, is_artificial: &[bool], bland: bool) -> Option<usize> {
         // Artificial-guard: a zero-level artificial row intersected by the
         // entering column is pivoted out immediately (a degenerate pivot).
         let mut guard: Option<usize> = None;
         for i in 0..self.m {
             if is_artificial[self.basis[i]]
-                && self.rhs[i] <= pivot_tol
-                && self.at(i, enter).abs() > pivot_tol
+                && self.rhs[i] <= PIVOT_TOL
+                && self.at(i, enter).abs() > PIVOT_TOL
             {
                 let better = guard
                     .map(|g| self.at(i, enter).abs() > self.at(g, enter).abs())
@@ -398,7 +376,7 @@ impl Tableau {
         let mut best: Option<(usize, f64)> = None;
         for i in 0..self.m {
             let a = self.at(i, enter);
-            if a > pivot_tol {
+            if a > PIVOT_TOL {
                 let ratio = self.rhs[i] / a;
                 match best {
                     None => best = Some((i, ratio)),
@@ -424,21 +402,19 @@ impl Tableau {
     fn optimize(
         &mut self,
         is_artificial: &[bool],
-        opts: &SimplexOptions,
         budget: &mut usize,
         force_bland: bool,
     ) -> Result<(), LpError> {
         let mut stalls = 0usize;
         let mut bland = force_bland;
         loop {
-            let Some(enter) = self.choose_entering(bland, opts.cost_tol) else {
+            let Some(enter) = self.choose_entering(bland) else {
                 return Ok(());
             };
-            let Some(leave) = self.choose_leaving(enter, is_artificial, opts.pivot_tol, bland)
-            else {
+            let Some(leave) = self.choose_leaving(enter, is_artificial, bland) else {
                 return Err(LpError::Unbounded { column: enter });
             };
-            let degenerate = self.rhs[leave] <= opts.pivot_tol;
+            let degenerate = self.rhs[leave] <= PIVOT_TOL;
             let leaving_col = self.basis[leave];
             self.pivot(enter, leave);
             // Once an artificial leaves the basis it may never return.
@@ -453,7 +429,7 @@ impl Tableau {
             *budget -= 1;
             if degenerate {
                 stalls += 1;
-                if stalls >= opts.bland_after_stalls {
+                if stalls >= BLAND_AFTER_STALLS {
                     bland = true;
                 }
             } else {
@@ -464,28 +440,33 @@ impl Tableau {
     }
 }
 
-/// Solve the problem; called by [`Problem::solve_with`].
+/// Solve the problem; called by [`Problem::solve`].
+pub(crate) fn solve(p: &Problem) -> Result<Solution, LpError> {
+    solve_within(p, MAX_ITERATIONS)
+}
+
+/// Solve within `max_iterations` pivots across both phases.
 ///
 /// Runs the fast Dantzig-priced pass first; if that pass reports an
 /// unbounded ray — which on heavily degenerate problems can be an artifact
 /// of an ill-conditioned pivot — the solve is repeated from scratch under
 /// Bland's rule, whose verdicts are trustworthy. A genuine unbounded model
 /// costs one redundant pass; a false positive is corrected silently.
-pub(crate) fn solve(p: &Problem, opts: &SimplexOptions) -> Result<Solution, LpError> {
-    match solve_attempt(p, opts, false) {
-        Err(LpError::Unbounded { .. }) => solve_attempt(p, opts, true),
+fn solve_within(p: &Problem, max_iterations: usize) -> Result<Solution, LpError> {
+    match solve_attempt(p, max_iterations, false) {
+        Err(LpError::Unbounded { .. }) => solve_attempt(p, max_iterations, true),
         other => other,
     }
 }
 
 fn solve_attempt(
     p: &Problem,
-    opts: &SimplexOptions,
+    max_iterations: usize,
     force_bland: bool,
 ) -> Result<Solution, LpError> {
     let sf = build_standard_form(p);
     let mut tab = Tableau::new(&sf);
-    let mut budget = opts.max_iterations;
+    let mut budget = max_iterations;
 
     // ---- Phase 1: minimize the sum of artificial variables --------------
     let any_artificial = sf.is_artificial.iter().any(|&b| b);
@@ -503,12 +484,12 @@ fn solve_attempt(
         }
         let z1 = tab.price(&phase1_cost);
         debug_assert!(z1 >= -1e-9);
-        tab.optimize(&sf.is_artificial, opts, &mut budget, force_bland)?;
+        tab.optimize(&sf.is_artificial, &mut budget, force_bland)?;
         let residual: f64 = (0..tab.m)
             .filter(|&i| sf.is_artificial[tab.basis[i]])
             .map(|i| tab.rhs[i])
             .sum();
-        if residual > opts.feas_tol {
+        if residual > FEAS_TOL {
             return Err(LpError::Infeasible { residual });
         }
         // Pivot remaining zero-level artificials out where possible; rows
@@ -516,8 +497,8 @@ fn solve_attempt(
         // `choose_leaving` keeps their artificials at level zero).
         for i in 0..tab.m {
             if sf.is_artificial[tab.basis[i]] {
-                let swap = (0..sf.n)
-                    .find(|&j| !sf.is_artificial[j] && tab.at(i, j).abs() > opts.pivot_tol);
+                let swap =
+                    (0..sf.n).find(|&j| !sf.is_artificial[j] && tab.at(i, j).abs() > PIVOT_TOL);
                 if let Some(j) = swap {
                     let old = tab.basis[i];
                     tab.pivot(j, i);
@@ -529,7 +510,7 @@ fn solve_attempt(
 
     // ---- Phase 2: minimize the real objective ----------------------------
     tab.price(&sf.cost);
-    tab.optimize(&sf.is_artificial, opts, &mut budget, force_bland)?;
+    tab.optimize(&sf.is_artificial, &mut budget, force_bland)?;
 
     // ---- Recover the primal point in user coordinates --------------------
     let mut x_std = vec![0.0; sf.n];
@@ -582,6 +563,21 @@ mod tests {
         assert_eq!(sf.n, n_struct + 3);
         assert!(sf.is_artificial.iter().all(|&b| !b));
         assert_eq!(sf.row_flip[1], -1.0);
+    }
+
+    #[test]
+    fn iteration_limit_respected() {
+        let mut p = Problem::maximize();
+        let x = p.add_var("x", 3.0, 0.0, f64::INFINITY);
+        let y = p.add_var("y", 5.0, 0.0, f64::INFINITY);
+        p.add_constraint("c1", vec![(x, 1.0)], Relation::Le, 4.0);
+        p.add_constraint("c2", vec![(y, 2.0)], Relation::Le, 12.0);
+        p.add_constraint("c3", vec![(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
+        assert!(matches!(
+            solve_within(&p, 0),
+            Err(LpError::IterationLimit { .. })
+        ));
+        assert!(solve_within(&p, MAX_ITERATIONS).is_ok());
     }
 
     #[test]

@@ -256,24 +256,6 @@ fn transportation_problem() {
 }
 
 #[test]
-fn iteration_limit_respected() {
-    let mut p = Problem::maximize();
-    let x = p.add_var("x", 3.0, 0.0, f64::INFINITY);
-    let y = p.add_var("y", 5.0, 0.0, f64::INFINITY);
-    p.add_constraint("c1", vec![(x, 1.0)], Relation::Le, 4.0);
-    p.add_constraint("c2", vec![(y, 2.0)], Relation::Le, 12.0);
-    p.add_constraint("c3", vec![(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
-    let opts = lp_solver::SimplexOptions {
-        max_iterations: 0,
-        ..Default::default()
-    };
-    assert!(matches!(
-        p.solve_with(&opts),
-        Err(LpError::IterationLimit { .. })
-    ));
-}
-
-#[test]
 fn empty_constraint_set_uses_bounds() {
     let mut p = Problem::minimize();
     let x = p.add_var("x", 2.0, 1.5, 10.0);

@@ -23,14 +23,14 @@
 
 use crate::service::{AuditService, RuntimeConfig, ServiceState};
 use crate::supervisor::{
-    panic_message, FaultInjector, FaultPlan, RetryPolicy, TenantFailure, TenantHealth,
+    panic_message, FaultInjector, FaultPlan, FaultSite, RetryPolicy, TenantFailure, TenantHealth,
 };
 use crate::telemetry::RuntimeReport;
 use audit_game::error::GameError;
 use audit_game::parallel::parallel_map_indexed;
 use audit_game::scenario::Scenario;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -243,17 +243,45 @@ impl FleetService {
     /// once retries are spent it is marked [`TenantHealth::Failed`] and
     /// the rest of the fleet keeps running.
     ///
-    /// `Err` is a fleet-level configuration breach, found before any
-    /// tenant runs: two tenants with one name
-    /// ([`GameError::InvalidConfig`]). The fault plan and
-    /// [`FleetReport::subset_fingerprint`] key tenants by name, so a
-    /// duplicate would take its twin's faults and hide its twin's failure.
+    /// `Err` is a fleet-level configuration breach
+    /// ([`GameError::InvalidConfig`]), found before any tenant runs:
+    ///
+    /// * two tenants with one name. The fault plan and
+    ///   [`FleetReport::subset_fingerprint`] key tenants by name, so a
+    ///   duplicate would take its twin's faults and hide its twin's
+    ///   failure;
+    /// * a planned fault that cannot fire: it names a tenant the fleet
+    ///   lacks, a round past that tenant's `config.epochs`, or a site
+    ///   other than [`FaultSite::SolverPanic`] at round 0 (the cold start
+    ///   consults no other). Such a fault still marks its tenant as
+    ///   touched, so the chaos harness's isolation check would cover fewer
+    ///   tenants while no fault ran.
     pub fn run(&self) -> Result<FleetReport, GameError> {
-        let mut names = HashSet::with_capacity(self.tenants.len());
-        if let Some(dup) = self.tenants.iter().find(|t| !names.insert(t.name.as_str())) {
+        let mut epochs_of = HashMap::with_capacity(self.tenants.len());
+        if let Some(dup) = self
+            .tenants
+            .iter()
+            .find(|t| epochs_of.insert(t.name.as_str(), t.config.epochs).is_some())
+        {
             return Err(GameError::InvalidConfig(format!(
                 "fleet tenant name '{}' is used more than once",
                 dup.name
+            )));
+        }
+        for (tenant, round, site) in self.config.fault_plan.iter() {
+            let why = match epochs_of.get(tenant) {
+                None => format!("the fleet has no tenant '{tenant}'"),
+                Some(&epochs) if round > epochs => {
+                    format!("round {round} is past the tenant's {epochs} epoch(s)")
+                }
+                Some(_) if round == 0 && site != FaultSite::SolverPanic => format!(
+                    "round 0 is the cold start, where only {} fires",
+                    FaultSite::SolverPanic
+                ),
+                Some(_) => continue,
+            };
+            return Err(GameError::InvalidConfig(format!(
+                "fault plan entry '{tenant}:{round}:{site}' cannot fire: {why}"
             )));
         }
         let t0 = Instant::now();
@@ -384,11 +412,7 @@ fn run_tenant(
     // Only a terminal failure has no resume round, and it ends the run.
     let health = match failures.last() {
         None => TenantHealth::Healthy,
-        Some(last) if last.resume_round.is_none() => TenantHealth::Failed {
-            round: last.round,
-            cause: last.cause.clone(),
-            failures,
-        },
+        Some(last) if last.resume_round.is_none() => TenantHealth::Failed { failures },
         Some(_) => TenantHealth::Recovered { failures },
     };
     let report = match state {

@@ -340,11 +340,8 @@ pub enum TenantHealth {
     /// its report covers only the epochs completed before the terminal
     /// failure.
     Failed {
-        /// Round of the terminal failure.
-        round: usize,
-        /// Cause of the terminal failure.
-        cause: String,
-        /// Every failure in round order (the terminal one last).
+        /// Every failure in round order; the last one is terminal (see
+        /// [`TenantHealth::terminal_failure`]).
         failures: Vec<TenantFailure>,
     },
 }
@@ -369,7 +366,16 @@ impl TenantHealth {
         match self {
             TenantHealth::Healthy => &[],
             TenantHealth::Recovered { failures } => failures,
-            TenantHealth::Failed { failures, .. } => failures,
+            TenantHealth::Failed { failures } => failures,
+        }
+    }
+
+    /// The failure that ended a [`TenantHealth::Failed`] tenant's run: its
+    /// last recorded one. `None` for healthy and recovered tenants.
+    pub fn terminal_failure(&self) -> Option<&TenantFailure> {
+        match self {
+            TenantHealth::Failed { failures } => failures.last(),
+            _ => None,
         }
     }
 
@@ -388,14 +394,12 @@ impl TenantHealth {
                     h.word(fail.resume_round.map(|r| r as u64 + 1).unwrap_or(0));
                 }
             }
-            TenantHealth::Failed {
-                round,
-                cause,
-                failures,
-            } => {
+            TenantHealth::Failed { failures } => {
                 h.word(0x00FA_11ED);
-                h.word(*round as u64);
-                h.bytes(cause.as_bytes());
+                if let Some(last) = failures.last() {
+                    h.word(last.round as u64);
+                    h.bytes(last.cause.as_bytes());
+                }
                 h.word(failures.len() as u64);
                 for fail in failures {
                     h.word(fail.round as u64);
@@ -504,12 +508,17 @@ mod tests {
         assert!(!rec.is_healthy());
         assert_eq!(rec.key(), "recovered");
         assert_eq!(rec.failures().len(), 1);
-        let dead = TenantHealth::Failed {
+        assert_eq!(rec.terminal_failure(), None);
+        let last = TenantFailure {
             round: 7,
             cause: "gone".into(),
-            failures: vec![fail],
+            resume_round: None,
+        };
+        let dead = TenantHealth::Failed {
+            failures: vec![fail, last.clone()],
         };
         assert_eq!(dead.key(), "failed");
         assert_eq!(dead.failures()[0].round, 3);
+        assert_eq!(dead.terminal_failure(), Some(&last));
     }
 }

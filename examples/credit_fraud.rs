@@ -6,9 +6,7 @@
 //! cargo run --release --example credit_fraud
 //! ```
 
-use alert_audit::game::cggs::CggsConfig;
-use alert_audit::game::detection::{DetectionEstimator, DetectionModel};
-use alert_audit::game::ishm::{CggsEvaluator, Ishm, IshmConfig};
+use alert_audit::game::solver::{InnerKind, OapSolver, SolverConfig};
 
 fn main() {
     // Resolve the Rea B scenario from the registry (synthesizes the
@@ -29,18 +27,19 @@ fn main() {
     // Sweep the audit budget until every applicant prefers honesty.
     println!("\nbudget sweep (loss 0 = complete deterrence):");
     let working = base_spec.dedup_actions();
+    let solver = OapSolver::new(SolverConfig {
+        epsilon: 0.2,
+        n_samples: 300,
+        seed: 5,
+        inner: InnerKind::Cggs,
+        dedup_actions: false,
+        ..Default::default()
+    });
     for budget in [20.0, 60.0, 100.0, 140.0, 180.0, 220.0, 260.0] {
         let mut spec = working.clone();
         spec.budget = budget;
-        let bank = spec.sample_bank(300, 5);
-        let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
-        let ishm = Ishm::new(IshmConfig {
-            epsilon: 0.2,
-            ..Default::default()
-        });
-        let mut eval = CggsEvaluator::new(&spec, est, CggsConfig::default());
-        let outcome = ishm.solve(&spec, &mut eval).expect("solves");
-        let deterred = outcome
+        let solution = solver.solve(&spec).expect("solves");
+        let deterred = solution
             .master
             .u_attackers
             .iter()
@@ -48,9 +47,9 @@ fn main() {
             .count();
         println!(
             "  B = {budget:>5}: loss {:>9.2}, {deterred:>3}/100 applicants deterred",
-            outcome.value
+            solution.loss
         );
-        if outcome.value <= 1e-6 {
+        if solution.loss <= 1e-6 {
             println!("  → full deterrence reached at budget {budget}");
             break;
         }

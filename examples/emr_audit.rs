@@ -7,9 +7,8 @@
 //! ```
 
 use alert_audit::game::baselines::{greedy_by_benefit_loss, random_orders_loss};
-use alert_audit::game::cggs::CggsConfig;
 use alert_audit::game::detection::{DetectionEstimator, DetectionModel};
-use alert_audit::game::ishm::{CggsEvaluator, Ishm, IshmConfig};
+use alert_audit::game::solver::{InnerKind, OapSolver, SolverConfig};
 
 fn main() {
     // 1. Resolve the Rea A scenario from the registry: it simulates the
@@ -32,23 +31,25 @@ fn main() {
     // 2. Solve with ISHM + CGGS (7 types → 5040 orderings, so column
     //    generation is the only viable inner solver).
     let working = spec.dedup_actions();
-    let bank = working.sample_bank(400, 1);
-    let est = DetectionEstimator::new(&working, &bank, DetectionModel::PaperApprox);
-    let ishm = Ishm::new(IshmConfig {
+    let solution = OapSolver::new(SolverConfig {
         epsilon: 0.2,
+        n_samples: 400,
+        seed: 1,
+        inner: InnerKind::Cggs,
+        dedup_actions: false,
         ..Default::default()
-    });
-    let mut eval = CggsEvaluator::new(&working, est, CggsConfig::default());
-    let outcome = ishm.solve(&working, &mut eval).expect("ISHM solves");
+    })
+    .solve(&working)
+    .expect("ISHM solves");
 
     println!("\ngame-theoretic audit policy @ budget {}:", working.budget);
-    println!("  auditor loss: {:.2}", outcome.value);
-    for (t, b) in outcome.thresholds.iter().enumerate() {
+    println!("  auditor loss: {:.2}", solution.loss);
+    for (t, b) in solution.policy.thresholds.iter().enumerate() {
         println!("  {:<38} threshold {:>4.0}", working.alert_types[t].name, b);
     }
     println!(
         "  mixture support: {} orders",
-        outcome
+        solution
             .master
             .p_orders
             .iter()
@@ -56,20 +57,23 @@ fn main() {
             .count()
     );
 
-    // 3. Baselines for context (Figure 1's comparison).
+    // 3. Baselines for context (Figure 1's comparison), on the solver's
+    //    sample bank.
+    let bank = working.sample_bank(400, 1);
+    let est = DetectionEstimator::new(&working, &bank, DetectionModel::PaperApprox);
     let rnd_orders =
-        random_orders_loss(&working, &est, &outcome.thresholds, 500, 3).expect("baseline");
+        random_orders_loss(&working, &est, &solution.policy.thresholds, 500, 3).expect("baseline");
     let greedy = greedy_by_benefit_loss(&working, &est).expect("baseline");
     println!("\nbaseline losses:");
     println!("  random audit order:      {rnd_orders:.2}");
     println!("  greedy by benefit:       {greedy:.2}");
     println!(
         "  game-theoretic policy:   {:.2}  (lower is better)",
-        outcome.value
+        solution.loss
     );
 
     // 4. How many attackers are deterred outright?
-    let deterred = outcome
+    let deterred = solution
         .master
         .u_attackers
         .iter()

@@ -103,7 +103,6 @@ fn main() {
                 epsilon: 0.25,
                 n_samples: 300,
                 seed: 11,
-                threads: 1,
             },
         )
         .expect("sweep solves");

@@ -84,9 +84,9 @@ fn failure_to_json(f: &TenantFailure) -> Value {
 /// for failed ones).
 fn health_to_json(h: &TenantHealth) -> Value {
     let mut pairs: Vec<(&'static str, Value)> = vec![("status", Value::Str(h.key().into()))];
-    if let TenantHealth::Failed { round, cause, .. } = h {
-        pairs.push(("round", Value::Num(*round as f64)));
-        pairs.push(("cause", Value::Str(cause.clone())));
+    if let Some(last) = h.terminal_failure() {
+        pairs.push(("round", Value::Num(last.round as f64)));
+        pairs.push(("cause", Value::Str(last.cause.clone())));
     }
     if !h.failures().is_empty() {
         pairs.push((

@@ -91,11 +91,9 @@ fn panicking_tenant_no_longer_aborts_the_fleet() {
     let chaos = run_with(4, 2, plan, no_retry);
     let baseline = run_with(4, 2, FaultPlan::new(), no_retry);
 
-    match health_of(&chaos, "t1") {
-        TenantHealth::Failed { cause, .. } => {
-            assert!(cause.contains("solver-panic"), "cause: {cause}")
-        }
-        h => panic!("t1 should have failed terminally, got {}", h.key()),
+    match health_of(&chaos, "t1").terminal_failure() {
+        Some(last) => assert!(last.cause.contains("solver-panic"), "cause: {}", last.cause),
+        None => panic!("t1 should have failed terminally"),
     }
     // The failed tenant keeps the partial report its last good state
     // supports: exactly the one epoch completed before the panic.
@@ -316,5 +314,44 @@ fn duplicate_tenant_names_are_rejected() {
             "duplicate tenant names accepted: {:?}",
             other.map(|r| r.health_counts())
         ),
+    }
+}
+
+/// A planned fault that cannot fire would still mark its tenant as touched
+/// and shrink the isolation check while nothing ran. The fleet refuses
+/// each kind, naming the entry, before any tenant runs.
+#[test]
+fn unfireable_fault_plans_are_rejected() {
+    for (plan, entry, why) in [
+        (
+            FaultPlan::new().inject("t9", 1, FaultSite::SolverPanic),
+            "'t9:1:solver-panic'",
+            "no tenant 't9'",
+        ),
+        (
+            FaultPlan::new().inject("t0", 4, FaultSite::SolverPanic),
+            "'t0:4:solver-panic'",
+            "past the tenant's 3 epoch(s)",
+        ),
+        (
+            FaultPlan::new().inject("t1", 0, FaultSite::EmptyEpoch),
+            "'t1:0:empty-epoch'",
+            "cold start",
+        ),
+    ] {
+        let result = FleetService::new(
+            tenants(2),
+            FleetConfig {
+                fault_plan: plan,
+                ..FleetConfig::default()
+            },
+        )
+        .run();
+        match result {
+            Err(GameError::InvalidConfig(msg)) => {
+                assert!(msg.contains(entry) && msg.contains(why), "{msg}")
+            }
+            other => panic!("{entry} accepted: {:?}", other.map(|r| r.health_counts())),
+        }
     }
 }
