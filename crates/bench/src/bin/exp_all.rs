@@ -14,7 +14,7 @@
 //! the drifting `syn-seasonal` scenario for a short multi-epoch window and
 //! prints its telemetry summary.
 
-use audit_bench::cli::default_threads;
+use audit_bench::cli::host_cores;
 use audit_bench::scenarios::{registry_sweep, render_sweep};
 use std::process::Command;
 
@@ -57,7 +57,7 @@ fn main() {
 
     let samples = if quick { 60 } else { 200 };
     eprintln!("\n=== scenario registry sweep ({samples} samples) ===");
-    let rows = registry_sweep(samples, default_threads()).expect("registry sweep solves");
+    let rows = registry_sweep(samples, host_cores()).expect("registry sweep solves");
     println!("{}", render_sweep(&rows));
 
     // Online runtime on the drifting scenario: a short epoch loop with

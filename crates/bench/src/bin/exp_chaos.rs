@@ -11,11 +11,12 @@
 //! Two runs of the **same** tenant set execute back to back: a baseline
 //! with an empty [`FaultPlan`] and a chaos run under the plan. The plan
 //! is either seeded (`--rate`, default 0.2 faults per tenant x round
-//! cell, sites drawn from [`FaultSite::ALL`]) or explicit
-//! (`--plan "tenant:round:site,..."`). A plan with a fault that cannot
-//! fire — a tenant the fleet lacks, a round past `epochs`, or a site other
-//! than `solver-panic` at round 0 (the cold start) — is refused with a
-//! non-zero exit before either run. The harness then:
+//! cell, sites drawn from [`FaultSite::ALL`]; a rate outside [0, 1] is
+//! refused) or explicit (`--plan "tenant:round:site,..."`). A plan with a
+//! fault that cannot fire — a tenant the fleet lacks, a round past
+//! `epochs`, or a site other than `solver-panic` at round 0 (the cold
+//! start) — is refused with a non-zero exit before either run. The
+//! harness then:
 //!
 //! * prints every planned fault and every tenant's supervisor verdict
 //!   (`health: ...` lines) plus every degraded epoch (`degrade: ...`
@@ -32,13 +33,11 @@
 //! runs (so the isolation diff stays clean) and drives the graceful-
 //! degradation ladder: degraded epochs then appear in the baseline too.
 //! Everything is a deterministic function of `(tenants, epochs,
-//! --scenario, --seed, --rate/--plan, --budget)`; worker count changes
-//! wall-clock only.
+//! --scenario, --seed, --rate/--plan, --budget)`; worker count (default:
+//! the host's available cores) changes wall-clock only.
 
 use alert_audit::telemetry::fleet_report_to_json;
-use audit_bench::cli::{
-    default_threads, parse_count, take_flag, take_scenario_flag, take_value_flag,
-};
+use audit_bench::cli::{host_cores, parse_count, take_flag, take_scenario_flag, take_value_flag};
 use audit_runtime::{
     FaultPlan, FaultSite, FleetConfig, FleetReport, FleetService, RuntimeConfig, TenantHealth,
     TenantSpec,
@@ -105,7 +104,10 @@ fn main() {
         .map(|s| s.parse().expect("--seed is a u64"))
         .unwrap_or(0);
     let rate: f64 = take_value_flag(&mut args, "--rate")
-        .map(|s| s.parse().expect("--rate is a probability"))
+        .map(|s| match s.parse() {
+            Ok(p) if (0.0..=1.0).contains(&p) => p,
+            _ => panic!("--rate is a probability in [0, 1], got '{s}'"),
+        })
         .unwrap_or(0.2);
     let plan_spec = take_value_flag(&mut args, "--plan");
     let budget: Option<usize> =
@@ -113,7 +115,7 @@ fn main() {
     let json = take_flag(&mut args, "--json");
     let n_tenants = parse_count(args.first().cloned(), 8);
     let epochs = parse_count(args.get(1).cloned(), 6);
-    let workers = parse_count(args.get(2).cloned(), default_threads());
+    let workers = parse_count(args.get(2).cloned(), host_cores());
 
     let reg = alert_audit::scenario::registry();
     let scenario = reg

@@ -7,14 +7,14 @@
 //! ```
 //!
 //! `samples` overrides the Monte-Carlo sample count, `repeats` the
-//! random-threshold baseline repetitions, `threads` the detection-engine
-//! workers (default: `AUDIT_THREADS` or 1; thread count never changes the
-//! numbers), and `--scenario` swaps the base game (default `emr-reaa`,
-//! the laptop-scale Rea A configuration — fewer simulated people,
-//! identical statistical structure, since the full-scale world only
-//! changes simulation time, not the game).
+//! random-threshold baseline repetitions, `threads` how many budgets are
+//! swept at once, each on one engine thread (default: the host's available
+//! cores; the width never changes the numbers), and `--scenario` swaps the
+//! base game (default `emr-reaa`, the laptop-scale Rea A configuration —
+//! fewer simulated people, identical statistical structure, since the
+//! full-scale world only changes simulation time, not the game).
 
-use audit_bench::cli::{default_threads, parse_count, parse_list, take_scenario_flag};
+use audit_bench::cli::{host_cores, parse_count, parse_list, take_scenario_flag};
 use audit_bench::defaults::{FIG_EPSILONS, RANDOM_THRESHOLD_REPEATS, REAL_SAMPLES, SEED};
 use audit_bench::real_experiments::{budget_sweep, render_figure, SweepConfig};
 use audit_bench::scenarios::resolve_base_spec;
@@ -28,7 +28,7 @@ fn main() {
     );
     let samples = parse_count(args.get(1).cloned(), REAL_SAMPLES);
     let repeats = parse_count(args.get(2).cloned(), RANDOM_THRESHOLD_REPEATS);
-    let threads = parse_count(args.get(3).cloned(), default_threads());
+    let threads = parse_count(args.get(3).cloned(), host_cores());
 
     eprintln!("Figure 1 reproduction (Rea A budget sweep with baselines)");
     let t0 = std::time::Instant::now();

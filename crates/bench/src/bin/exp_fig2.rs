@@ -5,8 +5,11 @@
 //! ```text
 //! cargo run -p audit-bench --release --bin exp_fig2 [budgets] [samples] [repeats] [threads] [--scenario <key>]
 //! ```
+//!
+//! The arguments mean what they mean for `exp_fig1`; `--scenario`
+//! defaults to `credit-reab`.
 
-use audit_bench::cli::{default_threads, parse_count, parse_list, take_scenario_flag};
+use audit_bench::cli::{host_cores, parse_count, parse_list, take_scenario_flag};
 use audit_bench::defaults::{FIG_EPSILONS, RANDOM_THRESHOLD_REPEATS, REAL_SAMPLES, SEED};
 use audit_bench::real_experiments::{budget_sweep, render_figure, SweepConfig};
 use audit_bench::scenarios::resolve_base_spec;
@@ -20,7 +23,7 @@ fn main() {
     );
     let samples = parse_count(args.get(1).cloned(), REAL_SAMPLES);
     let repeats = parse_count(args.get(2).cloned(), RANDOM_THRESHOLD_REPEATS);
-    let threads = parse_count(args.get(3).cloned(), default_threads());
+    let threads = parse_count(args.get(3).cloned(), host_cores());
 
     eprintln!("Figure 2 reproduction (Rea B budget sweep with baselines)");
     let t0 = std::time::Instant::now();

@@ -11,15 +11,14 @@
 //! master `--seed` by tenant index, so the whole fleet is one
 //! deterministic function of `(tenants, epochs, --scenario/--mix, seed)`
 //! — the printed `fleet fingerprint` is bit-identical across reruns and
-//! worker counts (the CI fleet smoke greps exactly that). `--mix` cycles
-//! tenants over a fixed scenario mix (rational, seasonal, heavy-tail,
-//! quantal) instead of one scenario; `--json` emits the full fleet
-//! report as one JSON document.
+//! worker counts (the CI fleet smoke greps exactly that). `workers`
+//! defaults to the host's available cores. `--mix` cycles tenants over a
+//! fixed scenario mix (rational, seasonal, heavy-tail, quantal) instead of
+//! one scenario; `--json` emits the full fleet report as one JSON
+//! document.
 
 use alert_audit::telemetry::fleet_report_to_json;
-use audit_bench::cli::{
-    default_threads, parse_count, take_flag, take_scenario_flag, take_value_flag,
-};
+use audit_bench::cli::{host_cores, parse_count, take_flag, take_scenario_flag, take_value_flag};
 use audit_bench::report::Table;
 use audit_runtime::{FleetConfig, FleetService, RuntimeConfig, TenantSpec};
 use stochastics::rng::derive_seed;
@@ -38,7 +37,7 @@ fn main() {
     let json = take_flag(&mut args, "--json");
     let n_tenants = parse_count(args.first().cloned(), 64);
     let epochs = parse_count(args.get(1).cloned(), 8);
-    let workers = parse_count(args.get(2).cloned(), default_threads());
+    let workers = parse_count(args.get(2).cloned(), host_cores());
     assert!(
         !(mix && scenario_key.is_some()),
         "--mix and --scenario are mutually exclusive"

@@ -9,16 +9,18 @@
 //!     [--checkpoint-dir <dir> [--checkpoint-epoch <k>]] [--restore]
 //! ```
 //!
-//! `--compare-cold` steps the service one epoch at a time and, after each
-//! epoch that re-solved, solves the newly committed spec cold with a
-//! fresh solver under the run's solver configuration, outside the
-//! service; it reports the mean warm and cold latency over those epochs
-//! and the worst committed-minus-cold objective gap. The service runs
-//! exactly as without the flag, so the fingerprint is the same, and the
-//! flag works with `--restore` (comparing the epochs run after the
-//! restore). `--json` emits the full telemetry log as JSON instead of the
-//! table; `--cache-stats` prints the detection engine's counters summed
-//! over the committed solves.
+//! `threads` sets the detection-engine workers of each solve (default 1;
+//! the fingerprint does not depend on it). `--compare-cold` steps the
+//! service one epoch at a time and, after each epoch that re-solved,
+//! solves the newly committed spec cold with a fresh solver under the
+//! run's solver configuration, outside the service; it reports the mean
+//! warm and cold latency over those epochs and the worst
+//! committed-minus-cold objective gap. The service runs exactly as without
+//! the flag, so the fingerprint is the same, and the flag works with
+//! `--restore` (comparing the epochs run after the restore). `--json`
+//! emits the full telemetry log as JSON instead of the table;
+//! `--cache-stats` prints the detection engine's counters summed over the
+//! committed solves.
 //!
 //! `--checkpoint-dir <dir>` runs the loop only up to `--checkpoint-epoch`
 //! (default: half the horizon), persists the full service state to the
@@ -31,8 +33,7 @@
 
 use alert_audit::telemetry::report_to_json;
 use audit_bench::cli::{
-    default_threads, parse_count, render_cache_stats, take_flag, take_scenario_flag,
-    take_value_flag,
+    parse_count, render_cache_stats, take_flag, take_scenario_flag, take_value_flag,
 };
 use audit_bench::report::{f4, Table};
 use audit_game::solver::{OapSolver, SolverConfig};
@@ -51,7 +52,7 @@ fn main() {
         take_value_flag(&mut args, "--checkpoint-epoch").map(|s| parse_count(Some(s), 0));
     let restore = take_flag(&mut args, "--restore");
     let epochs = parse_count(args.first().cloned(), 24);
-    let threads = parse_count(args.get(1).cloned(), default_threads());
+    let threads = parse_count(args.get(1).cloned(), 1);
 
     let reg = alert_audit::scenario::registry();
     let scenario = reg

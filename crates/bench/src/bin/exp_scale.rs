@@ -13,16 +13,15 @@
 //! `--budget-per-type` (default 0.25) audit units per type; `--scenario`
 //! replaces the sweep with one registry scenario at conformance scale.
 //! Each instance is solved once through `OapSolver` with the planner
-//! choosing the strategy; the run prints one `strategy:` and one
-//! `latency:` grep line per instance (the CI scale smoke pins both) and,
-//! with `--json`, a single JSON document of the whole curve on stdout
-//! (the table and grep lines move to stderr). The curve is captured in
+//! choosing the strategy, on `threads` detection-engine workers (default
+//! 1); the run prints one `strategy:` and one `latency:` grep line per
+//! instance (the CI scale smoke pins both) and, with `--json`, a single
+//! JSON document of the whole curve on stdout (the table and grep lines
+//! move to stderr). The curve is captured in
 //! `BENCH_scale.json`.
 
 use alert_audit::json::Value;
-use audit_bench::cli::{
-    default_threads, parse_count, parse_list, take_flag, take_scenario_flag, take_value_flag,
-};
+use audit_bench::cli::{parse_count, parse_list, take_flag, take_scenario_flag, take_value_flag};
 use audit_bench::report::Table;
 use audit_game::model::GameSpec;
 use audit_game::scenario::wide_game;
@@ -61,7 +60,7 @@ fn main() {
         })
         .collect();
     let samples = parse_count(args.get(1).cloned(), 60);
-    let threads = parse_count(args.get(2).cloned(), default_threads());
+    let threads = parse_count(args.get(2).cloned(), 1);
 
     // The instance list: either the wide_game sweep or one registry
     // scenario at its conformance (small) scale.

@@ -7,12 +7,13 @@
 //!
 //! `budgets` is a comma-separated list (default: the paper's 2..=20 grid);
 //! `samples` overrides the Monte-Carlo sample count (default: 1000);
-//! `threads` sets the detection-engine workers (default: `AUDIT_THREADS`
-//! or 1 — thread count never changes the numbers, only the wall clock);
-//! `--scenario` swaps the base game for any registry scenario (default
-//! `syn-a`; brute force is only tractable for small threshold lattices).
+//! `threads` sets how many budgets are solved at once, each on one engine
+//! thread (default: the host's available cores — the width never changes
+//! the numbers, only the wall clock); `--scenario` swaps the base game for
+//! any registry scenario (default `syn-a`; brute force is only tractable
+//! for small threshold lattices).
 
-use audit_bench::cli::{default_threads, parse_count, parse_list, take_scenario_flag};
+use audit_bench::cli::{host_cores, parse_count, parse_list, take_scenario_flag};
 use audit_bench::defaults::{SEED, SYN_BUDGETS, SYN_SAMPLES};
 use audit_bench::report::{f4, support_str, thresholds_str, Table};
 use audit_bench::scenarios::resolve_base_spec;
@@ -23,11 +24,11 @@ fn main() {
     let scenario = take_scenario_flag(&mut args);
     let budgets = parse_list(args.first().cloned(), &SYN_BUDGETS);
     let samples = parse_count(args.get(1).cloned(), SYN_SAMPLES);
-    let threads = parse_count(args.get(2).cloned(), default_threads());
+    let threads = parse_count(args.get(2).cloned(), host_cores());
     let (key, base) = resolve_base_spec(scenario, "syn-a", SEED);
 
     eprintln!(
-        "Table III reproduction: {key} brute force, {samples} samples, seed {SEED}, {threads} engine thread(s)"
+        "Table III reproduction: {key} brute force, {samples} samples, seed {SEED}, {threads} worker(s)"
     );
     let t0 = std::time::Instant::now();
     let rows = table3(&base, &budgets, samples, SEED, threads).expect("brute force solves");

@@ -8,40 +8,36 @@
 //! cargo run -p audit-bench --release --bin exp_table6 [budgets] [epsilons] [samples] [threads] [--scenario <key>]
 //! ```
 
-use audit_bench::cli::{default_threads, parse_count, parse_list, take_scenario_flag};
-use audit_bench::defaults::{SEED, SYN_BUDGETS, SYN_EPSILONS, SYN_SAMPLES};
+use audit_bench::cli::grid_args;
+use audit_bench::defaults::SYN_EPSILONS;
 use audit_bench::report::Table;
-use audit_bench::scenarios::resolve_base_spec;
 use audit_bench::syn_experiments::{gamma_per_epsilon, ishm_grid, table3};
 use audit_game::solver::InnerKind;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let scenario = take_scenario_flag(&mut args);
-    let budgets = parse_list(args.first().cloned(), &SYN_BUDGETS);
-    let epsilons = parse_list(args.get(1).cloned(), &SYN_EPSILONS);
-    let samples = parse_count(args.get(2).cloned(), SYN_SAMPLES);
-    let threads = parse_count(args.get(3).cloned(), default_threads());
-    let (_, base) = resolve_base_spec(scenario, "syn-a", SEED);
+    let (_, grid) = grid_args(std::env::args().skip(1).collect(), &SYN_EPSILONS);
     let t0 = std::time::Instant::now();
 
     eprintln!("[1/3] brute-force optimum (Table III)");
-    let optimal = table3(&base, &budgets, samples, SEED, threads).expect("table3");
-    let grid = |inner| {
-        ishm_grid(&base, &budgets, &epsilons, inner, samples, SEED, threads)
-            .expect("grid")
-            .0
-    };
+    let optimal = table3(
+        &grid.base,
+        &grid.budgets,
+        grid.n_samples,
+        grid.seed,
+        grid.threads,
+    )
+    .expect("table3");
+    let solve = |inner| ishm_grid(&grid, inner).expect("grid").0;
     eprintln!("[2/3] ISHM grid (Table IV)");
-    let grid_exact = grid(InnerKind::Exact);
+    let grid_exact = solve(InnerKind::Exact);
     eprintln!("[3/3] ISHM+CGGS grid (Table V)");
-    let grid_cggs = grid(InnerKind::Cggs);
+    let grid_cggs = solve(InnerKind::Cggs);
 
     let g1 = gamma_per_epsilon(&optimal, &grid_exact);
     let g2 = gamma_per_epsilon(&optimal, &grid_cggs);
 
     let mut header: Vec<String> = vec!["eps".into()];
-    header.extend(epsilons.iter().map(|e| format!("{e}")));
+    header.extend(grid.epsilons.iter().map(|e| format!("{e}")));
     let mut table = Table::new(header);
     let mut row1: Vec<String> = vec!["gamma1 (ISHM)".into()];
     row1.extend(g1.iter().map(|g| format!("{g:.4}")));

@@ -5,11 +5,15 @@
 //! `--flag`s, and value flags accepted as both `--flag <v>` and
 //! `--flag=<v>` anywhere on the line. This module is that dialect's
 //! single implementation — flag extraction, scenario-key resolution,
-//! count/grid parsing, the `AUDIT_THREADS` default, and the
-//! `--cache-stats` rendering — so a new binary gets the whole convention
-//! from one import and no binary re-implements a slightly different
-//! spelling of it.
+//! count/grid parsing, the ISHM grid drivers' shared layout
+//! ([`grid_args`]), the host-core default of every `[threads]`/`[workers]`
+//! width, and the `--cache-stats` rendering — so a new binary gets the
+//! whole convention from one import and no binary re-implements a slightly
+//! different spelling of it.
 
+use crate::defaults::{SEED, SYN_BUDGETS, SYN_SAMPLES};
+use crate::scenarios::resolve_base_spec;
+use crate::syn_experiments::Grid;
 use alert_audit::scenario::registry;
 
 /// Remove a boolean `--flag` from the CLI argument list, reporting whether
@@ -81,8 +85,7 @@ pub fn parse_list(arg: Option<String>, default: &[f64]) -> Vec<f64> {
 }
 
 /// Parse an optional CLI argument into a positive count, falling back to
-/// `default`. Shared `[samples]`/`[threads]` positional handling; see
-/// [`positional_count`] for the indexed form.
+/// `default`. Shared `[samples]`/`[threads]` positional handling.
 pub fn parse_count(arg: Option<String>, default: usize) -> usize {
     let n = arg
         .map(|s| s.parse().expect("count is a positive integer"))
@@ -91,23 +94,35 @@ pub fn parse_count(arg: Option<String>, default: usize) -> usize {
     n
 }
 
-/// The `idx`-th remaining positional argument as a positive count, falling
-/// back to `default` — the `[samples]`/`[threads]` convention in one call
-/// (extract the flags first; positional indices count what's left).
-pub fn positional_count(args: &[String], idx: usize, default: usize) -> usize {
-    parse_count(args.get(idx).cloned(), default)
+/// The default width of a driver's `[threads]` (or `[workers]`) argument:
+/// how many independent solves, or fleet tenants, run at once. It is the
+/// host's available cores (1 when the host cannot say). Width never
+/// changes results, only wall-clock time.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Worker threads for batched `Pal` evaluation in the experiment drivers:
-/// the `AUDIT_THREADS` environment variable when set (and ≥ 1), else 1.
-/// Binaries that expose a `[threads]` CLI argument let it take precedence.
-/// Thread count never changes results — only wall-clock time.
-pub fn default_threads() -> usize {
-    std::env::var("AUDIT_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or(1)
+/// The command line of the ISHM grid drivers (Tables IV–VII and the
+/// exploration summary): `[budgets] [epsilons] [samples] [threads]
+/// [--scenario <key>]`, with `default_epsilons` as the ε axis when none is
+/// given. Take any other flag out of `args` first. Returns the scenario key
+/// and the grid over its base game, seeded with [`SEED`].
+pub fn grid_args(mut args: Vec<String>, default_epsilons: &[f64]) -> (String, Grid) {
+    let scenario = take_scenario_flag(&mut args);
+    let budgets = parse_list(args.first().cloned(), &SYN_BUDGETS);
+    let epsilons = parse_list(args.get(1).cloned(), default_epsilons);
+    let n_samples = parse_count(args.get(2).cloned(), SYN_SAMPLES);
+    let threads = parse_count(args.get(3).cloned(), host_cores());
+    let (key, base) = resolve_base_spec(scenario, "syn-a", SEED);
+    let grid = Grid {
+        base,
+        budgets,
+        epsilons,
+        n_samples,
+        seed: SEED,
+        threads,
+    };
+    (key, grid)
 }
 
 /// Render the detection-engine counters for `--cache-stats` output: one
@@ -167,10 +182,19 @@ mod tests {
     }
 
     #[test]
-    fn positional_count_follows_the_samples_threads_convention() {
-        let args = vec!["2,4".to_string(), "120".into()];
-        assert_eq!(positional_count(&args, 1, 500), 120);
-        assert_eq!(positional_count(&args, 2, 3), 3);
+    fn grid_args_follow_the_grid_driver_layout() {
+        let args = ["--scenario=syn-a-b6", "2,6", "0.2,0.5", "60", "3"];
+        let (key, grid) = grid_args(args.map(String::from).to_vec(), &[0.1]);
+        assert_eq!(key, "syn-a-b6");
+        assert_eq!(grid.budgets, vec![2.0, 6.0]);
+        assert_eq!(grid.epsilons, vec![0.2, 0.5]);
+        assert_eq!((grid.n_samples, grid.seed, grid.threads), (60, SEED, 3));
+
+        let (key, grid) = grid_args(vec!["4".to_string()], &[0.1, 0.3]);
+        assert_eq!(key, "syn-a");
+        assert_eq!(grid.epsilons, vec![0.1, 0.3]);
+        assert_eq!(grid.n_samples, SYN_SAMPLES);
+        assert_eq!(grid.threads, host_cores());
     }
 
     #[test]

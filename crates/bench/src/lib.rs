@@ -10,18 +10,23 @@
 //! * [`real_experiments`] — budget sweeps with baselines (Figures 1–2);
 //! * [`scenarios`] — scenario resolution and the registry-wide sweep;
 //! * [`cli`] — the binaries' shared command-line dialect (flag and
-//!   positional parsing, `--scenario` handling, `--cache-stats`
-//!   rendering);
+//!   positional parsing, the grid drivers' layout, `--scenario` handling,
+//!   `--cache-stats` rendering);
 //! * [`defaults`] — the budget grids and seeds shared across binaries.
 //!
 //! Every zero-sum solve these runners make goes through
 //! `audit_game::solver::OapSolver`, configured by its `SolverConfig`;
 //! only Table III's brute-force optimum and the baselines work below it
 //! (as does `exp_attacker`, which scores one bank under two objectives).
-//! Every runner takes explicit seeds and sample counts so results are
-//! reproducible; the binaries print the same rows/series the paper
-//! reports, and each accepts `--scenario <key>` to re-run its experiment
-//! on any scenario from `alert_audit::scenario::registry()`.
+//! A runner that makes many independent solves runs them on one
+//! `audit_game::parallel::parallel_map_indexed` whose width is the
+//! driver's `[threads]` argument (default: the host's available cores),
+//! and each solve uses one engine thread, so the width is the run's only
+//! parallelism and never changes a result. Every runner takes explicit
+//! seeds and sample counts so results are reproducible; the binaries print
+//! the same rows/series the paper reports, and each accepts
+//! `--scenario <key>` to re-run its experiment on any scenario from
+//! `alert_audit::scenario::registry()`.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -9,16 +9,15 @@
 
 use crate::defaults::RANDOM_ORDER_SAMPLES;
 use audit_game::baselines::{greedy_by_benefit_loss, random_orders_loss, random_thresholds_loss};
-use audit_game::cggs::{Cggs, CggsConfig};
+use audit_game::cggs::Cggs;
 use audit_game::detection::{DetectionEstimator, DetectionModel};
 use audit_game::error::GameError;
 use audit_game::model::GameSpec;
 use audit_game::parallel::parallel_map_indexed;
 use audit_game::solver::{InnerKind, OapSolver, SolverConfig};
-use serde::{Deserialize, Serialize};
 
 /// All series of one figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FigureData {
     /// The swept budgets.
     pub budgets: Vec<f64>,
@@ -46,9 +45,8 @@ pub struct SweepConfig {
     pub seed: u64,
     /// Repetitions of the random-threshold baseline.
     pub random_threshold_repeats: usize,
-    /// Worker threads for batched `Pal` evaluation inside each solve
-    /// (orthogonal to the per-budget thread fan-out; results are
-    /// thread-count invariant).
+    /// How many budgets are swept at once, each on one engine thread.
+    /// Results do not depend on it.
     pub threads: usize,
 }
 
@@ -68,51 +66,31 @@ impl Default for SweepConfig {
 #[derive(Debug, Clone)]
 struct BudgetPoint {
     proposed: Vec<f64>,
-    reference_thresholds: Vec<f64>,
+    random_orders: f64,
     random_thresholds: f64,
     greedy_benefit: f64,
 }
 
 /// Run the full sweep of one figure on `base` with its identical actions
-/// merged. Budgets are processed in parallel.
+/// merged, `config.threads` budgets at a time.
 pub fn budget_sweep(
     base: &GameSpec,
     budgets: &[f64],
     config: &SweepConfig,
 ) -> Result<FigureData, GameError> {
     let spec0 = base.dedup_actions();
-
-    // One thread per budget.
-    let points: Vec<BudgetPoint> = parallel_map_indexed(budgets.len(), budgets, |_, &b| {
+    let points: Vec<BudgetPoint> = parallel_map_indexed(config.threads, budgets, |_, &b| {
         one_budget(&spec0, b, config)
     })
     .into_iter()
     .collect::<Result<_, _>>()?;
-
-    // Random-order baseline uses the ε = first-epsilon thresholds, as in the
-    // paper ("we adopt the thresholds out of the proposed model with ε=0.1").
-    let mut random_orders = Vec::with_capacity(budgets.len());
-    for (i, &b) in budgets.iter().enumerate() {
-        let mut spec = spec0.clone();
-        spec.budget = b;
-        let bank = spec.sample_bank(config.n_samples, config.seed);
-        let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
-        random_orders.push(random_orders_loss(
-            &spec,
-            &est,
-            &points[i].reference_thresholds,
-            RANDOM_ORDER_SAMPLES,
-            config.seed ^ 0x5EED,
-        )?);
-    }
-
     Ok(FigureData {
         budgets: budgets.to_vec(),
         epsilons: config.epsilons.clone(),
         proposed: (0..config.epsilons.len())
             .map(|k| points.iter().map(|p| p.proposed[k]).collect())
             .collect(),
-        random_orders,
+        random_orders: points.iter().map(|p| p.random_orders).collect(),
         random_thresholds: points.iter().map(|p| p.random_thresholds).collect(),
         greedy_benefit: points.iter().map(|p| p.greedy_benefit).collect(),
     })
@@ -134,7 +112,6 @@ fn one_budget(
             seed: config.seed,
             inner: InnerKind::Cggs,
             dedup_actions: false,
-            threads: config.threads,
             ..Default::default()
         })
         .solve(&spec)?;
@@ -146,13 +123,20 @@ fn one_budget(
 
     let bank = spec.sample_bank(config.n_samples, config.seed);
     let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
+    // The random-order baseline audits with the first ε's thresholds, as in
+    // the paper ("we adopt the thresholds out of the proposed model with
+    // ε=0.1").
+    let random_orders = random_orders_loss(
+        &spec,
+        &est,
+        &reference_thresholds.expect("at least one epsilon"),
+        RANDOM_ORDER_SAMPLES,
+        config.seed ^ 0x5EED,
+    )?;
     let random_thresholds = random_thresholds_loss(
         &spec,
         &est,
-        &Cggs::new(CggsConfig {
-            threads: config.threads,
-            ..Default::default()
-        }),
+        &Cggs::default(),
         config.random_threshold_repeats,
         config.seed ^ 0xA11E,
     )?;
@@ -160,7 +144,7 @@ fn one_budget(
 
     Ok(BudgetPoint {
         proposed,
-        reference_thresholds: reference_thresholds.expect("at least one epsilon"),
+        random_orders,
         random_thresholds,
         greedy_benefit,
     })

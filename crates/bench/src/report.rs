@@ -27,14 +27,8 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render as a Markdown-compatible aligned table.
     pub fn render(&self) -> String {
-        let n = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -63,7 +57,6 @@ impl Table {
         for row in &self.rows {
             out.push_str(&fmt_row(row, &widths));
         }
-        let _ = n;
         out
     }
 }
@@ -137,7 +130,6 @@ mod tests {
         assert!(s.starts_with("| B"));
         assert!(s.contains("|---"));
         assert_eq!(s.lines().count(), 4);
-        assert_eq!(t.n_rows(), 2);
     }
 
     #[test]

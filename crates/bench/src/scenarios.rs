@@ -11,6 +11,7 @@ use crate::report::{f4, Table};
 use alert_audit::scenario::{registry, Scenario};
 use audit_game::error::GameError;
 use audit_game::model::GameSpec;
+use audit_game::parallel::parallel_map_indexed;
 use audit_game::solver::{OapSolver, SolverConfig};
 use std::sync::Arc;
 
@@ -45,29 +46,29 @@ pub struct SweepRow {
 
 /// Solve every registry scenario at conformance scale with ISHM+CGGS —
 /// the "does every workload still flow end to end" sweep of `exp_all`.
+/// The scenarios run `threads` at a time; rows come back in registry
+/// order.
 pub fn registry_sweep(n_samples: usize, threads: usize) -> Result<Vec<SweepRow>, GameError> {
-    let reg = registry();
-    let scenarios: Vec<Arc<dyn Scenario>> = reg.iter().cloned().collect();
-    let mut rows = Vec::with_capacity(scenarios.len());
-    for sc in scenarios {
+    let scenarios: Vec<Arc<dyn Scenario>> = registry().iter().cloned().collect();
+    parallel_map_indexed(threads, &scenarios, |_, sc| {
         let spec = sc.build_small(sc.default_seed())?;
         let solution = OapSolver::new(SolverConfig {
             epsilon: sc.suggested_epsilon(),
             n_samples,
             seed: sc.default_seed(),
-            threads,
             ..Default::default()
         })
         .solve(&spec)?;
-        rows.push(SweepRow {
+        Ok(SweepRow {
             key: sc.key().to_string(),
             source: sc.source().to_string(),
             shape: (spec.n_types(), spec.n_attackers(), spec.n_actions()),
             budget: spec.budget,
             loss: solution.loss,
-        });
-    }
-    Ok(rows)
+        })
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Render the sweep as a table.

@@ -3,7 +3,10 @@
 //! The runners take any base [`GameSpec`] (resolved from the scenario
 //! registry by the `exp_*` binaries' `--scenario` flag) and sweep the audit
 //! budget over it: Table III by brute force over the threshold lattice,
-//! Tables IV–VII as one [`OapSolver`] solve per `(B, ε)` cell.
+//! Tables IV–VII as one [`OapSolver`] solve per `(B, ε)` cell. Each runner
+//! makes its independent solves on one [`parallel_map_indexed`] of the
+//! caller's width, one engine thread per solve, and merges them by index,
+//! so no result depends on the width.
 
 use audit_game::brute_force::{solve_brute_force_with, threshold_space_size, BruteForceResult};
 use audit_game::detection::{CacheStats, DetectionEstimator, DetectionModel, PalEngine};
@@ -12,10 +15,9 @@ use audit_game::model::GameSpec;
 use audit_game::ordering::AuditOrder;
 use audit_game::parallel::parallel_map_indexed;
 use audit_game::solver::{InnerKind, OapSolver, SolverConfig};
-use serde::{Deserialize, Serialize};
 
 /// One row of Table III: the brute-force optimum for a budget.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OptimalRow {
     /// Audit budget `B`.
     pub budget: f64,
@@ -34,7 +36,7 @@ pub struct OptimalRow {
 }
 
 /// One cell of Tables IV/V: an ISHM (± CGGS) solve at `(B, ε)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GridCell {
     /// Audit budget `B`.
     pub budget: f64,
@@ -48,22 +50,39 @@ pub struct GridCell {
     pub explored: usize,
 }
 
+/// A `(B, ε)` grid of Tables IV–VII over one base game, as the grid
+/// drivers parse it ([`crate::cli::grid_args`]).
+#[derive(Debug, Clone)]
+pub struct Grid {
+    /// The base game; each cell overrides its budget.
+    pub base: GameSpec,
+    /// Budget axis (grid rows).
+    pub budgets: Vec<f64>,
+    /// ISHM step-size axis (grid columns).
+    pub epsilons: Vec<f64>,
+    /// Monte-Carlo samples per solve.
+    pub n_samples: usize,
+    /// Sample-bank seed of every solve.
+    pub seed: u64,
+    /// How many of the grid's solves run at once. Results do not depend
+    /// on it.
+    pub threads: usize,
+}
+
 /// Compute the Table III row for one budget by exhaustive search over the
-/// base scenario's threshold lattice. `threads` sets the batch workers of
-/// the detection engine (results are thread-count invariant).
+/// base scenario's threshold lattice, on one engine thread.
 pub fn optimal_for_budget(
     base: &GameSpec,
     budget: f64,
     n_samples: usize,
     seed: u64,
-    threads: usize,
 ) -> Result<OptimalRow, GameError> {
     let mut spec = base.clone();
     spec.budget = budget;
     let bank = spec.sample_bank(n_samples, seed);
     let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
     let orders = AuditOrder::enumerate_all(spec.n_types());
-    let engine = PalEngine::uncached(est, threads);
+    let engine = PalEngine::uncached(est, 1);
     let bf: BruteForceResult = solve_brute_force_with(&spec, &engine, &orders)?;
     // Keep only the support of the mixed strategy for reporting.
     let mut orders_kept = Vec::new();
@@ -85,7 +104,7 @@ pub fn optimal_for_budget(
     })
 }
 
-/// Compute Table III over a budget grid, one thread per budget.
+/// Compute Table III over a budget grid, `threads` budgets at a time.
 pub fn table3(
     base: &GameSpec,
     budgets: &[f64],
@@ -93,8 +112,8 @@ pub fn table3(
     seed: u64,
     threads: usize,
 ) -> Result<Vec<OptimalRow>, GameError> {
-    parallel_map_indexed(budgets.len(), budgets, |_, &b| {
-        optimal_for_budget(base, b, n_samples, seed, threads)
+    parallel_map_indexed(threads, budgets, |_, &b| {
+        optimal_for_budget(base, b, n_samples, seed)
     })
     .into_iter()
     .collect()
@@ -102,61 +121,55 @@ pub fn table3(
 
 /// The full `(B, ε)` grid of Tables IV–VII: one [`OapSolver`] solve per
 /// cell, with `inner` as the inner LP (`Exact` for Table IV, `Cggs` for
-/// Table V) on the base spec as given (its actions are not merged). Outer
-/// index: budget (one thread per budget); inner index: epsilon. Also
-/// returns the detection-engine counters summed across every cell's
-/// solve (behind `--cache-stats` in the drivers).
+/// Table V) on the base spec as given (its actions are not merged). The
+/// cells run `grid.threads` at a time; the result is indexed
+/// `[budget][epsilon]`. Also returns the detection-engine counters of
+/// every cell's solve, absorbed in that order (behind `--cache-stats` in
+/// the drivers).
 pub fn ishm_grid(
-    base: &GameSpec,
-    budgets: &[f64],
-    epsilons: &[f64],
+    grid: &Grid,
     inner: InnerKind,
-    n_samples: usize,
-    seed: u64,
-    threads: usize,
 ) -> Result<(Vec<Vec<GridCell>>, CacheStats), GameError> {
-    let rows = parallel_map_indexed(budgets.len(), budgets, |_, &budget| {
-        let mut spec = base.clone();
-        spec.budget = budget;
-        epsilons
-            .iter()
-            .map(|&epsilon| {
-                let sol = OapSolver::new(SolverConfig {
-                    epsilon,
-                    n_samples,
-                    seed,
-                    inner,
-                    dedup_actions: false,
-                    threads,
-                    ..Default::default()
-                })
-                .solve(&spec)?;
-                let cell = GridCell {
-                    budget,
-                    epsilon,
-                    value: sol.loss,
-                    thresholds: sol.policy.thresholds,
-                    explored: sol.stats.thresholds_explored,
-                };
-                Ok((cell, sol.cache))
-            })
-            .collect::<Result<Vec<_>, GameError>>()
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
-    let mut stats = CacheStats::default();
-    let grid = rows
-        .into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|(cell, cache)| {
-                    stats.absorb(&cache);
-                    cell
-                })
-                .collect()
-        })
+    let cells: Vec<(f64, f64)> = grid
+        .budgets
+        .iter()
+        .flat_map(|&b| grid.epsilons.iter().map(move |&e| (b, e)))
         .collect();
-    Ok((grid, stats))
+    let solve = |_, &(budget, epsilon): &(f64, f64)| -> Result<_, GameError> {
+        let mut spec = grid.base.clone();
+        spec.budget = budget;
+        let sol = OapSolver::new(SolverConfig {
+            epsilon,
+            n_samples: grid.n_samples,
+            seed: grid.seed,
+            inner,
+            dedup_actions: false,
+            ..Default::default()
+        })
+        .solve(&spec)?;
+        let cell = GridCell {
+            budget,
+            epsilon,
+            value: sol.loss,
+            thresholds: sol.policy.thresholds,
+            explored: sol.stats.thresholds_explored,
+        };
+        Ok((cell, sol.cache))
+    };
+    let mut stats = CacheStats::default();
+    let mut flat = Vec::with_capacity(cells.len());
+    for result in parallel_map_indexed(grid.threads, &cells, solve) {
+        let (cell, cache) = result?;
+        stats.absorb(&cache);
+        flat.push(cell);
+    }
+    let mut flat = flat.into_iter();
+    let rows = grid
+        .budgets
+        .iter()
+        .map(|_| flat.by_ref().take(grid.epsilons.len()).collect())
+        .collect();
+    Ok((rows, stats))
 }
 
 /// Table VI's γ precision per epsilon: `γ_ε = 1 − mean_B |Ŝ − S|/|S|`.
@@ -201,7 +214,7 @@ mod tests {
     fn optimal_row_matches_paper_magnitude_at_b2() {
         // Table III row 1: optimum 12.2945 with thresholds [1,1,1,1]. Our
         // Monte-Carlo estimate differs in the decimals but must land close.
-        let row = optimal_for_budget(&syn_a(), 2.0, 300, 7, 2).unwrap();
+        let row = optimal_for_budget(&syn_a(), 2.0, 300, 7).unwrap();
         assert!(
             (row.value - 12.29).abs() < 0.6,
             "B=2 optimum {} far from paper's 12.2945",
@@ -219,9 +232,17 @@ mod tests {
 
     #[test]
     fn ishm_cell_close_to_optimal_at_fine_epsilon() {
-        let opt = optimal_for_budget(&syn_a(), 6.0, 150, 7, 1).unwrap();
-        let (grid, _) = ishm_grid(&syn_a(), &[6.0], &[0.1], InnerKind::Exact, 150, 7, 1).unwrap();
-        let cell = &grid[0][0];
+        let opt = optimal_for_budget(&syn_a(), 6.0, 150, 7).unwrap();
+        let grid = Grid {
+            base: syn_a(),
+            budgets: vec![6.0],
+            epsilons: vec![0.1],
+            n_samples: 150,
+            seed: 7,
+            threads: 1,
+        };
+        let (cells, _) = ishm_grid(&grid, InnerKind::Exact).unwrap();
+        let cell = &cells[0][0];
         let gap = (cell.value - opt.value).abs() / opt.value.abs();
         assert!(
             gap < 0.05,

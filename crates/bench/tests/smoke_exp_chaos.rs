@@ -154,6 +154,23 @@ fn exp_chaos_rejects_a_fault_it_cannot_fire() {
     }
 }
 
+/// `--rate` is a per-cell fault probability. A value outside [0, 1], NaN
+/// included, is refused with the value named, before either run; it used
+/// to plan as 0 or 1 faults per cell and exit 0.
+#[test]
+fn exp_chaos_rejects_a_rate_outside_the_unit_interval() {
+    for rate in ["2", "-1", "nan", "1.5"] {
+        let out = run(&["2", "2", "1", "--rate", rate]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "exp_chaos accepted --rate {rate}");
+        assert!(
+            stderr.contains(&format!("--rate is a probability in [0, 1], got '{rate}'")),
+            "stderr:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "--rate {rate} printed a report");
+    }
+}
+
 #[test]
 fn exp_chaos_json_mode_emits_a_parseable_document() {
     let out = run(&["3", "2", "1", "--plan", "syn-a#0:1:solver-panic", "--json"]);

@@ -9,7 +9,7 @@ use std::process::Command;
 fn exp_fig1_runs_end_to_end_on_tiny_config() {
     let exe = env!("CARGO_BIN_EXE_exp_fig1");
     let out = Command::new(exe)
-        .args(["20", "30", "2", "2"]) // budgets={20}, 30 samples, 2 repeats, 2 threads
+        .args(["20", "30", "2", "2"]) // budgets={20}, 30 samples, 2 repeats, width 2
         .output()
         .expect("exp_fig1 spawns");
     assert!(

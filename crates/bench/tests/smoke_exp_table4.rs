@@ -1,6 +1,6 @@
 //! End-to-end smoke test: the `exp_table4` experiment binary (ISHM grid,
-//! exact inner LP) must run on a tiny configuration — one budget, one step
-//! size, few Monte-Carlo samples, 2 engine threads — and emit a well-formed
+//! exact inner LP) must run on a tiny configuration — one budget, two step
+//! sizes, few Monte-Carlo samples, two workers — and emit a well-formed
 //! grid.
 
 use std::process::Command;
@@ -9,7 +9,7 @@ use std::process::Command;
 fn exp_table4_runs_end_to_end_on_tiny_config() {
     let exe = env!("CARGO_BIN_EXE_exp_table4");
     let out = Command::new(exe)
-        .args(["2", "0.2,0.5", "40", "2"]) // B={2}, eps={0.2,0.5}, 40 samples, 2 threads
+        .args(["2", "0.2,0.5", "40", "2"]) // B={2}, eps={0.2,0.5}, 40 samples, width 2
         .output()
         .expect("exp_table4 spawns");
     assert!(
@@ -30,11 +30,11 @@ fn exp_table4_runs_end_to_end_on_tiny_config() {
         .find(|l| l.starts_with("| 2 "))
         .expect("data row for budget 2");
     assert!(row.contains('['), "row should carry thresholds: {row}");
-    // The tiny sample count must be echoed on stderr, proving the knob is
-    // wired through.
+    // The tiny sample count and the width must be echoed on stderr,
+    // proving the knobs are wired through.
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("40 samples") && stderr.contains("2 engine thread"),
+        stderr.contains("40 samples") && stderr.contains("2 worker(s)"),
         "stderr should echo samples/threads:\n{stderr}"
     );
 }

@@ -2,8 +2,9 @@
 //!
 //! Every fan-out in the workspace goes through [`parallel_map_indexed`]:
 //! the detection engine's trie-subtree split, the experiment drivers'
-//! per-budget sweeps, and the runtime fleet, which runs each tenant from
-//! cold start to horizon as one item.
+//! grids of independent solves (one item per `(B, ε)` cell, budget or
+//! scenario), and the runtime fleet, which runs each tenant from cold
+//! start to horizon as one item.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
