@@ -14,7 +14,7 @@
 //! the drifting `syn-seasonal` scenario for a short multi-epoch window and
 //! prints its telemetry summary.
 
-use audit_bench::cli::host_cores;
+use audit_bench::cli::{host_cores, refuse_unread, take_flag};
 use audit_bench::scenarios::{registry_sweep, render_sweep};
 use std::process::Command;
 
@@ -30,7 +30,9 @@ fn run(bin: &str, args: &[&str]) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let quick = take_flag(&mut args, "--quick");
+    refuse_unread(&args, 0);
     if quick {
         let b = "2,8,14,20";
         let e = "0.1,0.3,0.5";
@@ -67,7 +69,6 @@ fn main() {
         "exp_online",
         &[
             online_epochs,
-            "1",
             "--scenario",
             "syn-seasonal",
             "--compare-cold",

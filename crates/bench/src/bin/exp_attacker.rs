@@ -15,7 +15,7 @@
 //! Both analyses enumerate the full `|T|!` order set, so the scenario's
 //! game must have at most 5 alert types (the registry's conformance gate).
 
-use audit_bench::cli::{parse_count, take_scenario_flag, take_value_flag};
+use audit_bench::cli::{parse_count, refuse_unread, take_scenario_flag, take_value_flag};
 use audit_bench::report::{f4, Table};
 use audit_game::attacker::AttackerModel;
 use audit_game::detection::{DetectionEstimator, DetectionModel};
@@ -28,6 +28,7 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let scenario_key = take_scenario_flag(&mut args).unwrap_or_else(|| "syn-quantal".into());
     let n_samples = parse_count(take_value_flag(&mut args, "--samples"), 120);
+    refuse_unread(&args, 0);
 
     let reg = alert_audit::scenario::registry();
     let scenario = reg

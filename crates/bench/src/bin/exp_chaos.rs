@@ -37,7 +37,9 @@
 //! the host's available cores) changes wall-clock only.
 
 use alert_audit::telemetry::fleet_report_to_json;
-use audit_bench::cli::{host_cores, parse_count, take_flag, take_scenario_flag, take_value_flag};
+use audit_bench::cli::{
+    host_cores, parse_count, refuse_unread, take_flag, take_scenario_flag, take_value_flag,
+};
 use audit_runtime::{
     FaultPlan, FaultSite, FleetConfig, FleetReport, FleetService, RuntimeConfig, TenantHealth,
     TenantSpec,
@@ -113,6 +115,7 @@ fn main() {
     let budget: Option<usize> =
         take_value_flag(&mut args, "--budget").map(|s| s.parse().expect("--budget is a usize"));
     let json = take_flag(&mut args, "--json");
+    refuse_unread(&args, 3);
     let n_tenants = parse_count(args.first().cloned(), 8);
     let epochs = parse_count(args.get(1).cloned(), 6);
     let workers = parse_count(args.get(2).cloned(), host_cores());

@@ -14,7 +14,7 @@
 //! fewer simulated people, identical statistical structure, since the
 //! full-scale world only changes simulation time, not the game).
 
-use audit_bench::cli::{host_cores, parse_count, parse_list, take_scenario_flag};
+use audit_bench::cli::{host_cores, parse_count, parse_list, refuse_unread, take_scenario_flag};
 use audit_bench::defaults::{FIG_EPSILONS, RANDOM_THRESHOLD_REPEATS, REAL_SAMPLES, SEED};
 use audit_bench::real_experiments::{budget_sweep, render_figure, SweepConfig};
 use audit_bench::scenarios::resolve_base_spec;
@@ -22,6 +22,7 @@ use audit_bench::scenarios::resolve_base_spec;
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let scenario = take_scenario_flag(&mut args);
+    refuse_unread(&args, 4);
     let budgets = parse_list(
         args.first().cloned(),
         &audit_bench::defaults::fig1_budgets(),

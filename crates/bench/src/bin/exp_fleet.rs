@@ -18,7 +18,9 @@
 //! document.
 
 use alert_audit::telemetry::fleet_report_to_json;
-use audit_bench::cli::{host_cores, parse_count, take_flag, take_scenario_flag, take_value_flag};
+use audit_bench::cli::{
+    host_cores, parse_count, refuse_unread, take_flag, take_scenario_flag, take_value_flag,
+};
 use audit_bench::report::Table;
 use audit_runtime::{FleetConfig, FleetService, RuntimeConfig, TenantSpec};
 use stochastics::rng::derive_seed;
@@ -35,6 +37,7 @@ fn main() {
         .map(|s| s.parse().expect("--seed is a u64"))
         .unwrap_or(0u64);
     let json = take_flag(&mut args, "--json");
+    refuse_unread(&args, 3);
     let n_tenants = parse_count(args.first().cloned(), 64);
     let epochs = parse_count(args.get(1).cloned(), 8);
     let workers = parse_count(args.get(2).cloned(), host_cores());

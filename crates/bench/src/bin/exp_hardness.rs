@@ -7,14 +7,17 @@
 //! cargo run -p audit-bench --release --bin exp_hardness [n_instances]
 //! ```
 
+use audit_bench::cli::refuse_unread;
 use audit_bench::report::Table;
 use audit_game::hardness::{solve_knapsack, verify_reduction, KnapsackInstance};
 use rand::Rng;
 use stochastics::seeded_rng;
 
 fn main() {
-    let n_instances: usize = std::env::args()
-        .nth(1)
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    refuse_unread(&args, 1);
+    let n_instances: usize = args
+        .first()
         .map(|s| s.parse().expect("instance count"))
         .unwrap_or(25);
     let mut rng = seeded_rng(audit_bench::defaults::SEED);

@@ -4,17 +4,16 @@
 //! deterministic run fingerprint.
 //!
 //! ```text
-//! cargo run -p audit-bench --release --bin exp_online [epochs] [threads] \
+//! cargo run -p audit-bench --release --bin exp_online [epochs] \
 //!     [--scenario <key>] [--compare-cold] [--json] [--cache-stats] \
 //!     [--checkpoint-dir <dir> [--checkpoint-epoch <k>]] [--restore]
 //! ```
 //!
-//! `threads` sets the detection-engine workers of each solve (default 1;
-//! the fingerprint does not depend on it). `--compare-cold` steps the
-//! service one epoch at a time and, after each epoch that re-solved,
-//! solves the newly committed spec cold with a fresh solver under the
-//! run's solver configuration, outside the service; it reports the mean
-//! warm and cold latency over those epochs and the worst
+//! Every solve runs on one detection-engine thread. `--compare-cold`
+//! steps the service one epoch at a time and, after each epoch that
+//! re-solved, solves the newly committed spec cold with a fresh solver
+//! under the run's solver configuration, outside the service; it reports
+//! the mean warm and cold latency over those epochs and the worst
 //! committed-minus-cold objective gap. The service runs exactly as without
 //! the flag, so the fingerprint is the same, and the flag works with
 //! `--restore` (comparing the epochs run after the restore). `--json`
@@ -26,17 +25,20 @@
 //! (default: half the horizon), persists the full service state to the
 //! directory, and exits; a later invocation with `--checkpoint-dir <dir>
 //! --restore` reloads it (the run configuration is carried by the
-//! checkpoint, so `[epochs]`/`[threads]` are ignored then), finishes the
-//! remaining epochs, and prints the ordinary report — whose telemetry
-//! fingerprint is bit-identical to an uninterrupted run (the CI restart
-//! gate asserts exactly that).
+//! checkpoint, so `[epochs]` is refused then), finishes the remaining
+//! epochs, and prints the ordinary report — whose telemetry fingerprint is
+//! bit-identical to an uninterrupted run (the CI restart gate asserts
+//! exactly that). A saving run prints no report, so it refuses
+//! `--compare-cold`, `--json` and `--cache-stats`; `--checkpoint-epoch`
+//! without `--checkpoint-dir`, or with `--restore`, is refused, as is any
+//! argument the driver does not read.
 
 use alert_audit::telemetry::report_to_json;
 use audit_bench::cli::{
-    parse_count, render_cache_stats, take_flag, take_scenario_flag, take_value_flag,
+    parse_count, refuse_unread, render_cache_stats, take_flag, take_scenario_flag, take_value_flag,
 };
 use audit_bench::report::{f4, Table};
-use audit_game::solver::{OapSolver, SolverConfig};
+use audit_game::solver::OapSolver;
 use audit_runtime::{AuditService, RuntimeConfig};
 use std::time::Instant;
 
@@ -51,8 +53,22 @@ fn main() {
     let checkpoint_epoch =
         take_value_flag(&mut args, "--checkpoint-epoch").map(|s| parse_count(Some(s), 0));
     let restore = take_flag(&mut args, "--restore");
+    // A restore takes its configuration, horizon included, from the
+    // checkpoint, so it reads no `[epochs]`.
+    refuse_unread(&args, if restore { 0 } else { 1 });
+    // Without --restore, --checkpoint-dir stops the run at the checkpoint
+    // epoch and saves it there, printing no report.
+    let saving = checkpoint_dir.is_some() && !restore;
+    assert!(
+        checkpoint_epoch.is_none() || saving,
+        "--checkpoint-epoch needs --checkpoint-dir <dir> and no --restore"
+    );
+    assert!(
+        !(saving && (compare_cold || json || cache_stats)),
+        "a run that saves a checkpoint prints no report, so it takes no \
+         --compare-cold, --json or --cache-stats"
+    );
     let epochs = parse_count(args.first().cloned(), 24);
-    let threads = parse_count(args.get(1).cloned(), 1);
 
     let reg = alert_audit::scenario::registry();
     let scenario = reg
@@ -65,18 +81,13 @@ fn main() {
         scenario.describe()
     );
 
-    let defaults = RuntimeConfig::default();
     let cfg = RuntimeConfig {
         epochs,
-        solver: SolverConfig {
-            threads,
-            ..defaults.solver
-        },
-        ..defaults
+        ..RuntimeConfig::default()
     };
     eprintln!(
-        "{epochs} epochs x {} periods, drift gate: window {} / KS > {} ({} engine thread(s))",
-        cfg.periods_per_epoch, cfg.drift.window_periods, cfg.drift.ks_threshold, threads
+        "{epochs} epochs x {} periods, drift gate: window {} / KS > {}",
+        cfg.periods_per_epoch, cfg.drift.window_periods, cfg.drift.ks_threshold
     );
 
     let t0 = Instant::now();
@@ -97,18 +108,14 @@ fn main() {
         let state = service.start_state().expect("cold start solves");
         (service, state)
     };
-    // Without --restore, --checkpoint-dir stops the run at the checkpoint
-    // epoch and saves it there.
-    let save_to = checkpoint_dir.filter(|_| !restore);
+    let save_to = checkpoint_dir.filter(|_| saving);
     let horizon = service.config().epochs;
     let stop = match save_to {
         Some(_) => checkpoint_epoch.unwrap_or(epochs / 2).clamp(1, horizon),
         None => horizon,
     };
     let stream = service.full_alert_stream().expect("alert stream derives");
-    // A saving run prints no report, so it compares nothing.
-    let cold_solver = (compare_cold && save_to.is_none())
-        .then(|| OapSolver::new(service.config().solver.clone()));
+    let cold_solver = compare_cold.then(|| OapSolver::new(service.config().solver.clone()));
     // Per compared re-solve: (warm ms, cold ms, committed − cold objective).
     let mut compared: Vec<(f64, f64, f64)> = Vec::new();
     while state.epoch < stop {

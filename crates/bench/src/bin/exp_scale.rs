@@ -4,7 +4,7 @@
 //! 50-type instances.
 //!
 //! ```text
-//! cargo run -p audit-bench --release --bin exp_scale [types-list] [samples] [threads] \
+//! cargo run -p audit-bench --release --bin exp_scale [types-list] [samples] \
 //!     [--scenario <key>] [--seed <n>] [--budget-per-type <b>] [--json]
 //! ```
 //!
@@ -13,15 +13,17 @@
 //! `--budget-per-type` (default 0.25) audit units per type; `--scenario`
 //! replaces the sweep with one registry scenario at conformance scale.
 //! Each instance is solved once through `OapSolver` with the planner
-//! choosing the strategy, on `threads` detection-engine workers (default
-//! 1); the run prints one `strategy:` and one `latency:` grep line per
-//! instance (the CI scale smoke pins both) and, with `--json`, a single
-//! JSON document of the whole curve on stdout (the table and grep lines
-//! move to stderr). The curve is captured in
-//! `BENCH_scale.json`.
+//! choosing the strategy, on one detection-engine thread; the run prints
+//! one `strategy:` and one `latency:` grep line per instance (the CI scale
+//! smoke pins both) and, with `--json`, a single JSON document of the
+//! whole curve on stdout (the table and grep lines move to stderr). The
+//! curve is captured in `BENCH_scale.json`, whose command predates this
+//! argument layout (its trailing `4` was an engine thread count).
 
 use alert_audit::json::Value;
-use audit_bench::cli::{parse_count, parse_list, take_flag, take_scenario_flag, take_value_flag};
+use audit_bench::cli::{
+    parse_count, parse_list, refuse_unread, take_flag, take_scenario_flag, take_value_flag,
+};
 use audit_bench::report::Table;
 use audit_game::model::GameSpec;
 use audit_game::scenario::wide_game;
@@ -49,6 +51,7 @@ fn main() {
         .map(|s| s.parse().expect("--budget-per-type is a number"))
         .unwrap_or(0.25);
     let json = take_flag(&mut args, "--json");
+    refuse_unread(&args, 2);
     let sizes: Vec<usize> = parse_list(args.first().cloned(), &DEFAULT_SIZES)
         .into_iter()
         .map(|x| {
@@ -60,7 +63,6 @@ fn main() {
         })
         .collect();
     let samples = parse_count(args.get(1).cloned(), 60);
-    let threads = parse_count(args.get(2).cloned(), 1);
 
     // The instance list: either the wide_game sweep or one registry
     // scenario at its conformance (small) scale.
@@ -82,7 +84,7 @@ fn main() {
     };
 
     eprintln!(
-        "scale: {} instance(s), {samples} sample(s), {threads} thread(s), seed {seed}",
+        "scale: {} instance(s), {samples} sample(s), seed {seed}",
         instances.len()
     );
 
@@ -93,7 +95,6 @@ fn main() {
             n_samples: samples,
             seed,
             inner: InnerKind::Auto,
-            threads,
             ..Default::default()
         });
         let t0 = std::time::Instant::now();
@@ -147,7 +148,6 @@ fn main() {
         let doc = Value::obj([
             ("seed", Value::Num(seed as f64)),
             ("samples", Value::Num(samples as f64)),
-            ("threads", Value::Num(threads as f64)),
             (
                 "curve",
                 Value::Arr(

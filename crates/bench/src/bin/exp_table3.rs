@@ -13,7 +13,7 @@
 //! any registry scenario (default `syn-a`; brute force is only tractable
 //! for small threshold lattices).
 
-use audit_bench::cli::{host_cores, parse_count, parse_list, take_scenario_flag};
+use audit_bench::cli::{host_cores, parse_count, parse_list, refuse_unread, take_scenario_flag};
 use audit_bench::defaults::{SEED, SYN_BUDGETS, SYN_SAMPLES};
 use audit_bench::report::{f4, support_str, thresholds_str, Table};
 use audit_bench::scenarios::resolve_base_spec;
@@ -22,6 +22,7 @@ use audit_bench::syn_experiments::table3;
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let scenario = take_scenario_flag(&mut args);
+    refuse_unread(&args, 3);
     let budgets = parse_list(args.first().cloned(), &SYN_BUDGETS);
     let samples = parse_count(args.get(1).cloned(), SYN_SAMPLES);
     let threads = parse_count(args.get(2).cloned(), host_cores());

@@ -5,7 +5,8 @@
 //! `--flag`s, and value flags accepted as both `--flag <v>` and
 //! `--flag=<v>` anywhere on the line. This module is that dialect's
 //! single implementation — flag extraction, scenario-key resolution,
-//! count/grid parsing, the ISHM grid drivers' shared layout
+//! count/grid parsing, the refusal of any argument a driver does not read
+//! ([`refuse_unread`]), the ISHM grid drivers' shared layout
 //! ([`grid_args`]), the host-core default of every `[threads]`/`[workers]`
 //! width, and the `--cache-stats` rendering — so a new binary gets the
 //! whole convention from one import and no binary re-implements a slightly
@@ -72,6 +73,23 @@ pub fn take_scenario_flag(args: &mut Vec<String>) -> Option<String> {
     take_value_flag(args, "--scenario")
 }
 
+/// Refuse what a driver does not read. Call it once the driver has taken
+/// every flag it knows, so `args` holds only positionals, and before it
+/// parses them: a leftover `--flag` (unknown or misspelt) or a positional
+/// past the `max_positionals` the driver reads (a stale argument layout)
+/// panics, naming the argument, before any solve runs.
+pub fn refuse_unread(args: &[String], max_positionals: usize) {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        panic!("unknown flag '{flag}'");
+    }
+    if let Some(extra) = args.get(max_positionals) {
+        panic!(
+            "unexpected argument '{extra}': this driver takes at most \
+             {max_positionals} positional argument(s)"
+        );
+    }
+}
+
 /// Parse an optional comma-separated CLI argument into a numeric grid,
 /// falling back to `default`. Shared `[budgets]`/`[epsilons]` positional
 /// handling.
@@ -105,10 +123,12 @@ pub fn host_cores() -> usize {
 /// The command line of the ISHM grid drivers (Tables IV–VII and the
 /// exploration summary): `[budgets] [epsilons] [samples] [threads]
 /// [--scenario <key>]`, with `default_epsilons` as the ε axis when none is
-/// given. Take any other flag out of `args` first. Returns the scenario key
-/// and the grid over its base game, seeded with [`SEED`].
+/// given. Take any other flag out of `args` first; anything left unread is
+/// refused ([`refuse_unread`]). Returns the scenario key and the grid over
+/// its base game, seeded with [`SEED`].
 pub fn grid_args(mut args: Vec<String>, default_epsilons: &[f64]) -> (String, Grid) {
     let scenario = take_scenario_flag(&mut args);
+    refuse_unread(&args, 4);
     let budgets = parse_list(args.first().cloned(), &SYN_BUDGETS);
     let epsilons = parse_list(args.get(1).cloned(), default_epsilons);
     let n_samples = parse_count(args.get(2).cloned(), SYN_SAMPLES);

@@ -1,7 +1,7 @@
 //! End-to-end smoke test: the `exp_online` driver (online runtime loop)
 //! must run a short simulation, emit the telemetry table, fingerprint,
 //! and summary counters, produce identical fingerprints across reruns
-//! and thread counts, and reject unknown scenarios.
+//! and with the cold comparison, and reject unknown scenarios.
 
 use std::process::Command;
 
@@ -22,7 +22,7 @@ fn fingerprint_of(stdout: &str) -> String {
 
 #[test]
 fn exp_online_runs_a_short_simulation_end_to_end() {
-    let out = run(&["4", "1", "--scenario", "syn-seasonal"]);
+    let out = run(&["4", "--scenario", "syn-seasonal"]);
     assert!(
         out.status.success(),
         "exp_online exited with {:?}\nstderr:\n{}",
@@ -49,16 +49,15 @@ fn exp_online_runs_a_short_simulation_end_to_end() {
 }
 
 #[test]
-fn exp_online_fingerprint_is_rerun_and_thread_invariant() {
-    let base = run(&["3", "1", "--scenario", "syn-seasonal"]);
+fn exp_online_fingerprint_is_rerun_invariant() {
+    let base = run(&["3", "--scenario", "syn-seasonal"]);
     assert!(base.status.success());
     let fp = fingerprint_of(&String::from_utf8_lossy(&base.stdout));
     // The cold comparison runs outside the service, so it must not move
     // the fingerprint either.
-    let inputs: [&[&str]; 3] = [
-        &["3", "1", "--scenario", "syn-seasonal"],
-        &["3", "4", "--scenario", "syn-seasonal"],
-        &["3", "1", "--scenario", "syn-seasonal", "--compare-cold"],
+    let inputs: [&[&str]; 2] = [
+        &["3", "--scenario", "syn-seasonal"],
+        &["3", "--scenario", "syn-seasonal", "--compare-cold"],
     ];
     for args in inputs {
         let again = run(args);
@@ -73,7 +72,7 @@ fn exp_online_fingerprint_is_rerun_and_thread_invariant() {
 
 #[test]
 fn exp_online_json_mode_emits_a_parseable_document() {
-    let out = run(&["3", "1", "--json", "--compare-cold"]);
+    let out = run(&["3", "--json", "--compare-cold"]);
     assert!(out.status.success());
     // In --json mode the whole of stdout is one document (the summary
     // lines move to stderr), so `--json > file.json` yields valid JSON.
@@ -89,7 +88,7 @@ fn exp_online_json_mode_emits_a_parseable_document() {
 
 #[test]
 fn exp_online_rejects_unknown_scenario_with_key_list() {
-    let out = run(&["3", "1", "--scenario", "no-such-scenario"]);
+    let out = run(&["3", "--scenario", "no-such-scenario"]);
     assert!(!out.status.success(), "unknown scenario must fail");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -100,7 +99,7 @@ fn exp_online_rejects_unknown_scenario_with_key_list() {
 
 #[test]
 fn exp_online_cache_stats_flag_reports_engine_counters() {
-    let out = run(&["3", "1", "--scenario", "syn-seasonal", "--cache-stats"]);
+    let out = run(&["3", "--scenario", "syn-seasonal", "--cache-stats"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
@@ -109,7 +108,7 @@ fn exp_online_cache_stats_flag_reports_engine_counters() {
     );
     // The counters are deterministic (they count evaluation structure, not
     // wall clock), so a rerun reports the same lines.
-    let again = run(&["3", "1", "--scenario", "syn-seasonal", "--cache-stats"]);
+    let again = run(&["3", "--scenario", "syn-seasonal", "--cache-stats"]);
     let a: Vec<&str> = stdout
         .lines()
         .filter(|l| l.starts_with("engine "))
@@ -118,6 +117,6 @@ fn exp_online_cache_stats_flag_reports_engine_counters() {
     let b: Vec<&str> = bs.lines().filter(|l| l.starts_with("engine ")).collect();
     assert_eq!(a, b, "engine counters must be deterministic");
     // Without the flag they are absent.
-    let plain = run(&["3", "1", "--scenario", "syn-seasonal"]);
+    let plain = run(&["3", "--scenario", "syn-seasonal"]);
     assert!(!String::from_utf8_lossy(&plain.stdout).contains("engine cache:"));
 }

@@ -9,7 +9,7 @@ use std::process::Command;
 fn exp_scale_sweeps_a_tiny_curve_with_grep_lines() {
     let exe = env!("CARGO_BIN_EXE_exp_scale");
     let out = Command::new(exe)
-        .args(["4,14", "24", "2"])
+        .args(["4,14", "24"])
         .output()
         .expect("exp_scale spawns");
     assert!(
@@ -85,7 +85,7 @@ fn exp_scale_rejects_a_malformed_types_list() {
 fn exp_scale_json_is_a_single_parseable_curve_document() {
     let exe = env!("CARGO_BIN_EXE_exp_scale");
     let out = Command::new(exe)
-        .args(["4,14", "24", "1", "--json"])
+        .args(["4,14", "24", "--json"])
         .output()
         .expect("exp_scale spawns");
     assert!(

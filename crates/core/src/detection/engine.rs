@@ -62,11 +62,10 @@ use super::trie::{BatchBits, Node, PathId, PathTable, QueryTrie};
 use super::{detection_step, DetectionEstimator, DetectionModel, PalQuery};
 use crate::ordering::AuditOrder;
 use crate::parallel::parallel_map_indexed;
-use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 
 /// Counters of a [`PalEngine`]'s caches and trie evaluator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries answered from the estimate cache.
     pub hits: u64,

@@ -42,11 +42,10 @@ pub use engine::{CacheStats, PalEngine};
 
 use crate::model::GameSpec;
 use crate::ordering::AuditOrder;
-use serde::{Deserialize, Serialize};
 use stochastics::SampleBank;
 
 /// How the per-sample detection ratio of an attack alert is computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DetectionModel {
     /// The paper's approximation `n_t/Z_t` (eq. 1), with the `Z_t = 0` case
     /// resolved naturally: the attack alert would then be the *only* type-`t`

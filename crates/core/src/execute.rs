@@ -11,10 +11,9 @@ use crate::model::GameSpec;
 use crate::ordering::AuditOrder;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A deployable audit policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AuditPolicy {
     /// Per-type budget thresholds `b_t` (budget units).
     pub thresholds: Vec<f64>,
@@ -102,7 +101,7 @@ impl AuditPolicy {
 }
 
 /// One realized alert awaiting triage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RealizedAlert {
     /// Alert type index.
     pub alert_type: usize,
@@ -111,7 +110,7 @@ pub struct RealizedAlert {
 }
 
 /// Outcome of running the policy on one period's alert queue.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AuditRun {
     /// The order that was drawn.
     pub order: AuditOrder,

@@ -24,11 +24,10 @@
 
 use crate::model::GameSpec;
 use crate::payoff::{detection_prob, PayoffMatrix};
-use serde::{Deserialize, Serialize};
 
 /// Auditor-side damage parameters per attack action, defaulting to a
 /// transformation of the attacker payoffs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DamageModel {
     /// Multiplier mapping attacker reward `R` to organizational damage
     /// (e.g. regulatory fines dwarfing the insider's gain).

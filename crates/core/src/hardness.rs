@@ -15,12 +15,11 @@
 //! reduction identity on random instances end-to-end.
 
 use crate::model::{AttackAction, Attacker, GameSpec, GameSpecBuilder};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use stochastics::Constant;
 
 /// A 0-1 knapsack instance with integer weights and values.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KnapsackInstance {
     /// Item weights `w_i > 0`.
     pub weights: Vec<u64>,

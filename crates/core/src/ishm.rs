@@ -25,7 +25,6 @@ use crate::master::{MasterMemo, MasterSolution, MasterSolver};
 use crate::model::GameSpec;
 use crate::ordering::AuditOrder;
 use crate::payoff::PayoffMatrix;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// All `k`-element subsets of `0..n` in lexicographic order (the `choose`
@@ -308,7 +307,7 @@ impl ThresholdEvaluator for CggsEvaluator<'_> {
 const IMPROVEMENT_TOL: f64 = 1e-9;
 
 /// ISHM configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IshmConfig {
     /// Step size `ε ∈ (0, 1]` controlling the shrink-ratio grid.
     pub epsilon: f64,
@@ -351,7 +350,7 @@ impl Default for IshmConfig {
 }
 
 /// Instrumentation counters (paper Table VII / Section IV.C `T` vector).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SearchStats {
     /// Threshold vectors evaluated (LP calls), including the initial one.
     pub thresholds_explored: usize,

@@ -28,12 +28,11 @@ use crate::error::GameError;
 use crate::model::GameSpec;
 use crate::payoff::PayoffMatrix;
 use lp_solver::{Problem, Relation, Sense};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Solution of the master problem for a fixed threshold vector and a fixed
 /// set of candidate orders `Q`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MasterSolution {
     /// Game value: the auditor's minimized loss `Σ_e p_e·u_e`.
     pub value: f64,

@@ -3,11 +3,10 @@
 //! them.
 
 use crate::error::GameError;
-use serde::{Deserialize, Serialize};
 
 /// A complete prioritization of the alert types: `order.types()[i]` is the
 /// alert type audited in position `i`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AuditOrder(Vec<usize>);
 
 impl AuditOrder {

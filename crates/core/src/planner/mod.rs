@@ -39,7 +39,6 @@ pub use decomposed::{decomposed_pool, DecomposedEvaluator};
 use crate::cggs::detection_weights;
 use crate::hardness::{solve_knapsack, KnapsackInstance};
 use crate::model::GameSpec;
-use serde::{Deserialize, Serialize};
 
 /// Exact inner enumeration materializes `|T|!` audit orders; beyond this
 /// many types (120 orders) the exact path is off the table. This is the
@@ -54,7 +53,7 @@ pub const ISHM_FULL_MAX_TYPES: usize = 12;
 
 /// Cheap, deterministic hardness features of one solve instance — the
 /// inputs of [`plan`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstanceFeatures {
     /// Alert types of the working (deduped) game.
     pub n_types: usize,

@@ -23,10 +23,9 @@ use crate::ishm::{ExactEvaluator, Ishm, IshmConfig, ThresholdEvaluator};
 use crate::master::MasterSolution;
 use crate::model::GameSpec;
 use crate::payoff::PayoffMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Quantal-response model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantalResponse {
     /// Rationality parameter λ ≥ 0.
     pub lambda: f64,

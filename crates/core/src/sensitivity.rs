@@ -11,10 +11,9 @@
 use crate::error::GameError;
 use crate::model::GameSpec;
 use crate::solver::{InnerKind, OapSolver, SolverConfig};
-use serde::{Deserialize, Serialize};
 
 /// Which parameter family a sweep scales.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parameter {
     /// Attacker rewards `R`.
     Reward,
@@ -29,15 +28,12 @@ pub enum Parameter {
 }
 
 /// One point of a sensitivity curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SensitivityPoint {
     /// Multiplier applied to the base value.
     pub scale: f64,
     /// Solved auditor loss at this scale.
     pub loss: f64,
-    /// Fraction of attackers with best-response utility ≤ 0 (deterred or
-    /// indifferent).
-    pub deterred_fraction: f64,
 }
 
 /// Scale one parameter family of a spec by `factor`.
@@ -110,18 +106,8 @@ pub fn sweep(
     let mut out = Vec::with_capacity(config.scales.len());
     for &scale in &config.scales {
         let scaled = scale_spec(spec, parameter, scale);
-        let sol = solver.solve(&scaled)?;
-        let deterred = sol
-            .master
-            .u_attackers
-            .iter()
-            .filter(|&&u| u <= 1e-9)
-            .count();
-        out.push(SensitivityPoint {
-            scale,
-            loss: sol.loss,
-            deterred_fraction: deterred as f64 / scaled.n_attackers().max(1) as f64,
-        });
+        let loss = solver.solve(&scaled)?.loss;
+        out.push(SensitivityPoint { scale, loss });
     }
     Ok(out)
 }

@@ -15,11 +15,10 @@ use crate::execute::{execute_policy, AuditPolicy, RealizedAlert};
 use crate::model::GameSpec;
 use crate::payoff::PayoffMatrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use stochastics::rng::stream_rng;
 
 /// Aggregated outcome of a multi-period simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimulationReport {
     /// Periods simulated.
     pub n_periods: usize,
@@ -33,8 +32,6 @@ pub struct SimulationReport {
     pub caught: usize,
     /// Attacks that raised no alert at all (stochastic alert footprints).
     pub silent: usize,
-    /// Mean benign alerts audited per period.
-    pub mean_benign_audited: f64,
     /// Mean budget spent per period.
     pub mean_spent: f64,
 }
@@ -77,7 +74,6 @@ pub fn simulate_policy(
     let mut attacks = 0usize;
     let mut caught = 0usize;
     let mut silent = 0usize;
-    let mut benign_audited_total = 0usize;
     let mut spent_total = 0.0;
 
     for period in 0..n_periods {
@@ -95,7 +91,6 @@ pub fn simulate_policy(
                 next_id += 1;
             }
         }
-        let n_benign = alerts.len();
 
         // Attacks: each non-deterred attacker fires with probability p_e.
         // Remember which alert id belongs to which attack.
@@ -142,29 +137,17 @@ pub fn simulate_policy(
 
         // Settle payoffs.
         let mut period_loss = 0.0;
-        let mut caught_this_period = 0usize;
         for &(_e, raised, reward, cost, penalty) in &attack_alerts {
             let was_caught = raised
                 .map(|id| run.audited.iter().any(|ids| ids.binary_search(&id).is_ok()))
                 .unwrap_or(false);
             if was_caught {
-                caught_this_period += 1;
+                caught += 1;
                 period_loss += -penalty - cost;
             } else {
                 period_loss += reward - cost;
             }
         }
-        caught += caught_this_period;
-        benign_audited_total += run.n_audited()
-            - attack_alerts
-                .iter()
-                .filter(|&&(_, raised, ..)| {
-                    raised
-                        .map(|id| run.audited.iter().any(|ids| ids.binary_search(&id).is_ok()))
-                        .unwrap_or(false)
-                })
-                .count();
-        let _ = n_benign;
         losses.push(period_loss);
     }
 
@@ -175,7 +158,6 @@ pub fn simulate_policy(
         attacks,
         caught,
         silent,
-        mean_benign_audited: benign_audited_total as f64 / n_periods as f64,
         mean_spent: spent_total / n_periods as f64,
     }
 }

@@ -14,10 +14,9 @@ use crate::master::MasterSolution;
 use crate::model::GameSpec;
 use crate::ordering::AuditOrder;
 use crate::planner::{self, DecomposedEvaluator, InstanceFeatures, SolveStrategy};
-use serde::{Deserialize, Serialize};
 
 /// Which inner LP strategy evaluates threshold candidates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InnerKind {
     /// Let the planner choose from the instance's hardness features
     /// ([`crate::planner::plan`]): exact order enumeration up to
@@ -40,7 +39,7 @@ pub enum InnerKind {
 }
 
 /// Facade configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// ISHM step size ε.
     pub epsilon: f64,
@@ -92,7 +91,7 @@ impl Default for SolverConfig {
 /// Recorded on [`AuditSolution::degrade`] and carried into the runtime's
 /// fingerprinted telemetry, so degraded epochs are grep-able and chaos runs
 /// reproduce bit-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeReason {
     /// The planned strategy exhausted its work budget; the solve walked
     /// `tiers` rungs down the Exact → Cggs → Decomposed ladder before a
@@ -138,7 +137,7 @@ impl DegradeReason {
 /// bit-identical to a cold solve when empty — see
 /// [`crate::ishm::IshmConfig::initial_thresholds`] and
 /// [`crate::cggs::CggsConfig::seed_columns`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     /// Starting threshold vector (clamped to the new game's upper bounds);
     /// `None` starts ISHM from full coverage as usual.

@@ -1,9 +1,7 @@
 //! Statlog-compatible application schema and the Table IX alert rules.
 
-use serde::{Deserialize, Serialize};
-
 /// Checking-account status (Statlog attribute 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CheckingStatus {
     /// No checking account (A14).
     None,
@@ -23,7 +21,7 @@ impl CheckingStatus {
 }
 
 /// Credit history (Statlog attribute 3, abridged).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CreditHistory {
     /// All credits paid back duly.
     Paid,
@@ -36,7 +34,7 @@ pub enum CreditHistory {
 }
 
 /// Job skill level (Statlog attribute 17, abridged).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Skill {
     /// Unemployed / unskilled non-resident.
     UnskilledNonResident,
@@ -57,7 +55,7 @@ impl Skill {
 
 /// The eight application purposes that act as the victims of the Rea B
 /// audit game ("The 8 selected purposes of application are the 'victims'").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Purpose {
     /// New car.
     NewCar,
@@ -100,7 +98,7 @@ impl Purpose {
 }
 
 /// One credit-card application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Application {
     /// Applicant id.
     pub id: u32,

@@ -12,7 +12,7 @@ use rand::Rng;
 use std::collections::HashMap;
 use stochastics::rng::stream_rng;
 use tdmt::event::{AccessEvent, AttrValue, EntityId, RecordId};
-use tdmt::rules::{CombinationPolicy, Rule, RuleEngine};
+use tdmt::rules::{Rule, RuleEngine};
 
 /// A hospital employee.
 #[derive(Debug, Clone)]
@@ -355,7 +355,7 @@ impl Hospital {
                     .unwrap_or(false)
             }),
         ];
-        let mut engine = RuleEngine::new(rules, CombinationPolicy::Registered);
+        let mut engine = RuleEngine::new(rules);
         for (name, subset) in crate::TABLE8_NAMES.iter().zip(crate::TABLE8_SUBSETS) {
             engine.register_combination(*name, subset.to_vec());
         }

@@ -3,10 +3,9 @@
 use crate::error::LpError;
 use crate::simplex;
 use crate::solution::Solution;
-use serde::{Deserialize, Serialize};
 
 /// Optimization direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sense {
     /// Minimize the objective.
     Minimize,
@@ -15,7 +14,7 @@ pub enum Sense {
 }
 
 /// Constraint relation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Relation {
     /// `Σ aᵢxᵢ ≤ rhs`
     Le,
@@ -26,7 +25,7 @@ pub enum Relation {
 }
 
 /// Handle to a decision variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VarId(pub(crate) usize);
 
 impl VarId {
@@ -37,7 +36,7 @@ impl VarId {
 }
 
 /// Handle to a constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConstrId(pub(crate) usize);
 
 impl ConstrId {

@@ -1,7 +1,6 @@
 //! Solved-LP result type.
 
 use crate::problem::{ConstrId, VarId};
-use serde::{Deserialize, Serialize};
 
 /// The result of a successful LP solve.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// rate of change of the optimal objective as the right-hand side of
 /// constraint `i` increases, for the problem **as stated** (minimization or
 /// maximization alike).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Solution {
     /// Optimal objective value of the stated problem.
     pub objective: f64,

@@ -29,7 +29,6 @@ use crate::telemetry::RuntimeReport;
 use audit_game::error::GameError;
 use audit_game::parallel::parallel_map_indexed;
 use audit_game::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -75,7 +74,7 @@ impl Default for FleetConfig {
 
 /// One tenant's outcome: its full service report plus fleet-side
 /// scheduling latencies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetTenantReport {
     /// The tenant's name from its [`TenantSpec`].
     pub tenant: String,
@@ -96,7 +95,7 @@ pub struct FleetTenantReport {
 }
 
 /// Aggregate outcome of one fleet run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetReport {
     /// Worker threads the fleet ran with.
     pub workers: usize,
@@ -126,7 +125,7 @@ pub struct FleetReport {
 /// has, so every field is always zero. The benchmark's fleet workload
 /// (`perfbench/src/fleet.rs`) still reads the three fields; the struct
 /// goes with the next change to the benchmark.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedCacheStats {
     /// Always zero.
     pub banks: usize,
@@ -255,7 +254,9 @@ impl FleetService {
     ///   other than [`FaultSite::SolverPanic`] at round 0 (the cold start
     ///   consults no other). Such a fault still marks its tenant as
     ///   touched, so the chaos harness's isolation check would cover fewer
-    ///   tenants while no fault ran.
+    ///   tenants while no fault ran;
+    /// * a retry policy whose round cap — the longest horizon plus
+    ///   [`RetryPolicy::worst_case_delay`] — overflows the round counter.
     pub fn run(&self) -> Result<FleetReport, GameError> {
         let mut epochs_of = HashMap::with_capacity(self.tenants.len());
         if let Some(dup) = self
@@ -284,15 +285,26 @@ impl FleetService {
                 "fault plan entry '{tenant}:{round}:{site}' cannot fire: {why}"
             )));
         }
-        let t0 = Instant::now();
-        let max_epochs = self.tenants.iter().map(|t| t.config.epochs).max();
         // Hard cap on a tenant's rounds: the fault-free schedule plus the
         // worst-case quarantine delay any retry ladder can add. Purely a
-        // livelock backstop — a tenant normally stops at its horizon.
-        let round_cap = 1 + max_epochs.unwrap_or(0) + self.config.retry.worst_case_delay();
+        // livelock backstop — a tenant normally stops at its horizon. A
+        // tenant past the cap jumps to `round_cap + 1`, so that must fit.
+        let max_epochs = self.tenants.iter().map(|t| t.config.epochs).max();
+        let retry = self.config.retry;
+        let round_cap = retry
+            .worst_case_delay()
+            .and_then(|delay| delay.checked_add(max_epochs.unwrap_or(0))?.checked_add(1))
+            .filter(|&cap| cap < usize::MAX)
+            .ok_or_else(|| {
+                GameError::InvalidConfig(format!(
+                    "retry policy {retry:?}: the worst-case quarantine delay overflows \
+                     the round counter"
+                ))
+            })?;
+        let t0 = Instant::now();
         let workers = self.config.workers.max(1).min(self.tenants.len().max(1));
         let tenants = parallel_map_indexed(workers, &self.tenants, |_, spec| {
-            run_tenant(spec, &self.config.fault_plan, self.config.retry, round_cap)
+            run_tenant(spec, &self.config.fault_plan, retry, round_cap)
         });
 
         // Aggregate in tenant order.

@@ -9,7 +9,6 @@
 //! alert logs" path applied online); the lifetime moments drive the
 //! staleness-refresh refit ([`OnlineFit::refit_lifetime`]).
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use stochastics::gof::ks_statistic;
 use stochastics::{fit_discretized_gaussian, CountDistribution, StreamingMoments};
@@ -18,7 +17,7 @@ use stochastics::{fit_discretized_gaussian, CountDistribution, StreamingMoments}
 pub const FIT_COVERAGE: f64 = 0.995;
 
 /// Configuration of the drift gate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DriftConfig {
     /// Sliding-window length in periods. Short windows react to drift
     /// within a seasonal cycle; long windows average it away. The gate

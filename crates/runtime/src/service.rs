@@ -44,7 +44,6 @@ use audit_game::persist::PersistError;
 use audit_game::scenario::Scenario;
 use audit_game::solver::{DegradeReason, InnerKind, OapSolver, SolverConfig, WarmStart};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -69,7 +68,7 @@ pub const ATTACK_STREAM_BASE: u64 = 0x0A77_0000_0000_0000;
 const COOLDOWN_EPOCHS: usize = 1;
 
 /// Configuration of one service run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Epochs to simulate.
     pub epochs: usize,

@@ -31,7 +31,6 @@
 //! record of what happened to each tenant; the fleet
 //! ([`crate::fleet::FleetService`]) attaches them to every tenant report.
 
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -55,7 +54,7 @@ pub const FAULT_STREAM_BASE: u64 = 0x0FA7_1A7E_0000_0000;
 /// Each site models one concrete failure class the supervisor must
 /// survive; the service consults its [`FaultInjector`] at exactly these
 /// seams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultSite {
     /// The solver panics mid-epoch (models a bug or resource abort in the
     /// solve path). The fleet catches the unwind and quarantines the
@@ -267,12 +266,13 @@ impl FaultInjector {
 /// reproducible. A tenant that fails for the `a`-th time at round `r` is
 /// quarantined until [`RetryPolicy::resume_round`]`(r, a)`; after
 /// `max_retries` failures the next failure is permanent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// How many times a tenant may be retried before a further failure
     /// becomes permanent.
     pub max_retries: usize,
-    /// Base backoff in rounds; doubles on every consecutive failure.
+    /// Base backoff in rounds; doubles on every consecutive failure, at
+    /// most 16 times.
     pub backoff_rounds: usize,
 }
 
@@ -285,23 +285,34 @@ impl Default for RetryPolicy {
     }
 }
 
+/// The backoff stops doubling after this many doublings: every later
+/// retry waits `backoff · 2^16` rounds.
+const MAX_DOUBLINGS: usize = 16;
+
 impl RetryPolicy {
     /// The round at which a tenant that failed at `failed_round` on its
     /// `attempt`-th failure (1-based) resumes: exponential backoff
-    /// `backoff · 2^(attempt−1)` rounds later.
+    /// `backoff · 2^min(attempt−1, 16)` rounds later.
     pub fn resume_round(&self, failed_round: usize, attempt: usize) -> usize {
         let base = self.backoff_rounds.max(1);
-        let shift = attempt.saturating_sub(1).min(16) as u32;
+        let shift = attempt.saturating_sub(1).min(MAX_DOUBLINGS);
         failed_round.saturating_add(base.saturating_mul(1usize << shift))
     }
 
-    /// Upper bound on the extra rounds one tenant's retries can add to its
-    /// schedule: `backoff · (2^max_retries − 1)`. The fleet uses this to
-    /// cap every tenant's round counter.
-    pub fn worst_case_delay(&self) -> usize {
+    /// The most rounds one tenant's retries can add to its schedule: the
+    /// sum of the `max_retries` backoffs [`RetryPolicy::resume_round`]
+    /// gives, `backoff · (2^max_retries − 1)` while the backoff still
+    /// doubles. `None` when the sum overflows `usize`. The fleet adds it to
+    /// the horizon to cap every tenant's round counter.
+    pub fn worst_case_delay(&self) -> Option<usize> {
+        // The first 17 retries wait `backoff · 2^0` to `backoff · 2^16`
+        // rounds; each retry after them waits `backoff · 2^16`.
         let base = self.backoff_rounds.max(1);
-        let doublings = self.max_retries.min(16) as u32;
-        base.saturating_mul((1usize << doublings).saturating_sub(1))
+        let doubling = self.max_retries.min(MAX_DOUBLINGS + 1);
+        let flat = self.max_retries - doubling;
+        flat.checked_mul(1 << MAX_DOUBLINGS)?
+            .checked_add((1 << doubling) - 1)?
+            .checked_mul(base)
     }
 }
 
@@ -310,7 +321,7 @@ impl RetryPolicy {
 // ---------------------------------------------------------------------
 
 /// One failure a tenant suffered, as recorded by the supervisor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantFailure {
     /// The tenant's own round at which the failure surfaced: round 0 is
     /// its cold start, and each epoch attempt or backoff round after it
@@ -324,7 +335,7 @@ pub struct TenantFailure {
 }
 
 /// The supervisor's verdict on one tenant after a fleet run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum TenantHealth {
     /// No failures: the tenant's report is bit-identical to a fault-free
     /// run.
@@ -474,13 +485,34 @@ mod tests {
         assert_eq!(policy.resume_round(5, 1), 7); // +2
         assert_eq!(policy.resume_round(5, 2), 9); // +4
         assert_eq!(policy.resume_round(5, 3), 13); // +8
-        assert_eq!(policy.worst_case_delay(), 2 * (8 - 1));
+        assert_eq!(policy.worst_case_delay(), Some(2 * (8 - 1)));
         // Degenerate zero backoff still makes progress.
         let zero = RetryPolicy {
             max_retries: 1,
             backoff_rounds: 0,
         };
         assert!(zero.resume_round(3, 1) > 3);
+    }
+
+    #[test]
+    fn worst_case_delay_is_the_sum_of_every_backoff() {
+        for backoff_rounds in 1..=4 {
+            for max_retries in 0..=40 {
+                let policy = RetryPolicy {
+                    max_retries,
+                    backoff_rounds,
+                };
+                let summed = (1..=max_retries)
+                    .map(|attempt| policy.resume_round(0, attempt))
+                    .sum();
+                assert_eq!(policy.worst_case_delay(), Some(summed), "{policy:?}");
+            }
+        }
+        let endless = RetryPolicy {
+            max_retries: usize::MAX,
+            backoff_rounds: 1,
+        };
+        assert_eq!(endless.worst_case_delay(), None);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use audit_game::detection::CacheStats;
 use audit_game::solver::DegradeReason;
-use serde::{Deserialize, Serialize};
 use stochastics::snapshot::Fnv;
 
 /// Telemetry of one epoch of the service loop.
@@ -19,7 +18,7 @@ use stochastics::snapshot::Fnv;
 /// epoch (the vector `pal_gap` was computed against — on a re-solve epoch
 /// that is the superseded incumbent); `epochs_since_resolve` is the
 /// incumbent's age as seen by the drift gate, before any reset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EpochTelemetry {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -81,7 +80,7 @@ pub struct EpochTelemetry {
 }
 
 /// The full telemetry log of one service run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RuntimeReport {
     /// Scenario key the service ran on.
     pub scenario: String,
@@ -188,7 +187,7 @@ impl RuntimeReport {
 }
 
 /// Aggregate statistics over the re-solve epochs of a run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResolveStats {
     /// Committed re-solves.
     pub resolves: usize,

@@ -8,7 +8,6 @@
 use crate::normal::{normal_cdf, normal_quantile};
 use crate::snapshot::DistParams;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A distribution over non-negative integer alert counts.
 ///
@@ -88,7 +87,7 @@ pub trait CountDistribution: Send + Sync {
 ///
 /// Mass of integer `n` is `Φ((n+½−μ)/σ) − Φ((n−½−μ)/σ)` renormalized over
 /// the truncated support `[max(0, μ−w), μ+w]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DiscretizedGaussian {
     mean: f64,
     std: f64,
@@ -191,7 +190,7 @@ impl CountDistribution for DiscretizedGaussian {
 /// Empirical distribution over observed per-period counts (used for the
 /// real-data experiments, where `F_t` "can be obtained from historical alert
 /// logs", Section II-A).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Empirical {
     /// `weights[n]` is the number of observed periods with exactly `n` alerts.
     weights: Vec<u64>,
@@ -244,7 +243,7 @@ impl CountDistribution for Empirical {
 ///
 /// Useful as an alternative benign-workload model in the TDMT substrate and
 /// for sensitivity analyses of the Gaussian assumption.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Poisson {
     lambda: f64,
     cap: u64,
@@ -321,7 +320,7 @@ impl CountDistribution for Poisson {
 /// rare bursts reach far into the tail — the regime where the Gaussian
 /// assumption of the paper's synthetic data is most stressed. Used by the
 /// `syn-heavy-tail` scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Zipf {
     exponent: f64,
     cap: u64,
@@ -468,7 +467,7 @@ impl CountDistribution for Mixture {
 
 /// Deterministic count (used by the NP-hardness reduction, which sets
 /// `Z_t = 1` with probability 1 for every type; Appendix, Theorem 1).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Constant(pub u64);
 
 impl CountDistribution for Constant {
@@ -502,7 +501,7 @@ impl CountDistribution for Constant {
 }
 
 /// Uniform distribution over the integer range `[lo, hi]`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct UniformCount {
     lo: u64,
     hi: u64,

@@ -1,8 +1,8 @@
 //! Persistent columnar snapshots: the binary container format behind
 //! `audit_game::persist` and the runtime's checkpoint/restore.
 //!
-//! The offline serde shim has no data format (see `vendor/README.md`), so
-//! — like the umbrella crate's hand-rolled JSON layer — persistence is
+//! The workspace uses no serialization library (see `vendor/README.md`),
+//! so — like the umbrella crate's hand-rolled JSON layer — persistence is
 //! written by hand. The container is deliberately mmap-shaped:
 //!
 //! ```text

@@ -1,17 +1,15 @@
 //! Access events: who touched what, when, with which contextual attributes.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of an acting entity (employee, applicant, service account).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EntityId(pub u32);
 
 /// Identifier of an accessed record (patient chart, application, row).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RecordId(pub u32);
 
 /// Attribute value attached to an event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
     /// Boolean flag.
     Bool(bool),
@@ -61,7 +59,7 @@ impl AttrValue {
 /// One database access event `⟨e, v⟩` at a given day, with contextual
 /// attributes the rule engine predicates over (e.g. `"same_last_name"`,
 /// `"distance_miles"`, `"purpose"`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessEvent {
     /// Acting entity.
     pub entity: EntityId,

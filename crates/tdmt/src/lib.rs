@@ -11,9 +11,8 @@
 //!   type, mirroring how Rea A merges co-firing base rules ("we redefine
 //!   the set of alert types to also consider combinations of alert
 //!   categories", Section V.A);
-//! * [`log`] — day-partitioned audit logs with binary serialization,
-//!   repeated-access filtering (the paper drops 79.5% repeats), and
-//!   per-day alert counting;
+//! * [`log`] — day-partitioned audit logs with repeated-access filtering
+//!   (the paper drops 79.5% repeats) and per-day alert counting;
 //! * [`profile`] — fitting per-type alert-count distributions `F_t` from a
 //!   labelled log, the bridge into `audit-game`'s `GameSpec`;
 //! * [`scenario`] — the `tdmt-insider` registry scenario: a synthetic
@@ -32,5 +31,5 @@ pub mod scenario;
 pub use event::{AccessEvent, EntityId, RecordId};
 pub use log::AuditLog;
 pub use profile::AlertProfile;
-pub use rules::{CombinationPolicy, Rule, RuleEngine};
+pub use rules::{Rule, RuleEngine};
 pub use scenario::InsiderScenario;

@@ -1,5 +1,5 @@
-//! Day-partitioned audit logs: ingestion, repeated-access filtering, alert
-//! counting, and a compact binary serialization.
+//! Day-partitioned audit logs: ingestion, repeated-access filtering and
+//! alert counting.
 //!
 //! The Rea A pipeline (Section V.A) starts from 28 days of raw access
 //! events, removes repeated accesses ("an access committed by the same
@@ -9,7 +9,6 @@
 
 use crate::event::AccessEvent;
 use crate::rules::RuleEngine;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::HashSet;
 
 /// An append-only, day-partitioned access log.
@@ -105,62 +104,18 @@ impl AuditLog {
         }
         out
     }
-
-    /// Serialize to a compact binary frame (events without attributes —
-    /// the wire format carries the structural triple, which is what
-    /// longitudinal storage needs; attributes are re-derivable from the
-    /// entity/record registries of the simulator).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + self.events.len() * 12);
-        buf.put_u64(self.events.len() as u64);
-        buf.put_u32(self.n_days);
-        for ev in &self.events {
-            buf.put_u32(ev.entity.0);
-            buf.put_u32(ev.record.0);
-            buf.put_u32(ev.day);
-        }
-        buf.freeze()
-    }
-
-    /// Deserialize a frame produced by [`AuditLog::to_bytes`].
-    pub fn from_bytes(mut bytes: Bytes) -> Result<Self, String> {
-        if bytes.remaining() < 12 {
-            return Err("truncated header".into());
-        }
-        let n = bytes.get_u64() as usize;
-        let n_days = bytes.get_u32();
-        if bytes.remaining() < n * 12 {
-            return Err(format!(
-                "truncated body: expected {} bytes, have {}",
-                n * 12,
-                bytes.remaining()
-            ));
-        }
-        let mut log = AuditLog {
-            events: Vec::with_capacity(n),
-            n_days,
-        };
-        for _ in 0..n {
-            let entity = crate::event::EntityId(bytes.get_u32());
-            let record = crate::event::RecordId(bytes.get_u32());
-            let day = bytes.get_u32();
-            log.events.push(AccessEvent::new(entity, record, day));
-        }
-        Ok(log)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{AttrValue, EntityId, RecordId};
-    use crate::rules::{CombinationPolicy, Rule};
+    use crate::rules::Rule;
 
     fn engine() -> RuleEngine {
-        RuleEngine::new(
-            vec![Rule::flag("flagged", "suspicious")],
-            CombinationPolicy::FirstMatch,
-        )
+        let mut engine = RuleEngine::new(vec![Rule::flag("flagged", "suspicious")]);
+        engine.register_combination("flagged", vec![0]);
+        engine
     }
 
     fn suspicious(e: u32, r: u32, day: u32) -> AccessEvent {
@@ -206,10 +161,7 @@ mod tests {
 
     #[test]
     fn gap_handler_sees_unregistered_combinations() {
-        let mut eng = RuleEngine::new(
-            vec![Rule::flag("a", "fa"), Rule::flag("b", "fb")],
-            CombinationPolicy::Registered,
-        );
+        let mut eng = RuleEngine::new(vec![Rule::flag("a", "fa"), Rule::flag("b", "fb")]);
         eng.register_combination("only-a", vec![0]);
         let mut log = AuditLog::new();
         log.push(
@@ -224,33 +176,6 @@ mod tests {
         });
         assert_eq!(gaps, 1);
         assert_eq!(counts[0][0], 0);
-    }
-
-    #[test]
-    fn binary_roundtrip() {
-        let mut log = AuditLog::new();
-        for d in 0..5 {
-            for e in 0..3 {
-                log.push(AccessEvent::new(EntityId(e), RecordId(e * 7), d));
-            }
-        }
-        let bytes = log.to_bytes();
-        let back = AuditLog::from_bytes(bytes).unwrap();
-        assert_eq!(back.len(), log.len());
-        assert_eq!(back.n_days(), log.n_days());
-        for (a, b) in back.events().iter().zip(log.events()) {
-            assert_eq!(a.daily_key(), b.daily_key());
-        }
-    }
-
-    #[test]
-    fn binary_rejects_truncation() {
-        let mut log = AuditLog::new();
-        log.push(suspicious(1, 1, 0));
-        let bytes = log.to_bytes();
-        let truncated = bytes.slice(0..bytes.len() - 4);
-        assert!(AuditLog::from_bytes(truncated).is_err());
-        assert!(AuditLog::from_bytes(Bytes::from_static(b"xy")).is_err());
     }
 
     #[test]

@@ -92,10 +92,11 @@ impl AlertProfile {
 mod tests {
     use super::*;
     use crate::event::{AccessEvent, AttrValue, EntityId, RecordId};
-    use crate::rules::{CombinationPolicy, Rule};
+    use crate::rules::Rule;
 
     fn build_log(per_day: &[u64]) -> (AuditLog, RuleEngine) {
-        let engine = RuleEngine::new(vec![Rule::flag("r", "hit")], CombinationPolicy::FirstMatch);
+        let mut engine = RuleEngine::new(vec![Rule::flag("r", "hit")]);
+        engine.register_combination("r", vec![0]);
         let mut log = AuditLog::new();
         for (day, &n) in per_day.iter().enumerate() {
             for i in 0..n {

@@ -37,11 +37,6 @@ impl Rule {
         Self::new(name, move |ev| ev.flag(&attr))
     }
 
-    /// The rule's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Evaluate the rule.
     pub fn matches(&self, ev: &AccessEvent) -> bool {
         (self.predicate)(ev)
@@ -54,24 +49,14 @@ impl fmt::Debug for Rule {
     }
 }
 
-/// How co-firing base rules combine into alert types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CombinationPolicy {
-    /// Every observed non-empty subset of base rules becomes (or maps to) a
-    /// registered combination type; unregistered subsets are an error at
-    /// labelling time. This is the Rea A setting, where the seven types of
-    /// Table VIII enumerate the subsets that actually occur.
-    #[default]
-    Registered,
-    /// Only the lowest-indexed firing base rule labels the event (a common
-    /// simplification for rule lists with priorities).
-    FirstMatch,
-}
-
 /// Maps events to alert types through base rules + combination table.
+///
+/// Every non-empty subset of base rules that fires on an event must be a
+/// registered combination type; an unregistered subset is an error at
+/// labelling time. This is the Rea A setting, where the seven types of
+/// Table VIII enumerate the subsets that actually occur.
 pub struct RuleEngine {
     rules: Vec<Rule>,
-    policy: CombinationPolicy,
     /// Registered combinations: sorted base-rule index set → alert type.
     combos: HashMap<Vec<usize>, usize>,
     /// Human-readable name per alert type.
@@ -82,44 +67,28 @@ impl fmt::Debug for RuleEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RuleEngine")
             .field("rules", &self.rules)
-            .field("policy", &self.policy)
             .field("n_types", &self.type_names.len())
             .finish()
     }
 }
 
 impl RuleEngine {
-    /// Start an engine with the given base rules and combination policy.
-    pub fn new(rules: Vec<Rule>, policy: CombinationPolicy) -> Self {
-        let mut engine = Self {
+    /// Start an engine with the given base rules and no alert types yet.
+    pub fn new(rules: Vec<Rule>) -> Self {
+        Self {
             rules,
-            policy,
             combos: HashMap::new(),
             type_names: Vec::new(),
-        };
-        if engine.policy == CombinationPolicy::FirstMatch {
-            // Under first-match, type k ≡ base rule k.
-            for i in 0..engine.rules.len() {
-                let name = engine.rules[i].name().to_string();
-                engine.type_names.push(name);
-                engine.combos.insert(vec![i], i);
-            }
         }
-        engine
     }
 
-    /// Register a combination alert type (Registered policy). `base_rules`
-    /// are indices into the rule list; returns the new alert-type index.
+    /// Register a combination alert type. `base_rules` are indices into
+    /// the rule list; returns the new alert-type index.
     pub fn register_combination(
         &mut self,
         name: impl Into<String>,
         mut base_rules: Vec<usize>,
     ) -> usize {
-        assert_eq!(
-            self.policy,
-            CombinationPolicy::Registered,
-            "combinations are only registered under the Registered policy"
-        );
         base_rules.sort_unstable();
         base_rules.dedup();
         assert!(
@@ -150,11 +119,6 @@ impl RuleEngine {
         &self.type_names[t]
     }
 
-    /// The base rules.
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
-    }
-
     /// Indices of the base rules firing on an event.
     pub fn firing_rules(&self, ev: &AccessEvent) -> Vec<usize> {
         self.rules
@@ -166,19 +130,14 @@ impl RuleEngine {
     }
 
     /// Label an event: `Ok(None)` for benign, `Ok(Some(type))` for an
-    /// alert, `Err` for an unregistered combination (Registered policy),
+    /// alert, `Err` with the firing rules for an unregistered combination,
     /// which signals a gap in the alert vocabulary.
     pub fn label(&self, ev: &AccessEvent) -> Result<Option<usize>, Vec<usize>> {
         let firing = self.firing_rules(ev);
         if firing.is_empty() {
             return Ok(None);
         }
-        match self.policy {
-            CombinationPolicy::FirstMatch => Ok(Some(firing[0])),
-            CombinationPolicy::Registered => {
-                self.combos.get(&firing).map(|&t| Some(t)).ok_or(firing)
-            }
-        }
+        self.combos.get(&firing).map(|&t| Some(t)).ok_or(firing)
     }
 }
 
@@ -210,21 +169,8 @@ mod tests {
     }
 
     #[test]
-    fn first_match_labels_by_priority() {
-        let engine = RuleEngine::new(base_rules(), CombinationPolicy::FirstMatch);
-        assert_eq!(engine.n_types(), 4);
-        assert_eq!(engine.label(&ev(&["same_department"])), Ok(Some(1)));
-        // Both last-name and department fire: priority picks last-name.
-        assert_eq!(
-            engine.label(&ev(&["same_last_name", "same_department"])),
-            Ok(Some(0))
-        );
-        assert_eq!(engine.label(&ev(&[])), Ok(None));
-    }
-
-    #[test]
     fn registered_combinations_mirror_table_viii() {
-        let mut engine = RuleEngine::new(base_rules(), CombinationPolicy::Registered);
+        let mut engine = RuleEngine::new(base_rules());
         let t_name = engine.register_combination("Same Last Name", vec![0]);
         let t_dept = engine.register_combination("Department Co-worker", vec![1]);
         let t_both = engine.register_combination("Last Name; Same address", vec![0, 2]);
@@ -240,7 +186,7 @@ mod tests {
 
     #[test]
     fn unregistered_combination_is_reported() {
-        let mut engine = RuleEngine::new(base_rules(), CombinationPolicy::Registered);
+        let mut engine = RuleEngine::new(base_rules());
         engine.register_combination("Same Last Name", vec![0]);
         // address alone was never registered.
         assert_eq!(engine.label(&ev(&["same_address"])), Err(vec![2]));
@@ -248,18 +194,19 @@ mod tests {
 
     #[test]
     fn numeric_predicate_rule() {
-        let engine = RuleEngine::new(base_rules(), CombinationPolicy::FirstMatch);
+        let mut engine = RuleEngine::new(base_rules());
+        engine.register_combination("Neighbor", vec![3]);
         let near = AccessEvent::new(EntityId(1), RecordId(1), 0)
             .with_attr("distance_miles", AttrValue::Float(0.4));
         let far = AccessEvent::new(EntityId(1), RecordId(1), 0)
             .with_attr("distance_miles", AttrValue::Float(2.0));
-        assert_eq!(engine.label(&near), Ok(Some(3)));
+        assert_eq!(engine.label(&near), Ok(Some(0)));
         assert_eq!(engine.label(&far), Ok(None));
     }
 
     #[test]
     fn firing_rules_are_sorted_and_deduplicated_by_construction() {
-        let mut engine = RuleEngine::new(base_rules(), CombinationPolicy::Registered);
+        let mut engine = RuleEngine::new(base_rules());
         engine.register_combination("triple", vec![2, 0, 0, 2]); // normalized
         assert_eq!(
             engine.label(&ev(&["same_last_name", "same_address"])),
@@ -270,7 +217,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn duplicate_combination_rejected() {
-        let mut engine = RuleEngine::new(base_rules(), CombinationPolicy::Registered);
+        let mut engine = RuleEngine::new(base_rules());
         engine.register_combination("a", vec![0]);
         engine.register_combination("b", vec![0]);
     }

@@ -14,7 +14,7 @@
 use crate::event::{AccessEvent, AttrValue, EntityId, RecordId};
 use crate::log::AuditLog;
 use crate::profile::{AlertProfile, FitKind};
-use crate::rules::{CombinationPolicy, Rule, RuleEngine};
+use crate::rules::{Rule, RuleEngine};
 use audit_game::error::GameError;
 use audit_game::model::{AttackAction, Attacker, GameSpec, GameSpecBuilder};
 use audit_game::scenario::Scenario;
@@ -68,7 +68,7 @@ pub fn insider_rule_engine() -> RuleEngine {
         Rule::flag("bulk-export", "bulk_export"),
         Rule::flag("foreign-ip", "foreign_ip"),
     ];
-    let mut engine = RuleEngine::new(rules, CombinationPolicy::Registered);
+    let mut engine = RuleEngine::new(rules);
     engine.register_combination("After Hours", vec![0]);
     engine.register_combination("Bulk Export", vec![1]);
     engine.register_combination("Foreign IP", vec![2]);

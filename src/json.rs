@@ -1,13 +1,12 @@
 //! A minimal self-contained JSON reader/writer for the golden snapshot
 //! files.
 //!
-//! The workspace's offline `serde` shim is a marker-trait stand-in with
-//! no data format behind it (see `vendor/README.md`), so the conformance
-//! suite carries its own tiny JSON layer: a [`Value`] tree, a pretty
-//! writer, and a recursive-descent parser. Floats are written with Rust's
-//! shortest-roundtrip formatting (`{:?}`), so `write → parse` restores
-//! every `f64` bit-for-bit — which is what lets golden comparisons use
-//! exact or near-exact tolerances.
+//! The workspace uses no serialization library (the build is offline; see
+//! `vendor/README.md`), so the conformance suite carries its own tiny JSON
+//! layer: a [`Value`] tree, a pretty writer, and a recursive-descent
+//! parser. Floats are written with Rust's shortest-roundtrip formatting
+//! (`{:?}`), so `write → parse` restores every `f64` bit-for-bit — which
+//! is what lets golden comparisons use exact or near-exact tolerances.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -25,8 +25,8 @@
 //! * [`conformance`] — the golden conformance harness solving every
 //!   registry scenario under every solver/detection-model combination
 //!   (snapshots in `tests/golden/`);
-//! * [`json`] — the minimal JSON layer behind the snapshots (the offline
-//!   serde shim has no data format);
+//! * [`json`] — the minimal JSON layer behind the snapshots (the
+//!   workspace uses no serialization library);
 //! * [`telemetry`] — JSON rendering of the runtime's epoch telemetry
 //!   (the `exp_online` wire format and the `BENCH_runtime.json`
 //!   artifact).

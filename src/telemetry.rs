@@ -1,7 +1,7 @@
 //! JSON rendering of the online runtime's telemetry.
 //!
 //! `audit-runtime` emits plain structs (it sits below the umbrella in the
-//! crate graph and the offline serde shim has no data format); this module
+//! crate graph, and the workspace uses no serialization library); this module
 //! projects a [`RuntimeReport`] onto the [`crate::json`] value tree so the
 //! `exp_online` driver, the CI soak step, and the `BENCH_runtime.json`
 //! artifact all share one canonical wire shape. Numbers render with

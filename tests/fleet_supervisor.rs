@@ -228,6 +228,66 @@ fn quarantine_backoff_runs_no_idle_rounds() {
     assert!(health_of(&chaos, "t1").is_healthy());
 }
 
+/// The round cap covers every retry a policy allows. Past the 16th the
+/// backoff stops doubling, but each later retry still waits
+/// `backoff · 2^16` rounds, so a tenant that spends all 17 of its retries
+/// recovers instead of failing at the cap.
+#[test]
+fn every_allowed_retry_fits_under_the_round_cap() {
+    let mut specs = tenants(1);
+    specs[0].config.epochs = 17;
+    let plan = (1..=17).fold(FaultPlan::new(), |plan, round| {
+        plan.inject("t0", round, FaultSite::SolverPanic)
+    });
+    let report = FleetService::new(
+        specs,
+        FleetConfig {
+            workers: 1,
+            fault_plan: plan,
+            retry: RetryPolicy {
+                max_retries: 17,
+                backoff_rounds: 1,
+            },
+        },
+    )
+    .run()
+    .unwrap();
+    assert_eq!(health_of(&report, "t0").key(), "recovered");
+    let rounds = rounds_of(&report, "t0");
+    assert_eq!(rounds.len(), 17);
+    assert!(
+        rounds.iter().all(|(_, resume)| resume.is_some()),
+        "{rounds:?}"
+    );
+    assert_eq!(report.tenants[0].report.epochs.len(), 17);
+}
+
+/// A retry policy whose round cap overflows the round counter is refused
+/// before any tenant runs, instead of wrapping (release) or panicking
+/// (debug) while the fleet adds up its cap.
+#[test]
+fn a_round_cap_that_overflows_is_rejected() {
+    let retry = RetryPolicy {
+        backoff_rounds: usize::MAX,
+        ..RetryPolicy::default()
+    };
+    let result = FleetService::new(
+        tenants(2),
+        FleetConfig {
+            retry,
+            ..FleetConfig::default()
+        },
+    )
+    .run();
+    match result {
+        Err(GameError::InvalidConfig(msg)) => assert!(msg.contains("retry policy"), "{msg}"),
+        other => panic!(
+            "overflowing retry policy accepted: {:?}",
+            other.map(|r| r.health_counts())
+        ),
+    }
+}
+
 /// Absorbed faults (empty epoch, budget exhaustion) never quarantine:
 /// the tenant stays supervisor-healthy, serves every epoch, and records
 /// the degradation in its fingerprinted telemetry instead.
