@@ -1,9 +1,12 @@
 //! End-to-end smoke test: the `exp_online` driver (online runtime loop)
 //! must run a short simulation, emit the telemetry table, fingerprint,
 //! and summary counters, produce identical fingerprints across reruns
-//! and with the cold comparison, and reject unknown scenarios.
+//! and with the cold comparison, and reject unknown scenarios and wide
+//! scenarios its default inner solver cannot solve.
 
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn run(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_exp_online"))
@@ -119,4 +122,46 @@ fn exp_online_cache_stats_flag_reports_engine_counters() {
     // Without the flag they are absent.
     let plain = run(&["3", "--scenario", "syn-seasonal"]);
     assert!(!String::from_utf8_lossy(&plain.stdout).contains("engine cache:"));
+}
+
+#[test]
+fn exp_online_refuses_a_wide_scenario_under_the_default_inner() {
+    // The default inner, CGGS, would run ISHM's uncapped search over 25
+    // types for minutes; the cold start refuses the spec instead. The
+    // child is killed past the deadline, so a regression fails here
+    // rather than hanging the suite.
+    let deadline = Duration::from_secs(30);
+    let start = Instant::now();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_exp_online"))
+        .args(["6", "--scenario", "syn-wide25"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("exp_online spawns");
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("exp_online is waitable") {
+            break status;
+        }
+        if start.elapsed() > deadline {
+            child.kill().expect("exp_online is killable");
+            child.wait().expect("killed exp_online is reaped");
+            panic!("exp_online still ran after {deadline:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr is piped")
+        .read_to_string(&mut stderr)
+        .expect("stderr reads");
+    assert!(
+        !status.success(),
+        "exp_online accepted syn-wide25:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("ISHM_FULL_MAX_TYPES") && stderr.contains("InnerKind::Auto"),
+        "the refusal should name the limit and the inner to use:\n{stderr}"
+    );
 }

@@ -15,7 +15,58 @@
 //! thread, so cache behaviour is identical at every worker count.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// A `HashMap` hashed by [`WordHasher`].
+pub(super) type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// A small deterministic multiply-rotate hasher for the engine's internal
+/// maps, whose keys (path ids, canonical threshold bits) no outside party
+/// picks; the engine module docs say why SipHash is not needed there.
+/// Each word is added to the state, which is then multiplied by an odd
+/// constant; `finish` rotates the well-mixed high bits of the last
+/// product into the low bits that pick a bucket.
+#[derive(Default, Clone, Copy)]
+pub(super) struct WordHasher(u64);
+
+impl WordHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 struct Slot<K, V> {
     key: K,
@@ -25,7 +76,7 @@ struct Slot<K, V> {
 
 /// A fixed-capacity map with second-chance eviction.
 pub(super) struct SecondChance<K, V> {
-    map: HashMap<K, usize>,
+    map: WordMap<K, usize>,
     slots: Vec<Slot<K, V>>,
     hand: usize,
     capacity: usize,
@@ -37,7 +88,7 @@ impl<K: Eq + Hash + Clone, V> SecondChance<K, V> {
     /// every `insert` is a no-op and every `get` misses).
     pub fn new(capacity: usize) -> Self {
         Self {
-            map: HashMap::new(),
+            map: WordMap::default(),
             slots: Vec::new(),
             hand: 0,
             capacity,

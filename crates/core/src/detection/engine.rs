@@ -55,11 +55,25 @@
 //! budget-saturated thresholds form one class.
 //!
 //! Every column pass streams one contiguous `u64` column of the bank
-//! ([`stochastics::SampleBank::column`]).
+//! ([`stochastics::SampleBank::column`]) in blocks of 64 samples. The
+//! walk matches the detection model once per node, so each pass inlines
+//! the kernel of one model. Within a block, the kernel's contributions
+//! (and the extended consumed budget) are written by a loop with no
+//! loop-carried dependency, which the compiler vectorizes, into a stack
+//! array; the block is then added to the running sum one contribution at
+//! a time, in ascending sample order, exactly as the scalar reference
+//! adds them. A pass allocates only the extended state, sized up front.
+//!
+//! The key walk's three maps (the path table, the trie's node index and
+//! the index of each second-chance cache) hash with a multiply-rotate
+//! hasher instead of SipHash. Their keys are interned path ids and the
+//! canonical bits of thresholds the solver generates, so there is no
+//! outside party to craft colliding keys, and SipHash's rounds were a
+//! visible share of the walk.
 
 use super::cache::SecondChance;
 use super::trie::{BatchBits, Node, PathId, PathTable, QueryTrie};
-use super::{detection_step, DetectionEstimator, DetectionModel, PalQuery};
+use super::{detection_step, floor_non_negative, DetectionEstimator, DetectionModel, PalQuery};
 use crate::ordering::AuditOrder;
 use crate::parallel::parallel_map_indexed;
 use std::cell::{Cell, RefCell};
@@ -282,7 +296,9 @@ impl<'a> PalEngine<'a> {
     /// everything else keys by exact bits.
     fn canonical_bits(&self, t: usize, b: f64) -> u64 {
         let spec = self.est.spec;
-        let cap = (b / spec.alert_types[t].audit_cost).floor().max(0.0);
+        // Thresholds are asserted non-negative, so the quotient is too (or
+        // NaN, which saturates nothing).
+        let cap = floor_non_negative(b / spec.alert_types[t].audit_cost);
         if b >= spec.budget || cap >= self.sat_units[t] {
             SATURATED_BITS
         } else {
@@ -568,6 +584,7 @@ fn walk_set(
     parent_consumed: Option<&[f64]>,
     out: &mut Vec<WalkOut>,
 ) {
+    use DetectionModel::{AttackInclusive, Operational, PaperApprox};
     let spec = ctx.est.spec;
     for &id in children {
         let node = &ctx.nodes[id];
@@ -579,19 +596,25 @@ fn walk_set(
             continue;
         }
         let parent = parent_consumed.expect("fresh node requires parent prefix state");
+        let budget = spec.budget;
         let c_t = spec.alert_types[node.t].audit_cost;
         let b_t = node.b;
         let thresh_cap = (b_t / c_t).floor().max(0.0);
         let col = ctx.est.bank.column(node.t);
         let retain = node.depth < ctx.retain_below;
-        let step = |cons: f64, z: u64| {
-            detection_step(ctx.est.model, spec.budget, c_t, b_t, thresh_cap, cons, z)
-        };
-        let (sum, consumed) = if retain || node.children.iter().any(|&g| !ctx.hit[g]) {
-            let (sum, next) = pass_extend(parent, col, step);
-            (sum, Some(next))
-        } else {
-            (pass_sum(parent, col, step), None)
+        let extend = retain || node.children.iter().any(|&g| !ctx.hit[g]);
+        // One arm per model, so each pass inlines a kernel whose model is a
+        // constant instead of dispatching on it per sample.
+        let (sum, consumed) = match ctx.est.model {
+            PaperApprox => column_pass(parent, col, extend, |cons, z| {
+                detection_step(PaperApprox, budget, c_t, b_t, thresh_cap, cons, z)
+            }),
+            AttackInclusive => column_pass(parent, col, extend, |cons, z| {
+                detection_step(AttackInclusive, budget, c_t, b_t, thresh_cap, cons, z)
+            }),
+            Operational => column_pass(parent, col, extend, |cons, z| {
+                detection_step(Operational, budget, c_t, b_t, thresh_cap, cons, z)
+            }),
         };
         if node.children.iter().any(|&g| ctx.needs_walk[g]) {
             walk_set(ctx, &node.children, consumed.as_deref(), out);
@@ -604,6 +627,37 @@ fn walk_set(
     }
 }
 
+/// Samples per block of a column pass. A block's contributions are
+/// computed into a stack array by a loop without a loop-carried
+/// dependency, which the compiler vectorizes, and only then folded into
+/// the running sum.
+const BLOCK: usize = 64;
+
+/// One column pass over a fresh node: the detection-mass sum, plus the
+/// consumed-budget vector after the node when `extend` is set.
+#[inline(always)]
+fn column_pass(
+    parent: &[f64],
+    col: &[u64],
+    extend: bool,
+    step: impl Fn(f64, u64) -> (f64, f64),
+) -> (f64, Option<Vec<f64>>) {
+    if extend {
+        let (sum, next) = pass_extend(parent, col, step);
+        (sum, Some(next))
+    } else {
+        (pass_sum(parent, col, step), None)
+    }
+}
+
+/// Add a block's contributions to `sum` one at a time, in ascending
+/// sample order: the association of a plain per-sample fold, so the sum
+/// is bit-identical to the scalar reference's.
+#[inline(always)]
+fn fold_block(sum: f64, contrib: &[f64]) -> f64 {
+    contrib.iter().fold(sum, |acc, &c| acc + c)
+}
+
 /// One column pass that also extends the parent state: the detection-mass
 /// sum and the consumed-budget vector after the node.
 fn pass_extend(
@@ -611,12 +665,19 @@ fn pass_extend(
     col: &[u64],
     step: impl Fn(f64, u64) -> (f64, f64),
 ) -> (f64, Vec<f64>) {
-    let mut next = Vec::with_capacity(parent.len());
+    let mut next = vec![0.0f64; parent.len()];
+    let mut contrib = [0.0f64; BLOCK];
     let mut sum = 0.0f64;
-    for (&cons, &z) in parent.iter().zip(col) {
-        let (contrib, spent) = step(cons, z);
-        sum += contrib;
-        next.push(cons + spent);
+    let blocks = parent.chunks(BLOCK).zip(col.chunks(BLOCK));
+    for ((parent_block, col_block), next_block) in blocks.zip(next.chunks_mut(BLOCK)) {
+        let contrib = &mut contrib[..parent_block.len()];
+        let samples = parent_block.iter().zip(col_block);
+        for ((c, n), (&cons, &z)) in contrib.iter_mut().zip(next_block).zip(samples) {
+            let (gain, spent) = step(cons, z);
+            *c = gain;
+            *n = cons + spent;
+        }
+        sum = fold_block(sum, contrib);
     }
     (sum, next)
 }
@@ -624,9 +685,14 @@ fn pass_extend(
 /// One column pass that only sums: the node's state is neither retained
 /// nor extended.
 fn pass_sum(parent: &[f64], col: &[u64], step: impl Fn(f64, u64) -> (f64, f64)) -> f64 {
+    let mut contrib = [0.0f64; BLOCK];
     let mut sum = 0.0f64;
-    for (&cons, &z) in parent.iter().zip(col) {
-        sum += step(cons, z).0;
+    for (parent_block, col_block) in parent.chunks(BLOCK).zip(col.chunks(BLOCK)) {
+        let contrib = &mut contrib[..parent_block.len()];
+        for ((c, &cons), &z) in contrib.iter_mut().zip(parent_block).zip(col_block) {
+            *c = step(cons, z).0;
+        }
+        sum = fold_block(sum, contrib);
     }
     sum
 }

@@ -33,6 +33,17 @@
 //! `tests/detection_equivalence.rs`). The engine internals live in the
 //! `engine`, `trie` and `cache` submodules; everything public is
 //! re-exported here.
+//!
+//! The kernel has no branch on data and calls no libm function, so the
+//! engine's column pass vectorizes: it computes 64 samples' contributions
+//! into a stack array, then adds them to the running sum one at a time in
+//! ascending sample order, the association of a per-sample fold. `B_t`'s
+//! floor is exact without `f64::floor`, which baseline x86-64 compiles to
+//! a libm call: adding and subtracting `2^52` rounds a non-negative value
+//! below `2^52` to an integer, one compare corrects a round-up, and
+//! larger values are integers already. The kernel's `min`s are
+//! compare-selects, which can differ from `f64::min` only in the sign of
+//! a zero; `detection_step` documents why no sum or state ever sees it.
 
 mod cache;
 mod engine;
@@ -141,19 +152,60 @@ impl<'a> DetectionEstimator<'a> {
     }
 }
 
+/// `2^52`: from here up every `f64` is an integer, and below it adding
+/// and subtracting it rounds a non-negative value to an integer.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+/// `x.floor()` for `x ≥ 0`, exact, without a libm call: baseline x86-64
+/// has no SSE4.1 `roundsd`, so `f64::floor` is a call that clobbers every
+/// vector register. Below `2^52`, `(x + 2^52) − 2^52` is `x` rounded to
+/// the nearest integer (the sum lands where the `f64` spacing is 1, and
+/// the difference is exact); a round-up is then corrected with one
+/// compare. From `2^52` up `x` is already an integer, as is `+∞`, and a
+/// NaN passes through. A negative `x` is outside the domain.
+#[inline(always)]
+fn floor_non_negative(x: f64) -> f64 {
+    let r = (x + TWO_POW_52) - TWO_POW_52;
+    let r = if r > x { r - 1.0 } else { r };
+    if x < TWO_POW_52 {
+        r
+    } else {
+        x
+    }
+}
+
+/// The smaller of `a` and `b` as one compare-select (`minsd`). Equal to
+/// `a.min(b)` unless `b` is NaN or both are zeros of opposite sign: no
+/// caller passes a NaN `b`, and the sign of a zero never reaches a sum
+/// or a state (see [`detection_step`]).
+#[inline(always)]
+fn min_select(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
 /// `B_t` — the remaining per-type audit capacity in alert units, given the
 /// budget already consumed by the type's predecessors within one sample.
+/// Audit costs are positive ([`GameSpec::validate`]), so the quotient is
+/// non-negative whenever `remaining > 0`, and the select drops it
+/// otherwise.
 #[inline(always)]
 fn budget_cap(budget: f64, c_t: f64, consumed: f64) -> f64 {
     let remaining = budget - consumed;
+    let cap = floor_non_negative(remaining / c_t);
     if remaining > 0.0 {
-        (remaining / c_t).floor().max(0.0)
+        cap
     } else {
         0.0
     }
 }
 
 /// The capped tail of [`detection_step`]: everything downstream of `B_t`.
+/// Branch-free: the ratio `n_t / Z_t` is always computed (a NaN at
+/// `Z_t = 0`) and the zero-count rule is selected in its place.
 #[inline(always)]
 fn detection_step_capped(
     model: DetectionModel,
@@ -163,33 +215,26 @@ fn detection_step_capped(
     thresh_cap: f64,
     zt: u64,
 ) -> (f64, f64) {
+    let z = zt as f64;
+    // Neither cap is NaN: `bt_cap` is selected to 0 unless budget
+    // remains, and `thresh_cap` comes out of `f64::max`. A NaN `b_t` in
+    // the spend below loses to the other operand, as under `f64::min`.
+    let cap = min_select(bt_cap, thresh_cap);
+    // The attack alert would be the lone type-t alert.
+    let lone = if cap >= 1.0 { 1.0 } else { 0.0 };
     match model {
         DetectionModel::PaperApprox => {
-            let n_t = bt_cap.min(thresh_cap).min(zt as f64);
-            let contrib = if zt > 0 {
-                n_t / zt as f64
-            } else if bt_cap.min(thresh_cap) >= 1.0 {
-                // The attack alert would be the lone type-t alert.
-                1.0
-            } else {
-                0.0
-            };
-            (contrib, b_t.min(zt as f64 * c_t))
+            let n_t = min_select(cap, z);
+            let contrib = if zt > 0 { n_t / z } else { lone };
+            (contrib, min_select(b_t, z * c_t))
         }
         DetectionModel::AttackInclusive => {
-            let z_plus = zt as f64 + 1.0;
-            let n_t = bt_cap.min(thresh_cap).min(z_plus);
-            (n_t / z_plus, b_t.min(zt as f64 * c_t))
+            let z_plus = z + 1.0;
+            (min_select(cap, z_plus) / z_plus, min_select(b_t, z * c_t))
         }
         DetectionModel::Operational => {
-            let n_t = bt_cap.min(thresh_cap).min(zt as f64);
-            let contrib = if zt > 0 {
-                n_t / zt as f64
-            } else if bt_cap.min(thresh_cap) >= 1.0 {
-                1.0
-            } else {
-                0.0
-            };
+            let n_t = min_select(cap, z);
+            let contrib = if zt > 0 { n_t / z } else { lone };
             (contrib, n_t * c_t)
         }
     }
@@ -204,6 +249,14 @@ fn detection_step_capped(
 /// *bitwise*: both perform exactly this arithmetic on exactly the same
 /// operands, and differ only in loop nesting order (sample-major vs
 /// trie-node-major), which touches no floating-point operation.
+///
+/// The kernel has no branch on data and calls no libm function, so the
+/// engine's column pass vectorizes. Its compare-selects may return a zero
+/// of the other sign than `f64::min` would, and never anything else. That
+/// sign is never observed: every detection-mass sum starts at `+0.0` and
+/// every consumed-budget state at `+0.0` or above, and adding a zero of
+/// either sign to such a value returns that value, because in
+/// round-to-nearest a sum is `−0.0` only when both addends are.
 #[inline(always)]
 fn detection_step(
     model: DetectionModel,
@@ -259,6 +312,164 @@ mod tests {
     use crate::model::{AttackAction, Attacker, GameSpecBuilder};
     use std::sync::Arc;
     use stochastics::Constant;
+
+    /// The per-sample step as it was written before the branch-free
+    /// kernel: `f64::floor` (a libm call on baseline x86-64), `f64::min`
+    /// and a branch on the zero-count rule. Kept as the reference that
+    /// [`detection_step`] must reproduce bit for bit.
+    fn reference_step(
+        model: DetectionModel,
+        budget: f64,
+        c_t: f64,
+        b_t: f64,
+        thresh_cap: f64,
+        consumed: f64,
+        zt: u64,
+    ) -> (f64, f64) {
+        let remaining = budget - consumed;
+        let bt_cap = if remaining > 0.0 {
+            (remaining / c_t).floor().max(0.0)
+        } else {
+            0.0
+        };
+        match model {
+            DetectionModel::PaperApprox => {
+                let n_t = bt_cap.min(thresh_cap).min(zt as f64);
+                let contrib = if zt > 0 {
+                    n_t / zt as f64
+                } else if bt_cap.min(thresh_cap) >= 1.0 {
+                    1.0
+                } else {
+                    0.0
+                };
+                (contrib, b_t.min(zt as f64 * c_t))
+            }
+            DetectionModel::AttackInclusive => {
+                let z_plus = zt as f64 + 1.0;
+                let n_t = bt_cap.min(thresh_cap).min(z_plus);
+                (n_t / z_plus, b_t.min(zt as f64 * c_t))
+            }
+            DetectionModel::Operational => {
+                let n_t = bt_cap.min(thresh_cap).min(zt as f64);
+                let contrib = if zt > 0 {
+                    n_t / zt as f64
+                } else if bt_cap.min(thresh_cap) >= 1.0 {
+                    1.0
+                } else {
+                    0.0
+                };
+                (contrib, n_t * c_t)
+            }
+        }
+    }
+
+    #[test]
+    fn branch_free_step_matches_the_reference_bit_for_bit() {
+        const MODELS: [DetectionModel; 3] = [
+            DetectionModel::PaperApprox,
+            DetectionModel::AttackInclusive,
+            DetectionModel::Operational,
+        ];
+        let bank_max = 40u64;
+        let counts = [0, 1, bank_max, (1 << 53) + 1, u64::MAX];
+        let mut checked = 0usize;
+        for budget in [2.5f64, 6.0, 10.0] {
+            for c_t in [0.75f64, 1.0, 1.5, 3.0] {
+                // Consumed budget at 0, at every `B − k·C_t` and one ulp
+                // either side, and at and past `B`.
+                let mut consumed = vec![0.0, budget, budget + 0.5, 2.0 * budget];
+                let mut k = 0.0;
+                while k * c_t <= budget {
+                    let at = budget - k * c_t;
+                    consumed.extend([at.next_down(), at, at.next_up()]);
+                    k += 1.0;
+                }
+                consumed.retain(|&c: &f64| c >= 0.0);
+                let thresholds = [
+                    -0.0,
+                    0.0,
+                    0.3,
+                    0.75,
+                    1.5,
+                    2.25,
+                    budget - 0.5,
+                    budget,
+                    budget + 1.0,
+                    1e300,
+                    f64::INFINITY,
+                    f64::NAN,
+                ];
+                for b_t in thresholds {
+                    // As the engine and the scalar path compute it.
+                    let thresh_cap = (b_t / c_t).floor().max(0.0);
+                    for &cons in &consumed {
+                        for zt in counts {
+                            for model in MODELS {
+                                let got =
+                                    detection_step(model, budget, c_t, b_t, thresh_cap, cons, zt);
+                                let want =
+                                    reference_step(model, budget, c_t, b_t, thresh_cap, cons, zt);
+                                // Bitwise, up to the sign of a zero (adding
+                                // `+0.0` turns `-0.0` into `+0.0` and keeps
+                                // everything else), which no sum or state
+                                // sees; the next state is compared as is.
+                                let bits = |(gain, spent): (f64, f64)| {
+                                    ((gain + 0.0).to_bits(), (spent + 0.0).to_bits())
+                                };
+                                assert_eq!(
+                                    (bits(got), (cons + got.1).to_bits()),
+                                    (bits(want), (cons + want.1).to_bits()),
+                                    "{model:?} B={budget} C={c_t} b={b_t} consumed={cons} z={zt}: \
+                                     {got:?} != {want:?}"
+                                );
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 10_000, "grid shrank to {checked} cases");
+    }
+
+    #[test]
+    fn exact_floor_matches_f64_floor() {
+        let mut xs = vec![
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            TWO_POW_52 - 0.5,
+            TWO_POW_52 + 1.0,
+            2.0 * TWO_POW_52,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for i in [
+            1u64,
+            2,
+            3,
+            7,
+            10,
+            1000,
+            1 << 20,
+            (1 << 52) - 1,
+            1 << 52,
+            1 << 53,
+        ] {
+            let x = i as f64;
+            xs.extend([x.next_down(), x, x.next_up(), x - 0.5, x + 0.5]);
+        }
+        for x in xs {
+            assert!(x >= 0.0 || x.is_nan(), "{x} is outside the domain");
+            assert_eq!(
+                floor_non_negative(x).to_bits(),
+                x.floor().to_bits(),
+                "floor({x:e})"
+            );
+        }
+    }
 
     /// Two types, deterministic Z = (2, 3), C = (1, 1).
     fn spec(budget: f64) -> GameSpec {

@@ -40,9 +40,9 @@
 //! topological order — the engine relies on this when it assembles results
 //! and inserts prefix states deterministically.
 
+use super::cache::WordMap;
 use super::PalQuery;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// Dense id of a path interned in a [`PathTable`]; `0` is the empty
 /// prefix.
@@ -63,14 +63,14 @@ pub(super) type PathId = u32;
 /// copies of its path. An engine with both caches disabled keeps nothing
 /// across batches and clears its table after each one.
 pub(super) struct PathTable {
-    ids: HashMap<(PathId, u16, u64), PathId>,
+    ids: WordMap<(PathId, u16, u64), PathId>,
 }
 
 impl PathTable {
     /// A table holding only the empty prefix.
     pub fn new() -> Self {
         Self {
-            ids: HashMap::new(),
+            ids: WordMap::default(),
         }
     }
 
@@ -175,7 +175,7 @@ impl QueryTrie {
             children: Vec::new(),
             key: 0,
         }];
-        let mut by_key: HashMap<PathId, usize> = HashMap::new();
+        let mut by_key: WordMap<PathId, usize> = WordMap::default();
         let mut chains = Vec::with_capacity(miss_idx.len());
         for &qi in miss_idx {
             let q = &queries[qi];

@@ -41,6 +41,7 @@ use audit_game::execute::{execute_policy, AuditPolicy, RealizedAlert};
 use audit_game::model::GameSpec;
 use audit_game::payoff::action_utility;
 use audit_game::persist::PersistError;
+use audit_game::planner::ISHM_FULL_MAX_TYPES;
 use audit_game::scenario::Scenario;
 use audit_game::solver::{DegradeReason, InnerKind, OapSolver, SolverConfig, WarmStart};
 use rand::Rng;
@@ -341,6 +342,11 @@ impl AuditService {
     /// first half of [`AuditService::run_until`], and the seam for callers
     /// that step the loop themselves (`crate::fleet`, `exp_online
     /// --compare-cold`).
+    ///
+    /// Refuses with [`GameError::InvalidConfig`] a spec with more than
+    /// [`ISHM_FULL_MAX_TYPES`] types under [`InnerKind::Cggs`]: that inner
+    /// runs ISHM's uncapped outer search, which takes minutes there, while
+    /// [`InnerKind::Auto`] caps the search level past that size.
     pub fn start_state(&self) -> Result<ServiceState, GameError> {
         // Round 0 is the cold start in the fault plan's round keying.
         if self.fault(0, FaultSite::SolverPanic) {
@@ -353,6 +359,14 @@ impl AuditService {
         let spec = self.scenario.build(cfg.seed)?;
         spec.validate()?;
         let n = spec.n_types();
+        if cfg.solver.inner == InnerKind::Cggs && n > ISHM_FULL_MAX_TYPES {
+            return Err(GameError::InvalidConfig(format!(
+                "scenario {} has {n} alert types, more than ISHM_FULL_MAX_TYPES = \
+                 {ISHM_FULL_MAX_TYPES}, where InnerKind::Cggs runs the uncapped ISHM \
+                 search; solve it with InnerKind::Auto, which caps the search level",
+                self.scenario.key()
+            )));
+        }
         let solver = OapSolver::new(cfg.solver.clone());
 
         let t0 = Instant::now();

@@ -70,24 +70,35 @@ fn all_queries(n_types: usize, seed: u64) -> Vec<PalQuery> {
     queries
 }
 
+/// Bank sizes around the engine's 64-sample column block: a lone
+/// sample, one short block, one full block, a full block plus a
+/// one-sample tail, and many blocks with a 40-sample tail.
+const BANK_SIZES: [usize; 5] = [1, 63, 64, 65, 1000];
+
 #[test]
 fn engine_is_bit_identical_to_scalar_path_on_random_games() {
     for seed in 0..8u64 {
         let n_types = 2 + (seed % 3) as usize; // 2, 3, or 4 types
         let spec = random_game(&cfg(n_types, 3.0 + seed as f64), seed);
-        let bank = spec.sample_bank(64, seed ^ 0xC0FFEE);
         let queries = all_queries(n_types, seed);
-        for model in MODELS {
-            let est = DetectionEstimator::new(&spec, &bank, model);
-            for threads in THREAD_COUNTS {
-                let engine = PalEngine::new(est, threads);
-                let batch = engine.pal_batch(&queries);
-                for (q, got) in queries.iter().zip(&batch) {
-                    let want = est.pal_prefix(&q.seq, &q.thresholds);
-                    assert_eq!(
-                        got, &want,
-                        "seed {seed}, model {model:?}, threads {threads}, query {q:?}"
-                    );
+        for n_samples in BANK_SIZES {
+            let bank = spec.sample_bank(n_samples, seed ^ 0xC0FFEE);
+            for model in MODELS {
+                let est = DetectionEstimator::new(&spec, &bank, model);
+                let want: Vec<Vec<f64>> = queries
+                    .iter()
+                    .map(|q| est.pal_prefix(&q.seq, &q.thresholds))
+                    .collect();
+                for threads in THREAD_COUNTS {
+                    let engine = PalEngine::new(est, threads);
+                    let batch = engine.pal_batch(&queries);
+                    for ((q, got), want) in queries.iter().zip(&batch).zip(&want) {
+                        assert_eq!(
+                            got, want,
+                            "seed {seed}, {n_samples} samples, model {model:?}, \
+                             threads {threads}, query {q:?}"
+                        );
+                    }
                 }
             }
         }
