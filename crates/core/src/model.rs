@@ -582,10 +582,9 @@ mod tests {
             2
         }
 
-        fn sample_row(&self, _i: usize, rng: &mut dyn rand::RngCore) -> Vec<u64> {
+        fn sample_row(&self, _i: usize, rng: &mut dyn rand::RngCore, row: &mut [u64]) {
             // Perfectly correlated: both types share one draw.
-            let z = stochastics::UniformCount::new(0, 3).sample(rng);
-            vec![z, z]
+            row.fill(stochastics::UniformCount::new(0, 3).sample(rng));
         }
     }
 

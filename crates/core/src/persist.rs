@@ -192,23 +192,23 @@ pub fn encode_spec(snap: &mut Snapshot, spec: &GameSpec) -> Result<(), PersistEr
 /// Rebuild a joint count model from its persisted parameters. The regime
 /// path restores the **already-normalized** weights through
 /// [`RegimeMixingCounts::from_normalized`] so reconstruction is
-/// bit-exact.
-pub fn instantiate_joint(params: &JointParams) -> Arc<dyn JointCountModel> {
+/// bit-exact. Fails where [`DistParams::instantiate`] fails on a component.
+pub fn instantiate_joint(params: &JointParams) -> Result<Arc<dyn JointCountModel>, SnapshotError> {
     let rows = |rows: &[Vec<DistParams>]| {
         rows.iter()
             .map(|row| row.iter().map(DistParams::instantiate).collect())
-            .collect()
+            .collect::<Result<Vec<Vec<_>>, _>>()
     };
-    match params {
+    Ok(match params {
         JointParams::Regime {
             weights,
             components,
         } => Arc::new(RegimeMixingCounts::from_normalized(
             weights.clone(),
-            rows(components),
+            rows(components)?,
         )),
-        JointParams::Seasonal { phases } => Arc::new(SeasonalCounts::new(rows(phases))),
-    }
+        JointParams::Seasonal { phases } => Arc::new(SeasonalCounts::new(rows(phases)?)),
+    })
 }
 
 /// Decode, validate, and fingerprint-verify a spec from a container.
@@ -225,7 +225,7 @@ pub fn decode_spec(snap: &Snapshot) -> Result<GameSpec, PersistError> {
     for _ in 0..n_types {
         let name = types.get_str()?;
         let audit_cost = types.get_f64()?;
-        let dist = DistParams::decode(&mut types)?.instantiate();
+        let dist = DistParams::decode(&mut types)?.instantiate()?;
         b.alert_type(name, audit_cost, dist);
     }
 
@@ -257,7 +257,7 @@ pub fn decode_spec(snap: &Snapshot) -> Result<GameSpec, PersistError> {
     b.budget(budget);
     b.allow_opt_out(allow_opt_out);
     if let Some(mut joint) = snap.try_section(TAG_SPEC_JOINT) {
-        b.joint_counts(instantiate_joint(&JointParams::decode(&mut joint)?));
+        b.joint_counts(instantiate_joint(&JointParams::decode(&mut joint)?)?);
     }
     // `build` runs the full structural validation (type references,
     // probability ranges, joint-model arity) before any solver sees the
@@ -565,6 +565,43 @@ mod tests {
         fn support_max(&self) -> u64 {
             0
         }
+        fn sample(&self, _rng: &mut dyn rand::RngCore) -> u64 {
+            0
+        }
+    }
+
+    /// A distribution that reports the parameters a forged file would
+    /// carry.
+    struct Forged(DistParams);
+    impl stochastics::CountDistribution for Forged {
+        fn pmf(&self, n: u64) -> f64 {
+            if n == 0 {
+                1.0
+            } else {
+                0.0
+            }
+        }
+        fn support_max(&self) -> u64 {
+            0
+        }
+        fn sample(&self, _rng: &mut dyn rand::RngCore) -> u64 {
+            0
+        }
+        fn snapshot_params(&self) -> Option<DistParams> {
+            Some(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn unbuildable_distribution_parameters_fail_the_load_with_a_typed_error() {
+        let mut spec = registry().build("syn-a", 0).unwrap();
+        let bank = spec.sample_bank(8, 0);
+        spec.distributions[0] = Arc::new(Forged(DistParams::Poisson { lambda: 1000.0 }));
+        let bytes = scenario_snapshot_bytes("syn-a", 0, &spec, &bank).unwrap();
+        assert!(matches!(
+            scenario_snapshot_from_bytes(&bytes),
+            Err(PersistError::Snapshot(SnapshotError::Malformed(_)))
+        ));
     }
 
     #[test]

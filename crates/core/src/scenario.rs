@@ -390,7 +390,7 @@ impl JointCountModel for RegimeMixingCounts {
         self.components[0].len()
     }
 
-    fn sample_row(&self, _i: usize, rng: &mut dyn rand::RngCore) -> Vec<u64> {
+    fn sample_row(&self, _i: usize, rng: &mut dyn rand::RngCore, row: &mut [u64]) {
         let u: f64 = rng.gen();
         let mut acc = 0.0;
         let mut regime = self.weights.len() - 1;
@@ -401,10 +401,9 @@ impl JointCountModel for RegimeMixingCounts {
                 break;
             }
         }
-        self.components[regime]
-            .iter()
-            .map(|d| d.sample(rng))
-            .collect()
+        for (z, d) in row.iter_mut().zip(&self.components[regime]) {
+            *z = d.sample(rng);
+        }
     }
 
     fn snapshot_params(&self) -> Option<JointParams> {
@@ -544,9 +543,11 @@ impl JointCountModel for SeasonalCounts {
         self.phases[0].len()
     }
 
-    fn sample_row(&self, i: usize, rng: &mut dyn rand::RngCore) -> Vec<u64> {
+    fn sample_row(&self, i: usize, rng: &mut dyn rand::RngCore, row: &mut [u64]) {
         let phase = &self.phases[i % self.phases.len()];
-        phase.iter().map(|d| d.sample(rng)).collect()
+        for (z, d) in row.iter_mut().zip(phase) {
+            *z = d.sample(rng);
+        }
     }
 
     fn snapshot_params(&self) -> Option<JointParams> {

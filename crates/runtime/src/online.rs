@@ -323,6 +323,9 @@ mod tests {
         fn support_max(&self) -> u64 {
             4
         }
+        fn sample(&self, _rng: &mut dyn rand::RngCore) -> u64 {
+            0
+        }
     }
 
     #[test]

@@ -23,16 +23,17 @@ use crate::snapshot::JointParams;
 /// sample. Implementations must be deterministic functions of
 /// `(sample_index, rng)` — the bank derives one RNG stream per row from the
 /// master seed, so row `s` never depends on how many rows are drawn around
-/// it.
+/// it, nor on what the row buffer held before.
 pub trait JointCountModel: Send + Sync {
     /// Number of alert types per row.
     fn n_types(&self) -> usize;
 
-    /// Draw realization `sample_index` using the provided per-row stream.
+    /// Draw realization `sample_index` into `row` (one entry per type,
+    /// every entry overwritten) using the provided per-row stream.
     /// `sample_index` is made available so deterministic structure (e.g. a
     /// season phase cycling with the period) can depend on the period
     /// itself rather than on RNG state.
-    fn sample_row(&self, sample_index: usize, rng: &mut dyn rand::RngCore) -> Vec<u64>;
+    fn sample_row(&self, sample_index: usize, rng: &mut dyn rand::RngCore, row: &mut [u64]);
 
     /// Constructor parameters for persistence, or `None` when the model
     /// cannot be snapshotted. The default keeps ad-hoc test models out of
@@ -92,36 +93,38 @@ impl SampleBank {
     /// draws of row `s` are independent of `n_samples`, so growing the bank
     /// extends it without perturbing existing rows.
     pub fn generate_joint(model: &dyn JointCountModel, n_samples: usize, seed: u64) -> Self {
-        Self::from_row_iter(
-            model.n_types(),
-            n_samples,
-            (0..n_samples).map(|s| {
-                // Stream labels offset by a large constant so joint banks
-                // never collide with the per-type streams of `generate_from`.
-                let mut rng = stream_rng(seed, 0x4A01_0000_0000_0000u64 ^ s as u64);
-                model.sample_row(s, &mut rng)
-            }),
-        )
+        Self::from_row_fn(model.n_types(), n_samples, |s, row| {
+            // Stream labels offset by a large constant so joint banks
+            // never collide with the per-type streams of `generate_from`.
+            let mut rng = stream_rng(seed, 0x4A01_0000_0000_0000u64 ^ s as u64);
+            model.sample_row(s, &mut rng, row)
+        })
     }
 
     /// Build from explicit rows (used by tests and the hardness reduction,
     /// where `Z` is deterministic).
     pub fn from_rows(rows: Vec<Vec<u64>>) -> Self {
         assert!(!rows.is_empty(), "need at least one row");
-        Self::from_row_iter(rows[0].len(), rows.len(), rows)
+        Self::from_row_fn(rows[0].len(), rows.len(), |s, row| {
+            assert_eq!(rows[s].len(), row.len(), "ragged sample rows");
+            row.copy_from_slice(&rows[s]);
+        })
     }
 
-    /// Scatter `n_samples` rows of width `n_types` into the columns.
-    fn from_row_iter<R>(n_types: usize, n_samples: usize, rows: R) -> Self
-    where
-        R: IntoIterator<Item = Vec<u64>>,
-    {
+    /// Fill `n_samples` rows of width `n_types`, one at a time, into one
+    /// reused buffer, and scatter each into the columns.
+    fn from_row_fn(
+        n_types: usize,
+        n_samples: usize,
+        mut fill: impl FnMut(usize, &mut [u64]),
+    ) -> Self {
         assert!(n_types > 0, "need at least one alert type");
         assert!(n_samples > 0, "need at least one sample");
         let mut cols = vec![0u64; n_samples * n_types];
-        for (s, row) in rows.into_iter().enumerate() {
-            assert_eq!(row.len(), n_types, "ragged sample rows");
-            for (t, z) in row.into_iter().enumerate() {
+        let mut row = vec![0u64; n_types];
+        for s in 0..n_samples {
+            fill(s, &mut row);
+            for (t, &z) in row.iter().enumerate() {
                 cols[t * n_samples + s] = z;
             }
         }
@@ -256,10 +259,12 @@ mod tests {
             2
         }
 
-        fn sample_row(&self, sample_index: usize, rng: &mut dyn rand::RngCore) -> Vec<u64> {
+        fn sample_row(&self, sample_index: usize, rng: &mut dyn rand::RngCore, row: &mut [u64]) {
             let base = (sample_index % 3) as u64 * 10;
             let d = UniformCount::new(0, 4);
-            vec![base + d.sample(rng), base + d.sample(rng)]
+            for z in row {
+                *z = base + d.sample(rng);
+            }
         }
     }
 
@@ -315,8 +320,8 @@ mod tests {
             self.0[0].len()
         }
 
-        fn sample_row(&self, sample_index: usize, _rng: &mut dyn rand::RngCore) -> Vec<u64> {
-            self.0[sample_index].clone()
+        fn sample_row(&self, sample_index: usize, _rng: &mut dyn rand::RngCore, row: &mut [u64]) {
+            row.copy_from_slice(&self.0[sample_index]);
         }
     }
 

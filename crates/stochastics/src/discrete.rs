@@ -4,10 +4,91 @@
 //! raised per audit period. The paper's synthetic evaluation uses a Gaussian
 //! "discretized on the x-axis" and truncated to a 99.5% coverage window
 //! (Section IV.A); the real-data evaluations fit distributions from logs.
+//!
+//! # Sampling
+//!
+//! A draw of a tabulated family ([`DiscretizedGaussian`], [`Poisson`],
+//! [`Zipf`], [`Empirical`], [`Mixture`]) takes one uniform
+//! `u = rng.gen::<f64>()` and inverts the CDF: it returns the smallest
+//! count `n` whose running sum `pmf(support_min) + … + pmf(n)`, added left
+//! to right from `0.0`, reaches `u`, or `support_max` when rounding leaves
+//! the last sum below `u`. Each family stores those running sums once, at
+//! construction, in a `CdfTable` built from its own `pmf`, and a draw
+//! returns `support_min + #{k : sums[k] < u}`, capped at `support_max`.
+//! Every pmf value is finite and non-negative (construction asserts it), so
+//! the sums never decrease: the sums below `u` form a prefix, and its
+//! length is exactly the index where a state-by-state walk comparing
+//! `u <= sum` stops. The count reads every entry with no data-dependent
+//! branch and consumes the same single uniform per draw, so every bank and
+//! runtime stream is the one the walk drew, bit for bit.
 
 use crate::normal::{normal_cdf, normal_quantile};
 use crate::snapshot::DistParams;
 use rand::Rng;
+
+/// Most states a decoded distribution's support may span (see
+/// [`DistParams::instantiate`]), and the most states [`Poisson::new`]
+/// tries before it gives up on truncating the support. Registry and refit
+/// supports span at most a few hundred states; the bound keeps a forged
+/// snapshot from allocating a pmf and a sampling table of `2^40` entries.
+pub const MAX_SUPPORT_STATES: u64 = 1 << 16;
+
+/// The running pmf sums of a count law over its support: the exact
+/// inverse-CDF sampler of every tabulated family (see the module docs).
+#[derive(Debug, Clone)]
+struct CdfTable {
+    /// The smallest count of the support.
+    min: u64,
+    /// `sums[k] = pmf(min) + … + pmf(min + k)`, added left to right from
+    /// `0.0`.
+    sums: Vec<f64>,
+}
+
+impl CdfTable {
+    /// The table of no states, a placeholder until [`CdfTable::of`] fills
+    /// it.
+    const EMPTY: CdfTable = CdfTable {
+        min: 0,
+        sums: Vec::new(),
+    };
+
+    /// Tabulate `d`'s own `pmf` over `support_min..=support_max`.
+    ///
+    /// # Panics
+    ///
+    /// When a pmf value is negative or not finite: the sums could then
+    /// decrease, and the count would no longer be where the walk stops.
+    fn of(d: &dyn CountDistribution) -> Self {
+        let min = d.support_min();
+        let mut acc = 0.0;
+        let sums = (min..=d.support_max())
+            .map(|n| {
+                let p = d.pmf(n);
+                assert!(
+                    p.is_finite() && p >= 0.0,
+                    "pmf({n}) = {p} is not a finite non-negative mass"
+                );
+                acc += p;
+                acc
+            })
+            .collect();
+        Self { min, sums }
+    }
+
+    /// The count for uniform `u`: `min` plus the number of sums below `u`,
+    /// capped at the last state.
+    #[inline]
+    fn invert(&self, u: f64) -> u64 {
+        let below: usize = self.sums.iter().map(|&s| usize::from(s < u)).sum();
+        self.min + below.min(self.sums.len() - 1) as u64
+    }
+
+    /// Draw one count from one uniform.
+    #[inline]
+    fn sample(&self, rng: &mut dyn rand::RngCore) -> u64 {
+        self.invert(rng.gen())
+    }
+}
 
 /// A distribution over non-negative integer alert counts.
 ///
@@ -54,20 +135,14 @@ pub trait CountDistribution: Send + Sync {
     }
 
     /// Draw one realization.
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> u64 {
-        // Inverse-CDF sampling over the finite support. O(support) worst
-        // case, which is fine for the count magnitudes in this workspace
-        // (supports are at most a few hundred states).
-        let u: f64 = rng.gen();
-        let mut acc = 0.0;
-        for n in self.support_min()..=self.support_max() {
-            acc += self.pmf(n);
-            if u <= acc {
-                return n;
-            }
-        }
-        self.support_max()
-    }
+    ///
+    /// The tabulated families draw one uniform `u` and return the smallest
+    /// count whose running pmf sum from `support_min` reaches `u`, through
+    /// their `CdfTable`; the count equals the walk's stopping index
+    /// because the running sums never decrease (see the module docs).
+    /// [`Constant`] draws nothing and [`UniformCount`] draws through
+    /// `gen_range`. Banks and runtime streams are pinned to these rules.
+    fn sample(&self, rng: &mut dyn rand::RngCore) -> u64;
 
     /// Constructor parameters for persistence, or `None` when the
     /// distribution cannot be snapshotted. All models in this crate
@@ -95,6 +170,7 @@ pub struct DiscretizedGaussian {
     hi: u64,
     /// Pre-computed normalized pmf over `[lo, hi]`.
     pmf: Vec<f64>,
+    table: CdfTable,
 }
 
 impl DiscretizedGaussian {
@@ -126,6 +202,12 @@ impl DiscretizedGaussian {
     pub fn on_window(mean: f64, std: f64, lo: u64, hi: u64) -> Self {
         assert!(std > 0.0, "std must be positive");
         assert!(hi >= lo, "window must be non-empty");
+        Self::try_on_window(mean, std, lo, hi).expect("truncation window carries no mass")
+    }
+
+    /// [`DiscretizedGaussian::on_window`] for `std > 0` and `hi >= lo`, or
+    /// `None` when the window carries no mass.
+    pub(crate) fn try_on_window(mean: f64, std: f64, lo: u64, hi: u64) -> Option<Self> {
         let mut pmf: Vec<f64> = (lo..=hi)
             .map(|n| {
                 let hi_edge = normal_cdf(n as f64 + 0.5, mean, std);
@@ -134,17 +216,22 @@ impl DiscretizedGaussian {
             })
             .collect();
         let total: f64 = pmf.iter().sum();
-        assert!(total > 0.0, "truncation window carries no mass");
+        if total <= 0.0 {
+            return None;
+        }
         for p in &mut pmf {
             *p /= total;
         }
-        Self {
+        let mut d = Self {
             mean,
             std,
             lo,
             hi,
             pmf,
-        }
+            table: CdfTable::EMPTY,
+        };
+        d.table = CdfTable::of(&d);
+        Some(d)
     }
 
     /// The underlying Gaussian mean parameter.
@@ -175,6 +262,10 @@ impl CountDistribution for DiscretizedGaussian {
         self.lo
     }
 
+    fn sample(&self, rng: &mut dyn rand::RngCore) -> u64 {
+        self.table.sample(rng)
+    }
+
     fn snapshot_params(&self) -> Option<DistParams> {
         // `with_halfwidth` / `with_coverage` both resolve to `on_window`,
         // so (mean, std, lo, hi) reconstructs any path bit-exactly.
@@ -190,11 +281,12 @@ impl CountDistribution for DiscretizedGaussian {
 /// Empirical distribution over observed per-period counts (used for the
 /// real-data experiments, where `F_t` "can be obtained from historical alert
 /// logs", Section II-A).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Empirical {
     /// `weights[n]` is the number of observed periods with exactly `n` alerts.
     weights: Vec<u64>,
     total: u64,
+    table: CdfTable,
 }
 
 impl Empirical {
@@ -206,18 +298,27 @@ impl Empirical {
         for &o in obs {
             weights[o as usize] += 1;
         }
-        Self {
-            total: obs.len() as u64,
-            weights,
-        }
+        Self::from_histogram(weights)
     }
 
     /// Build directly from a histogram `weights[n] = #periods with n alerts`.
     pub fn from_histogram(weights: Vec<u64>) -> Self {
-        let total: u64 = weights.iter().sum();
+        let total = histogram_mass(&weights).expect("histogram mass overflows u64");
         assert!(total > 0, "histogram must contain mass");
-        Self { weights, total }
+        let mut d = Self {
+            weights,
+            total,
+            table: CdfTable::EMPTY,
+        };
+        d.table = CdfTable::of(&d);
+        d
     }
+}
+
+/// The number of periods a histogram counts, or `None` when it overflows
+/// `u64`.
+pub(crate) fn histogram_mass(weights: &[u64]) -> Option<u64> {
+    weights.iter().try_fold(0u64, |acc, &w| acc.checked_add(w))
 }
 
 impl CountDistribution for Empirical {
@@ -230,6 +331,10 @@ impl CountDistribution for Empirical {
 
     fn support_max(&self) -> u64 {
         (self.weights.len() as u64).saturating_sub(1)
+    }
+
+    fn sample(&self, rng: &mut dyn rand::RngCore) -> u64 {
+        self.table.sample(rng)
     }
 
     fn snapshot_params(&self) -> Option<DistParams> {
@@ -248,14 +353,27 @@ pub struct Poisson {
     lambda: f64,
     cap: u64,
     pmf: Vec<f64>,
+    table: CdfTable,
 }
 
 impl Poisson {
     /// Construct with a mass cutoff: the support is truncated at the
     /// smallest `n` with cumulative untruncated mass ≥ `1 − 1e-9`, then
     /// renormalized.
+    ///
+    /// # Panics
+    ///
+    /// When `lambda` is not positive, or when the cutoff is not reached
+    /// within [`MAX_SUPPORT_STATES`] states (from `λ ≈ 745` on, `e^{-λ}`
+    /// underflows and the running mass never grows).
     pub fn new(lambda: f64) -> Self {
         assert!(lambda > 0.0, "lambda must be positive");
+        Self::try_new(lambda).expect("Poisson support truncation failed to converge")
+    }
+
+    /// [`Poisson::new`] for `lambda > 0`, or `None` when the cutoff is not
+    /// reached within [`MAX_SUPPORT_STATES`] states.
+    pub(crate) fn try_new(lambda: f64) -> Option<Self> {
         let mut pmf = Vec::new();
         // Iterative pmf: p(0) = e^{-λ}, p(n) = p(n-1)·λ/n.
         let mut p = (-lambda).exp();
@@ -269,19 +387,22 @@ impl Poisson {
             }
             n += 1;
             p *= lambda / n as f64;
-            if n > 10_000_000 {
-                panic!("Poisson support truncation failed to converge");
+            if n >= MAX_SUPPORT_STATES {
+                return None;
             }
         }
         let total: f64 = pmf.iter().sum();
         for q in &mut pmf {
             *q /= total;
         }
-        Self {
+        let mut d = Self {
             lambda,
             cap: n,
             pmf,
-        }
+            table: CdfTable::EMPTY,
+        };
+        d.table = CdfTable::of(&d);
+        Some(d)
     }
 
     /// The rate parameter λ.
@@ -305,6 +426,10 @@ impl CountDistribution for Poisson {
         self.lambda
     }
 
+    fn sample(&self, rng: &mut dyn rand::RngCore) -> u64 {
+        self.table.sample(rng)
+    }
+
     fn snapshot_params(&self) -> Option<DistParams> {
         // `new(lambda)` derives the cap deterministically, so λ suffices.
         Some(DistParams::Poisson {
@@ -325,6 +450,7 @@ pub struct Zipf {
     exponent: f64,
     cap: u64,
     pmf: Vec<f64>,
+    table: CdfTable,
 }
 
 impl Zipf {
@@ -341,7 +467,14 @@ impl Zipf {
         for p in &mut pmf {
             *p /= total;
         }
-        Self { exponent, cap, pmf }
+        let mut d = Self {
+            exponent,
+            cap,
+            pmf,
+            table: CdfTable::EMPTY,
+        };
+        d.table = CdfTable::of(&d);
+        d
     }
 
     /// The tail exponent `s`.
@@ -357,6 +490,10 @@ impl CountDistribution for Zipf {
 
     fn support_max(&self) -> u64 {
         self.cap
+    }
+
+    fn sample(&self, rng: &mut dyn rand::RngCore) -> u64 {
+        self.table.sample(rng)
     }
 
     fn snapshot_params(&self) -> Option<DistParams> {
@@ -378,6 +515,7 @@ impl CountDistribution for Zipf {
 #[derive(Clone)]
 pub struct Mixture {
     components: Vec<(f64, std::sync::Arc<dyn CountDistribution>)>,
+    table: CdfTable,
 }
 
 impl std::fmt::Debug for Mixture {
@@ -405,12 +543,12 @@ impl Mixture {
             components.iter().all(|(w, _)| *w >= 0.0),
             "mixture weights must be non-negative"
         );
-        Self {
-            components: components
+        Self::tabled(
+            components
                 .into_iter()
                 .map(|(w, d)| (w / total, d))
                 .collect(),
-        }
+        )
     }
 
     /// Build from **already-normalized** `(weight, component)` pairs,
@@ -425,7 +563,17 @@ impl Mixture {
             (total - 1.0).abs() < 1e-6 && components.iter().all(|(w, _)| *w >= 0.0),
             "weights must already be normalized"
         );
-        Self { components }
+        Self::tabled(components)
+    }
+
+    /// The mixture of normalized components, with its sampling table.
+    fn tabled(components: Vec<(f64, std::sync::Arc<dyn CountDistribution>)>) -> Self {
+        let mut d = Self {
+            components,
+            table: CdfTable::EMPTY,
+        };
+        d.table = CdfTable::of(&d);
+        d
     }
 }
 
@@ -452,6 +600,10 @@ impl CountDistribution for Mixture {
 
     fn mean(&self) -> f64 {
         self.components.iter().map(|(w, d)| w * d.mean()).sum()
+    }
+
+    fn sample(&self, rng: &mut dyn rand::RngCore) -> u64 {
+        self.table.sample(rng)
     }
 
     fn snapshot_params(&self) -> Option<DistParams> {
@@ -721,5 +873,96 @@ mod tests {
         let d = Poisson::new(9.0);
         assert!(d.coverage_bound(0.10) <= d.coverage_bound(0.01));
         assert!(d.coverage_bound(0.01) <= d.coverage_bound(0.001));
+    }
+
+    /// The reference inverse-CDF walk: add `pmf(n)` from `0.0` and stop at
+    /// the first `n` whose running sum reaches `u`, or at `support_max`.
+    /// Every table must draw exactly where it stops.
+    fn walk(d: &dyn CountDistribution, u: f64) -> u64 {
+        let mut acc = 0.0;
+        for n in d.support_min()..=d.support_max() {
+            acc += d.pmf(n);
+            if u <= acc {
+                return n;
+            }
+        }
+        d.support_max()
+    }
+
+    /// An RNG that returns one fixed word, so `gen::<f64>()` yields
+    /// `(word >> 11) * 2^-53`.
+    struct FixedWord(u64);
+
+    impl rand::RngCore for FixedWord {
+        fn next_u32(&mut self) -> u32 {
+            self.0 as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            dest.fill(self.0 as u8);
+        }
+    }
+
+    #[test]
+    fn tables_draw_exactly_where_the_walk_stops() {
+        use std::sync::Arc;
+        let gaussian = DiscretizedGaussian::on_window(179.0, 46.0, 41, 317);
+        let narrow = DiscretizedGaussian::with_halfwidth(6.0, 2.0, 5);
+        let poisson = Poisson::new(6.0);
+        let zipf = Zipf::new(1.8, 40);
+        let holes = Empirical::from_histogram(vec![0, 3, 0, 0, 5, 1, 0, 0, 2, 0, 4]);
+        // Seven sevenths add up to 1 − 2^-52: the last sum rounds below 1.
+        let short = Empirical::from_histogram(vec![1; 7]);
+        let mixture = Mixture::new(vec![
+            (
+                5.0,
+                Arc::new(Poisson::new(6.0)) as Arc<dyn CountDistribution>,
+            ),
+            (2.0, Arc::new(Poisson::new(2.0))),
+            (
+                1.0,
+                Arc::new(DiscretizedGaussian::with_halfwidth(9.0, 2.5, 6)),
+            ),
+        ]);
+        let cases: [(&dyn CountDistribution, &CdfTable); 7] = [
+            (&gaussian, &gaussian.table),
+            (&narrow, &narrow.table),
+            (&poisson, &poisson.table),
+            (&zipf, &zipf.table),
+            (&holes, &holes.table),
+            (&short, &short.table),
+            (&mixture, &mixture.table),
+        ];
+        assert_eq!(holes.pmf(0), 0.0, "the first state carries no mass");
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        assert!(*short.table.sums.last().unwrap() < below_one);
+        assert_eq!(short.table.invert(below_one), short.support_max());
+        for (d, table) in cases {
+            assert_eq!(
+                table.sums.len() as u64,
+                d.support_max() - d.support_min() + 1
+            );
+            let mut us = vec![0.0, below_one];
+            for &s in &table.sums {
+                us.extend([s.next_down(), s, s.next_up()]);
+            }
+            us.retain(|u| (0.0..1.0).contains(u));
+            for &u in &us {
+                assert_eq!(table.invert(u), walk(d, u), "u = {u:e}");
+                // `gen::<f64>()` only yields multiples of 2^-53: drive the
+                // lattice points on either side of `u` through `sample`.
+                let k = (u * (1u64 << 53) as f64) as u64;
+                for k in [k, k + 1].into_iter().filter(|&k| k < 1 << 53) {
+                    let lattice = k as f64 / (1u64 << 53) as f64;
+                    assert_eq!(
+                        d.sample(&mut FixedWord(k << 11)),
+                        walk(d, lattice),
+                        "u = {lattice:e}"
+                    );
+                }
+            }
+        }
     }
 }

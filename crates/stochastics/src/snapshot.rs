@@ -37,8 +37,8 @@
 
 use crate::bank::SampleBank;
 use crate::discrete::{
-    Constant, CountDistribution, DiscretizedGaussian, Empirical, Mixture, Poisson, UniformCount,
-    Zipf,
+    histogram_mass, Constant, CountDistribution, DiscretizedGaussian, Empirical, Mixture, Poisson,
+    UniformCount, Zipf, MAX_SUPPORT_STATES,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -778,8 +778,11 @@ impl DistParams {
         }
     }
 
-    /// Read parameters from a section body, validating every constructor
-    /// precondition so [`DistParams::instantiate`] cannot panic.
+    /// Read parameters from a section body, validating the encoding: known
+    /// kinds, finite and positive scale parameters, non-empty windows, a
+    /// histogram whose mass is positive and fits `u64`, normalized mixture
+    /// weights. [`DistParams::instantiate`] refuses what only construction
+    /// reveals.
     pub fn decode(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
         Self::decode_depth(r, 0)
     }
@@ -829,10 +832,11 @@ impl DistParams {
             }
             Self::KIND_EMPIRICAL => {
                 let weights = r.get_u64s()?;
-                if weights.iter().sum::<u64>() == 0 {
-                    return Err(malformed("empirical histogram carries no mass"));
+                match histogram_mass(&weights) {
+                    None => Err(malformed("empirical histogram mass overflows u64")),
+                    Some(0) => Err(malformed("empirical histogram carries no mass")),
+                    Some(_) => Ok(DistParams::Empirical { weights }),
                 }
-                Ok(DistParams::Empirical { weights })
             }
             Self::KIND_MIXTURE => {
                 let n = r.get_usize()?;
@@ -860,28 +864,62 @@ impl DistParams {
         }
     }
 
-    /// Rebuild the live distribution — bit-identical to the object the
-    /// parameters were taken from (constructors are deterministic, and the
-    /// mixture path trusts the stored normalized weights).
-    pub fn instantiate(&self) -> Arc<dyn CountDistribution> {
-        match self {
-            DistParams::Constant(v) => Arc::new(Constant(*v)),
-            DistParams::Uniform { lo, hi } => Arc::new(UniformCount::new(*lo, *hi)),
-            DistParams::Gaussian { mean, std, lo, hi } => {
-                Arc::new(DiscretizedGaussian::on_window(*mean, *std, *lo, *hi))
+    /// Rebuild the live distribution from parameters [`DistParams::decode`]
+    /// accepted — bit-identical to the object the parameters were taken
+    /// from (constructors are deterministic, and the mixture path trusts
+    /// the stored normalized weights).
+    ///
+    /// Fails with [`SnapshotError::Malformed`], before anything of the size
+    /// is allocated, when the support would span more than
+    /// [`MAX_SUPPORT_STATES`] states (a Poisson rate whose truncation does
+    /// not converge within them included), and when a Gaussian window
+    /// carries no mass. Parameters taken from a live distribution always
+    /// instantiate when their support fits the bound.
+    pub fn instantiate(&self) -> Result<Arc<dyn CountDistribution>, SnapshotError> {
+        let too_wide = || SnapshotError::Malformed("distribution support is too wide".into());
+        let check_span = |lo: u64, hi: u64| {
+            if hi.saturating_sub(lo) < MAX_SUPPORT_STATES {
+                Ok(())
+            } else {
+                Err(too_wide())
             }
-            DistParams::Poisson { lambda } => Arc::new(Poisson::new(*lambda)),
-            DistParams::Zipf { exponent, cap } => Arc::new(Zipf::new(*exponent, *cap)),
+        };
+        Ok(match self {
+            DistParams::Constant(v) => Arc::new(Constant(*v)),
+            DistParams::Uniform { lo, hi } => {
+                check_span(*lo, *hi)?;
+                Arc::new(UniformCount::new(*lo, *hi))
+            }
+            DistParams::Gaussian { mean, std, lo, hi } => {
+                check_span(*lo, *hi)?;
+                Arc::new(
+                    DiscretizedGaussian::try_on_window(*mean, *std, *lo, *hi).ok_or_else(|| {
+                        SnapshotError::Malformed("gaussian window carries no mass".into())
+                    })?,
+                )
+            }
+            DistParams::Poisson { lambda } => {
+                Arc::new(Poisson::try_new(*lambda).ok_or_else(too_wide)?)
+            }
+            DistParams::Zipf { exponent, cap } => {
+                check_span(0, *cap)?;
+                Arc::new(Zipf::new(*exponent, *cap))
+            }
             DistParams::Empirical { weights } => {
+                check_span(0, (weights.len() as u64).saturating_sub(1))?;
                 Arc::new(Empirical::from_histogram(weights.clone()))
             }
-            DistParams::Mixture { components } => Arc::new(Mixture::from_normalized(
-                components
+            DistParams::Mixture { components } => {
+                let components = components
                     .iter()
-                    .map(|(w, p)| (*w, p.instantiate()))
-                    .collect(),
-            )),
-        }
+                    .map(|(w, p)| Ok((*w, p.instantiate()?)))
+                    .collect::<Result<Vec<_>, SnapshotError>>()?;
+                let lo = components.iter().map(|(_, d)| d.support_min()).min();
+                let hi = components.iter().map(|(_, d)| d.support_max()).max();
+                check_span(lo.unwrap_or(0), hi.unwrap_or(0))?;
+                Arc::new(Mixture::from_normalized(components))
+            }
+        })
     }
 }
 
@@ -1236,7 +1274,7 @@ mod tests {
             let decoded = DistParams::decode(&mut back.section(0x1).unwrap()).unwrap();
             assert_eq!(decoded, params);
 
-            let rebuilt = decoded.instantiate();
+            let rebuilt = decoded.instantiate().unwrap();
             assert_eq!(rebuilt.support_min(), dist.support_min());
             assert_eq!(rebuilt.support_max(), dist.support_max());
             for n in dist.support_min()..=dist.support_max() {
@@ -1264,7 +1302,7 @@ mod tests {
             (6.0, Arc::new(Constant(3))),
         ]);
         let params = live.snapshot_params().unwrap();
-        let rebuilt = params.instantiate();
+        let rebuilt = params.instantiate().unwrap();
         for n in 0..=3 {
             assert_eq!(rebuilt.pmf(n).to_bits(), live.pmf(n).to_bits());
         }
@@ -1314,15 +1352,78 @@ mod tests {
         }
     }
 
+    #[test]
+    fn unbuildable_dist_params_are_malformed_not_panics() {
+        let wide = 1u64 << 40;
+        let cases = [
+            // e^{-1000} underflows to 0: the running mass never grows.
+            DistParams::Poisson { lambda: 1000.0 },
+            DistParams::Gaussian {
+                mean: 1e6,
+                std: 1.0,
+                lo: 0,
+                hi: 10,
+            },
+            DistParams::Gaussian {
+                mean: 5.0,
+                std: 1.0,
+                lo: 0,
+                hi: wide,
+            },
+            DistParams::Zipf {
+                exponent: 1.5,
+                cap: wide,
+            },
+            DistParams::Uniform {
+                lo: 0,
+                hi: u64::MAX,
+            },
+            DistParams::Empirical {
+                weights: vec![u64::MAX, 1],
+            },
+            DistParams::Mixture {
+                components: vec![
+                    (0.5, DistParams::Constant(0)),
+                    (0.5, DistParams::Constant(wide)),
+                ],
+            },
+        ];
+        for params in cases {
+            let mut w = SectionWriter::new();
+            params.encode(&mut w);
+            let mut snap = Snapshot::new(3);
+            snap.add_section(0x1, w);
+            let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+            let got =
+                DistParams::decode(&mut back.section(0x1).unwrap()).and_then(|p| p.instantiate());
+            assert!(
+                matches!(got, Err(SnapshotError::Malformed(_))),
+                "{params:?} decoded to {:?}",
+                got.map(|d| d.support_max())
+            );
+        }
+        // The bound leaves room for every support a live model reaches.
+        let widest = DistParams::Zipf {
+            exponent: 1.5,
+            cap: MAX_SUPPORT_STATES - 1,
+        };
+        assert_eq!(
+            widest.instantiate().unwrap().support_max(),
+            MAX_SUPPORT_STATES - 1
+        );
+    }
+
     struct TwoPhase;
 
     impl JointCountModel for TwoPhase {
         fn n_types(&self) -> usize {
             2
         }
-        fn sample_row(&self, i: usize, rng: &mut dyn rand::RngCore) -> Vec<u64> {
+        fn sample_row(&self, i: usize, rng: &mut dyn rand::RngCore, row: &mut [u64]) {
             let d = UniformCount::new(0, 3 + (i % 2) as u64);
-            vec![d.sample(rng), d.sample(rng)]
+            for z in row {
+                *z = d.sample(rng);
+            }
         }
     }
 

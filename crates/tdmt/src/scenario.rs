@@ -94,11 +94,11 @@ fn event_with_subset(entity: u32, record: u32, day: u32, subset: &[usize]) -> Ac
 /// pairs, plus unflagged bulk traffic.
 pub fn generate_insider_log(config: &InsiderConfig, seed: u64) -> AuditLog {
     let mut log = AuditLog::new();
+    let dists = INSIDER_DAILY_MEANS.map(Poisson::new);
     for day in 0..config.n_days {
         let mut rng = stream_rng(seed, 100 + day as u64);
         let mut serial = 0u32;
-        for (t, subset) in INSIDER_SUBSETS.iter().enumerate() {
-            let dist = Poisson::new(INSIDER_DAILY_MEANS[t]);
+        for (subset, dist) in INSIDER_SUBSETS.iter().zip(&dists) {
             let count = dist.sample(&mut rng);
             for _ in 0..count {
                 // Distinct synthetic pairs so daily dedup keeps them all.
