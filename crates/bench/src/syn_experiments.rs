@@ -8,8 +8,8 @@
 //! caller's width, one engine thread per solve, and merges them by index,
 //! so no result depends on the width.
 
-use audit_game::brute_force::{solve_brute_force_with, threshold_space_size, BruteForceResult};
-use audit_game::detection::{CacheStats, DetectionEstimator, DetectionModel, PalEngine};
+use audit_game::brute_force::{solve_brute_force, threshold_space_size, BruteForceResult};
+use audit_game::detection::{CacheStats, DetectionEstimator, DetectionModel};
 use audit_game::error::GameError;
 use audit_game::model::GameSpec;
 use audit_game::ordering::AuditOrder;
@@ -82,8 +82,7 @@ pub fn optimal_for_budget(
     let bank = spec.sample_bank(n_samples, seed);
     let est = DetectionEstimator::new(&spec, &bank, DetectionModel::PaperApprox);
     let orders = AuditOrder::enumerate_all(spec.n_types());
-    let engine = PalEngine::uncached(est, 1);
-    let bf: BruteForceResult = solve_brute_force_with(&spec, &engine, &orders)?;
+    let bf: BruteForceResult = solve_brute_force(&spec, &est, &orders)?;
     // Keep only the support of the mixed strategy for reporting.
     let mut orders_kept = Vec::new();
     let mut probs_kept = Vec::new();

@@ -50,24 +50,10 @@ pub fn threshold_space_size(spec: &GameSpec) -> u128 {
 /// master LP.
 ///
 /// Uses a single-threaded, *uncached* engine: brute force never revisits a
-/// `(order, thresholds)` pair, so memoization would only burn memory. Pass
-/// a configured engine via [`solve_brute_force_with`] to parallelize the
-/// per-lattice-point order batch.
+/// `(order, thresholds)` pair, so memoization would only burn memory.
 pub fn solve_brute_force(
     spec: &GameSpec,
     est: &DetectionEstimator<'_>,
-    orders: &[AuditOrder],
-) -> Result<BruteForceResult, GameError> {
-    let engine = PalEngine::uncached(*est, 1);
-    solve_brute_force_with(spec, &engine, orders)
-}
-
-/// As [`solve_brute_force`], against a caller-owned [`PalEngine`]: each
-/// lattice point evaluates all order columns in one batch across the
-/// engine's workers.
-pub fn solve_brute_force_with(
-    spec: &GameSpec,
-    engine: &PalEngine<'_>,
     orders: &[AuditOrder],
 ) -> Result<BruteForceResult, GameError> {
     spec.validate()?;
@@ -80,6 +66,7 @@ pub fn solve_brute_force_with(
     let costs = spec.audit_costs();
     let caps: Vec<u64> = spec.distributions.iter().map(|d| d.support_max()).collect();
     let space_size = threshold_space_size(spec);
+    let engine = PalEngine::uncached(*est, 1);
 
     // The cover filter Σ b_t ≥ B is meaningful only when the lattice can
     // reach the budget at all; otherwise the all-max vector is the only
@@ -99,7 +86,7 @@ pub fn solve_brute_force_with(
             .collect();
         let total: f64 = thresholds.iter().sum();
         if total + 1e-9 >= min_cover {
-            let m = PayoffMatrix::build_with_engine(spec, engine, orders.to_vec(), &thresholds);
+            let m = PayoffMatrix::build_with_engine(spec, &engine, orders.to_vec(), &thresholds);
             let sol = MasterSolver::solve(spec, &m)?;
             explored += 1;
             let better = best
@@ -116,7 +103,8 @@ pub fn solve_brute_force_with(
             if i == n {
                 let (thresholds, value, master) =
                     best.expect("lattice contains the all-max vector");
-                let m = PayoffMatrix::build_with_engine(spec, engine, orders.to_vec(), &thresholds);
+                let m =
+                    PayoffMatrix::build_with_engine(spec, &engine, orders.to_vec(), &thresholds);
                 return Ok(BruteForceResult {
                     thresholds,
                     value,
@@ -221,22 +209,6 @@ mod tests {
             ishm.value,
             bf.value
         );
-    }
-
-    #[test]
-    fn engine_threads_do_not_change_the_optimum() {
-        let s = spec(2.0);
-        let bank = s.sample_bank(16, 0);
-        let est = DetectionEstimator::new(&s, &bank, DetectionModel::PaperApprox);
-        let orders = AuditOrder::enumerate_all(2);
-        let baseline = solve_brute_force(&s, &est, &orders).unwrap();
-        for threads in [2usize, 4] {
-            let engine = PalEngine::uncached(est, threads);
-            let bf = solve_brute_force_with(&s, &engine, &orders).unwrap();
-            assert_eq!(bf.value, baseline.value);
-            assert_eq!(bf.thresholds, baseline.thresholds);
-            assert_eq!(bf.explored, baseline.explored);
-        }
     }
 
     #[test]

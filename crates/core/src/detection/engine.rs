@@ -268,11 +268,6 @@ impl<'a> PalEngine<'a> {
         &self.est
     }
 
-    /// Worker threads used for batch evaluation.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Cache observability counters.
     pub fn cache_stats(&self) -> CacheStats {
         let results = self.results.borrow();

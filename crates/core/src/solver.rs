@@ -140,29 +140,15 @@ impl DegradeReason {
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     /// Starting threshold vector (clamped to the new game's upper bounds);
-    /// `None` starts ISHM from full coverage as usual.
+    /// `None` starts ISHM from full coverage as usual. The shrink search
+    /// never raises a threshold above its start, so a re-solve after an
+    /// upward workload drift should rescale the incumbent's thresholds
+    /// first, as `audit_runtime::warm_start_rescaled` does.
     pub thresholds: Option<Vec<f64>>,
     /// Column pool seeding the CGGS restricted master; infeasible or
     /// duplicate entries are skipped, and the exact inner evaluator (which
     /// materializes every order anyway) ignores it.
     pub orders: Vec<AuditOrder>,
-}
-
-impl WarmStart {
-    /// Warm-start state from a previously solved policy: the ISHM search
-    /// starts exactly at the incumbent thresholds (its first evaluation
-    /// reproduces the incumbent objective, so the re-solve can only match
-    /// or improve it) and the policy's support orders seed the CGGS
-    /// column pool. Callers re-solving after an *upward* workload drift
-    /// should first rescale the thresholds toward the new full-coverage
-    /// bounds (see `audit-runtime`), since the shrink search never raises
-    /// a threshold above its starting point.
-    pub fn from_policy(policy: &AuditPolicy) -> Self {
-        Self {
-            thresholds: Some(policy.thresholds.clone()),
-            orders: policy.orders.clone(),
-        }
-    }
 }
 
 /// The solved audit policy plus diagnostics.
@@ -600,7 +586,13 @@ mod tests {
         });
         let cold = solver.solve(&spec).unwrap();
         let warm = solver
-            .solve_warm(&spec, Some(&WarmStart::from_policy(&cold.policy)))
+            .solve_warm(
+                &spec,
+                Some(&WarmStart {
+                    thresholds: Some(cold.policy.thresholds.clone()),
+                    orders: cold.policy.orders.clone(),
+                }),
+            )
             .unwrap();
         // Warm starts at the incumbent, so its first evaluation reproduces
         // the cold optimum; further shrinks can only improve on it.

@@ -184,9 +184,12 @@ impl FleetReport {
         h.finish()
     }
 
-    /// Fingerprint over the healthy subset only — the quantity the chaos
-    /// harness diffs against a fault-free run to prove fault isolation:
-    /// tenants the plan never touched are bit-identical.
+    /// Fingerprint over the healthy subset only, which `exp_chaos` prints
+    /// on its `healthy subset:` line. It is not the fault-isolation
+    /// basis: a tenant can absorb a fault and stay healthy with a
+    /// legitimately changed report, so the chaos harness diffs
+    /// [`FleetReport::subset_fingerprint`] of the tenants the plan never
+    /// touched against a fault-free run.
     pub fn healthy_fingerprint(&self) -> u64 {
         self.subset_fingerprint(&self.healthy_names())
     }

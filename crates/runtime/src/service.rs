@@ -237,11 +237,6 @@ impl AuditService {
         &self.config
     }
 
-    /// The scenario the service runs on.
-    pub fn scenario(&self) -> &Arc<dyn Scenario> {
-        &self.scenario
-    }
-
     /// Run the full epoch loop and return the telemetry report.
     pub fn run(&self) -> Result<RuntimeReport, GameError> {
         let state = self.run_until(self.config.epochs)?;

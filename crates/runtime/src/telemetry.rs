@@ -167,7 +167,7 @@ impl RuntimeReport {
             // fields (presence, objective, explored count) used to hash.
             // Every run without a shadow solve hashed exactly `0, 0, 0`
             // here, so recorded fingerprints stay valid; the versioned
-            // fingerprint encoding (ROADMAP item 5) retires these words.
+            // fingerprint encoding (ROADMAP item 6) retires these words.
             h.word(0);
             h.word(0);
             h.word(0);

@@ -3,10 +3,12 @@
 //! For every registry scenario this module solves the (conformance-scale)
 //! game with each applicable solver mode under each detection model, and
 //! serializes the resulting objective values and thresholds. The
-//! `tests/scenario_conformance.rs` suite compares these reports against
-//! committed snapshots in `tests/golden/*.json`, pinning every solver's
-//! answer on every scenario: a performance refactor that drifts any
-//! number fails CI immediately. Regenerate snapshots with
+//! `tests/scenario_conformance.rs` suite solves the registry once and
+//! compares each report's rendering with its committed snapshot in
+//! `tests/golden/*.json` byte for byte ([`ScenarioReport::check_golden`]):
+//! 132 cells in 15 goldens, pinned to the bit in debug, release and
+//! x86-64-v2 builds alike, so a performance refactor that drifts any
+//! number by one ulp fails CI immediately. Regenerate snapshots with
 //! `UPDATE_GOLDEN=1 cargo test --test scenario_conformance`.
 //!
 //! Everything here is deterministic: fixed seeds, fixed sample counts,
@@ -429,104 +431,31 @@ impl ScenarioReport {
         ])
     }
 
-    /// Compare against a parsed golden snapshot; `Err` carries a
-    /// human-readable list of every mismatch.
-    ///
-    /// Objectives and thresholds compare with relative tolerance `1e-9` —
-    /// effectively exact (the pipeline is deterministic), while staying
-    /// robust to libm differences should the goldens ever be regenerated
-    /// on another platform.
-    pub fn compare_to_golden(&self, golden: &Value) -> Result<(), String> {
-        let mut problems = Vec::new();
-        let mut check_num = |field: &str, got: f64, want: Option<f64>| match want {
-            Some(want) if approx_eq(got, want) => {}
-            Some(want) => problems.push(format!("{field}: got {got:?}, golden {want:?}")),
-            None => problems.push(format!("{field}: missing in golden")),
-        };
-        check_num(
-            "seed",
-            self.seed as f64,
-            golden.get("seed").and_then(Value::as_f64),
-        );
-        check_num(
-            "n_types",
-            self.n_types as f64,
-            golden.get("n_types").and_then(Value::as_f64),
-        );
-        check_num(
-            "n_attackers",
-            self.n_attackers as f64,
-            golden.get("n_attackers").and_then(Value::as_f64),
-        );
-        check_num(
-            "n_actions",
-            self.n_actions as f64,
-            golden.get("n_actions").and_then(Value::as_f64),
-        );
-        check_num(
-            "budget",
-            self.budget,
-            golden.get("budget").and_then(Value::as_f64),
-        );
-
-        let golden_cells = golden
-            .get("cells")
-            .and_then(Value::as_arr)
-            .unwrap_or_default();
-        if golden_cells.len() != self.cells.len() {
-            problems.push(format!(
-                "cell count: got {}, golden {}",
-                self.cells.len(),
-                golden_cells.len()
-            ));
+    /// Compare the golden rendering — `to_json().render()`, exactly the
+    /// bytes `UPDATE_GOLDEN=1` writes — with a snapshot's bytes. `Err`
+    /// lists every differing line by its 1-based number, with the golden
+    /// version and the rendered one.
+    pub fn check_golden(&self, golden: &str) -> Result<(), String> {
+        let rendered = self.to_json().render();
+        if rendered == golden {
+            return Ok(());
         }
-        for cell in &self.cells {
-            let label = format!("{}/{}", cell.solver, cell.detection);
-            let found = golden_cells.iter().find(|g| {
-                g.get("solver").and_then(Value::as_str) == Some(cell.solver)
-                    && g.get("detection").and_then(Value::as_str) == Some(cell.detection)
-            });
-            let Some(found) = found else {
-                problems.push(format!("{label}: cell missing in golden"));
-                continue;
-            };
-            match found.get("objective").and_then(Value::as_f64) {
-                Some(want) if approx_eq(cell.objective, want) => {}
-                other => problems.push(format!(
-                    "{label}: objective got {:?}, golden {other:?}",
-                    cell.objective
-                )),
-            }
-            let want_thresholds: Vec<f64> = found
-                .get("thresholds")
-                .and_then(Value::as_arr)
-                .map(|a| a.iter().filter_map(Value::as_f64).collect())
-                .unwrap_or_default();
-            let thresholds_match = want_thresholds.len() == cell.thresholds.len()
-                && cell
-                    .thresholds
-                    .iter()
-                    .zip(&want_thresholds)
-                    .all(|(&a, &b)| approx_eq(a, b));
-            if !thresholds_match {
-                problems.push(format!(
-                    "{label}: thresholds got {:?}, golden {want_thresholds:?}",
-                    cell.thresholds
-                ));
-            }
-        }
+        let golden: Vec<&str> = golden.lines().collect();
+        let got: Vec<&str> = rendered.lines().collect();
+        let problems: Vec<String> = (0..golden.len().max(got.len()))
+            .filter(|&i| golden.get(i) != got.get(i))
+            .map(|i| {
+                let [want, have] = [&golden, &got].map(|l| l.get(i).copied().unwrap_or("<none>"));
+                format!("line {}:\n  golden: {want}\n  got:    {have}", i + 1)
+            })
+            .collect();
         if problems.is_empty() {
-            Ok(())
-        } else {
-            Err(problems.join("\n"))
+            return Err(
+                "every line matches, but the line endings or the final newline differ".into(),
+            );
         }
+        Err(problems.join("\n"))
     }
-}
-
-/// Relative comparison at `1e-9`, absolute near zero.
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    let scale = a.abs().max(b.abs()).max(1.0);
-    (a - b).abs() <= 1e-9 * scale
 }
 
 /// Directory holding the committed golden snapshots.
@@ -583,27 +512,58 @@ mod tests {
         );
     }
 
+    /// The golden comparison is byte for byte: a one-ulp drift in one
+    /// objective, or in one threshold, fails it and names the line.
     #[test]
-    fn report_roundtrips_and_self_compares() {
-        let registry = audit_game::scenario::registry();
-        let sc = registry.get("syn-a").unwrap();
-        let report = run_scenario(sc).unwrap();
-        assert_eq!(report.cells.len(), 9, "4-type scenario runs all 9 cells");
-        assert!(report.skipped.is_empty(), "nothing to skip at 4 types");
-        let json = report.to_json().render();
-        let parsed = crate::json::Value::parse(&json).unwrap();
-        report.compare_to_golden(&parsed).unwrap();
-    }
+    fn one_ulp_drift_fails_the_golden_comparison() {
+        let report = ScenarioReport {
+            scenario: "hand-built".into(),
+            seed: 7,
+            n_types: 2,
+            n_attackers: 1,
+            n_actions: 2,
+            budget: 2.0,
+            cells: vec![Cell {
+                solver: "cggs",
+                detection: "paper-approx",
+                objective: 12.374088811889944,
+                thresholds: vec![2.0, 1.5],
+            }],
+            skipped: Vec::new(),
+        };
+        let golden = report.to_json().render();
+        report.check_golden(&golden).unwrap();
+        let line_of = |text: &str| 1 + golden.lines().position(|l| l.contains(text)).unwrap();
+        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
 
-    #[test]
-    fn comparison_flags_drift() {
-        let registry = audit_game::scenario::registry();
-        let sc = registry.get("syn-a").unwrap();
-        let mut report = run_scenario(sc).unwrap();
-        let golden = crate::json::Value::parse(&report.to_json().render()).unwrap();
-        report.cells[0].objective += 1e-3;
-        let err = report.compare_to_golden(&golden).unwrap_err();
-        assert!(err.contains("objective"), "unexpected message: {err}");
+        let mut drifted = report.clone();
+        drifted.cells[0].objective = next_up(drifted.cells[0].objective);
+        let err = drifted.check_golden(&golden).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "line {}:\n  golden:       \"objective\": 12.374088811889944,\n  \
+                 got:          \"objective\": 12.374088811889946,",
+                line_of("objective")
+            )
+        );
+
+        let mut drifted = report.clone();
+        drifted.cells[0].thresholds[1] = next_up(1.5);
+        let err = drifted.check_golden(&golden).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "line {}:\n  golden:         1.5\n  got:            1.5000000000000002",
+                line_of("1.5")
+            )
+        );
+
+        // Equal lines under other line endings are still other bytes.
+        let err = report
+            .check_golden(&golden.replace('\n', "\r\n"))
+            .unwrap_err();
+        assert!(err.contains("line endings"), "{err}");
     }
 
     #[test]

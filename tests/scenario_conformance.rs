@@ -1,12 +1,14 @@
 //! Golden cross-solver conformance net.
 //!
-//! For every scenario in the full registry, solve the conformance-scale
-//! game with every applicable (solver mode × detection model) cell and
-//! compare objective values and thresholds against the committed
-//! snapshots in `tests/golden/<key>.json`. The whole pipeline — scenario
-//! generators, sample banks, detection engine, LP, CGGS, ISHM — is
-//! deterministic, so any drift in any number on any scenario fails here
-//! with a precise diff.
+//! One pass over the full registry solves each scenario's
+//! conformance-scale game in every applicable (solver mode × detection
+//! model) cell, and the tests below check the reports of that pass. The
+//! golden test compares each report's rendering with the committed
+//! snapshot `tests/golden/<key>.json` byte for byte, so the same bytes
+//! must come out of debug, release and x86-64-v2 builds. The whole
+//! pipeline — scenario generators, sample banks, detection engine, LP,
+//! CGGS, ISHM — is deterministic, so a one-ulp drift in any number on any
+//! scenario fails here, listing each differing line.
 //!
 //! Regenerate after an *intentional* change with:
 //!
@@ -14,12 +16,14 @@
 //! UPDATE_GOLDEN=1 cargo test --test scenario_conformance
 //! ```
 //!
-//! CI runs the suite in release mode and then verifies regeneration is a
-//! no-op, so stale snapshots cannot land.
+//! CI also regenerates the snapshots in release mode and diffs them, so
+//! the `UPDATE_GOLDEN` path itself stays a no-op on committed goldens.
 
-use alert_audit::conformance::{golden_dir, golden_path, run_scenario};
-use alert_audit::json::Value;
+use alert_audit::conformance::{
+    golden_dir, golden_path, run_scenario, ScenarioReport, EXACT_MAX_TYPES, ISHM_FULL_MAX_TYPES,
+};
 use alert_audit::scenario::registry;
+use std::sync::OnceLock;
 
 fn update_mode() -> bool {
     std::env::var("UPDATE_GOLDEN")
@@ -27,62 +31,79 @@ fn update_mode() -> bool {
         .unwrap_or(false)
 }
 
-/// One test per registry scenario would need a proc macro; instead run
-/// the whole matrix and aggregate failures so a drift report shows every
-/// broken cell at once.
+/// The one pass over the registry, in registry order: each scenario's
+/// report, or why it failed to solve. Every test below reads this pass,
+/// so the suite solves each scenario once.
+fn registry_pass() -> &'static [Result<ScenarioReport, String>] {
+    static PASS: OnceLock<Vec<Result<ScenarioReport, String>>> = OnceLock::new();
+    PASS.get_or_init(|| {
+        registry()
+            .iter()
+            .map(|sc| run_scenario(sc).map_err(|e| format!("{}: failed to solve: {e}", sc.key())))
+            .collect()
+    })
+}
+
+/// The reports of the pass; panics on a scenario that failed to solve
+/// (the golden test lists every such failure).
+fn reports() -> impl Iterator<Item = &'static ScenarioReport> {
+    registry_pass()
+        .iter()
+        .map(|r| r.as_ref().unwrap_or_else(|e| panic!("{e}")))
+}
+
+/// Whether a report holds the `solver` cell under every detection model.
+fn has_cells(report: &ScenarioReport, solver: &str) -> bool {
+    ["paper-approx", "attack-inclusive", "operational"]
+        .iter()
+        .all(|d| {
+            report
+                .cells
+                .iter()
+                .any(|c| c.solver == solver && c.detection == *d)
+        })
+}
+
+/// One test per registry scenario would need a proc macro; instead check
+/// the whole pass and aggregate failures so a drift report shows every
+/// broken scenario at once.
 #[test]
 fn every_registry_scenario_matches_its_golden_snapshot() {
-    let reg = registry();
     let update = update_mode();
     if update {
         std::fs::create_dir_all(golden_dir()).expect("create tests/golden");
     }
     let mut failures: Vec<String> = Vec::new();
-    for sc in reg.iter() {
-        let report = match run_scenario(sc) {
+    for result in registry_pass() {
+        let report = match result {
             Ok(r) => r,
             Err(e) => {
-                failures.push(format!("{}: failed to solve: {e}", sc.key()));
+                failures.push(e.clone());
                 continue;
             }
         };
+        let key = &report.scenario;
         // Intractable cells are explicit, not silent: surface each skip
         // the way `cargo test` surfaces an `#[ignore]`d test.
         for s in &report.skipped {
-            eprintln!(
-                "ignored: {} {}/{}: {}",
-                sc.key(),
-                s.solver,
-                s.detection,
-                s.reason
-            );
+            eprintln!("ignored: {key} {}/{}: {}", s.solver, s.detection, s.reason);
         }
-        let path = golden_path(sc.key());
+        let path = golden_path(key);
         if update {
             std::fs::write(&path, report.to_json().render()).expect("write golden");
             eprintln!("regenerated {}", path.display());
             continue;
         }
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => {
-                failures.push(format!(
-                    "{}: no golden snapshot at {} (run UPDATE_GOLDEN=1 to create)",
-                    sc.key(),
-                    path.display()
-                ));
-                continue;
+        match std::fs::read_to_string(&path) {
+            Ok(golden) => {
+                if let Err(diff) = report.check_golden(&golden) {
+                    failures.push(format!("{key} differs from {}:\n{diff}", path.display()));
+                }
             }
-        };
-        let golden = match Value::parse(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                failures.push(format!("{}: golden file unparseable: {e}", sc.key()));
-                continue;
-            }
-        };
-        if let Err(diff) = report.compare_to_golden(&golden) {
-            failures.push(format!("{} drifted:\n{diff}", sc.key()));
+            Err(_) => failures.push(format!(
+                "{key}: no golden snapshot at {} (run UPDATE_GOLDEN=1 to create)",
+                path.display()
+            )),
         }
     }
     assert!(
@@ -138,29 +159,24 @@ fn no_stray_golden_snapshots() {
 /// scenarios whose conformance-scale game exceeds `EXACT_MAX_TYPES`.
 #[test]
 fn ishm_exact_gating_is_explicit() {
-    use alert_audit::conformance::EXACT_MAX_TYPES;
-    let reg = registry();
-    for sc in reg.iter() {
-        let spec = sc.build_small(sc.default_seed()).expect("build_small");
-        let report = run_scenario(sc).expect("matrix solves");
+    for report in reports() {
+        let key = report.scenario.as_str();
         let solved_exact = report.cells.iter().any(|c| c.solver == "ishm-exact");
         let skipped_exact: Vec<_> = report
             .skipped
             .iter()
             .filter(|s| s.solver == "ishm-exact")
             .collect();
-        if spec.n_types() > EXACT_MAX_TYPES {
+        if report.n_types > EXACT_MAX_TYPES {
             assert!(
                 !solved_exact && skipped_exact.len() == 3,
-                "{}: {} types must skip ishm-exact with 3 explicit markers (got {} markers)",
-                sc.key(),
-                spec.n_types(),
+                "{key}: {} types must skip ishm-exact with 3 explicit markers (got {} markers)",
+                report.n_types,
                 skipped_exact.len()
             );
             assert!(
-                ["emr-reaa", "emr-reaa-empirical", "syn-wide25", "syn-wide50"].contains(&sc.key()),
-                "{}: unexpected scenario above the exact gate",
-                sc.key()
+                ["emr-reaa", "emr-reaa-empirical", "syn-wide25", "syn-wide50"].contains(&key),
+                "{key}: unexpected scenario above the exact gate"
             );
             for s in &skipped_exact {
                 assert!(
@@ -172,9 +188,8 @@ fn ishm_exact_gating_is_explicit() {
         } else {
             assert!(
                 solved_exact && skipped_exact.is_empty(),
-                "{}: {} types must solve ishm-exact cells",
-                sc.key(),
-                spec.n_types()
+                "{key}: {} types must solve ishm-exact cells",
+                report.n_types
             );
         }
     }
@@ -184,76 +199,44 @@ fn ishm_exact_gating_is_explicit() {
 /// in the golden net, on top of the standard matrix.
 #[test]
 fn strategic_scenarios_pin_their_model_cells() {
-    if update_mode() {
-        return; // files may be mid-regeneration
-    }
     for (key, solver) in [
         ("syn-quantal", "ishm-qr"),
         ("syn-general-sum", "ishm-gsum"),
         ("syn-adaptive", "adaptive-soak"),
     ] {
-        let text = std::fs::read_to_string(golden_path(key))
-            .unwrap_or_else(|_| panic!("{key}: missing golden snapshot"));
-        let golden = Value::parse(&text).expect("parseable golden");
-        let cells = golden
-            .get("cells")
-            .and_then(Value::as_arr)
-            .unwrap_or_default();
-        for detection in ["paper-approx", "attack-inclusive", "operational"] {
-            assert!(
-                cells.iter().any(|c| {
-                    c.get("solver").and_then(Value::as_str) == Some(solver)
-                        && c.get("detection").and_then(Value::as_str) == Some(detection)
-                }),
-                "{key}: golden missing cell {solver}/{detection}"
-            );
-        }
+        let report = reports()
+            .find(|r| r.scenario == key)
+            .unwrap_or_else(|| panic!("{key}: not in the registry"));
+        assert!(
+            has_cells(report, solver),
+            "{key}: report lacks a {solver} cell per detection model"
+        );
     }
 }
 
 /// The acceptance floor of the substrate: at least 8 scenarios spanning
-/// all four substrates, each with a committed snapshot covering at least
-/// CGGS plus the width-appropriate ISHM mode (ISHM-CGGS up to the
-/// full-ISHM gate, the planner's decomposed tier past it) under all
-/// three detection models.
+/// all four substrates, each covering at least CGGS plus the
+/// width-appropriate ISHM mode (ISHM-CGGS up to the full-ISHM gate, the
+/// planner's decomposed tier past it) under all three detection models.
 #[test]
 fn registry_coverage_floor() {
-    use alert_audit::conformance::ISHM_FULL_MAX_TYPES;
-    let reg = registry();
-    assert!(reg.len() >= 8, "registry shrank to {}", reg.len());
-    if update_mode() {
-        return; // files may be mid-regeneration
-    }
-    for sc in reg.iter() {
-        let path = golden_path(sc.key());
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|_| panic!("{}: missing golden snapshot", sc.key()));
-        let golden = Value::parse(&text).expect("parseable golden");
-        let n_types = golden
-            .get("n_types")
-            .and_then(Value::as_f64)
-            .unwrap_or_else(|| panic!("{}: golden lacks n_types", sc.key()))
-            as usize;
-        let ishm_mode = if n_types > ISHM_FULL_MAX_TYPES {
+    assert!(
+        registry_pass().len() >= 8,
+        "registry shrank to {}",
+        registry_pass().len()
+    );
+    for report in reports() {
+        let ishm_mode = if report.n_types > ISHM_FULL_MAX_TYPES {
             "ishm-planner"
         } else {
             "ishm-cggs"
         };
-        let cells = golden
-            .get("cells")
-            .and_then(Value::as_arr)
-            .unwrap_or_default();
         for solver in ["cggs", ishm_mode] {
-            for detection in ["paper-approx", "attack-inclusive", "operational"] {
-                assert!(
-                    cells.iter().any(|c| {
-                        c.get("solver").and_then(Value::as_str) == Some(solver)
-                            && c.get("detection").and_then(Value::as_str) == Some(detection)
-                    }),
-                    "{}: golden missing cell {solver}/{detection}",
-                    sc.key()
-                );
-            }
+            assert!(
+                has_cells(report, solver),
+                "{}: report lacks a {solver} cell per detection model",
+                report.scenario
+            );
         }
     }
 }
